@@ -18,7 +18,6 @@ from .env import (
     Schedule,
     SimulatedUser,
     SyntheticConfig,
-    conversations_this_round,
     dueling_regret,
     gen_synthetic,
     mnl_regret,
@@ -36,42 +35,35 @@ from .errors import (
 from .estimator import (
     ARM_LEVEL,
     KEYTERM_LEVEL,
+    DuelObjective,
     InteractionHistory,
     ThetaEstimate,
     dueling_radius,
-    log_likelihood,
-    mean_map,
     mle_fit,
     project_theta,
-    score,
 )
 from .glm import (
     DesignMatrix,
     LinkFunction,
     WeightGraph,
-    design_update,
     duel_prob,
     get_link,
     keyterm_feature,
-    link_deriv,
-    link_eval,
-    mahalanobis,
 )
 from .harness import ALL_KINDS, RegretTrace, run_experiment
 from .mnl import (
     MNL_KINDS,
     ChoiceHistory,
     MnlConfig,
+    MnlObjective,
     MnlPolicy,
     expected_revenue,
-    mnl_log_likelihood,
     mnl_mle_fit,
     mnl_probs,
     mnl_radius,
-    mnl_score,
     optimal_assortment,
     ucb_utilities,
 )
-from .spanner import Spanner, build_spanner, spanner_coefficients, spanner_lambda_b
+from .spanner import Spanner, build_spanner, spanner_coefficients
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ from .dueling import DEFAULT_RADIUS_SCALE, DuelConfig
 from .env import Schedule, SyntheticConfig, gen_synthetic
 from .envfile import export_environment, import_environment
 from .errors import ConduelError, ConfigError
-from .harness import ALL_KINDS, config_fingerprint, regret_kind_of, run_experiment
+from .harness import ALL_KINDS, regret_kind_of, run_experiment
 from .hetrec import IngestConfig, build_environment, parse_hetrec
 from .mnl import DEFAULT_MNL_RADIUS_SCALE, MnlConfig
 from .report import read_aggregate_csv, render_chart, write_aggregate_csv, write_trace_csv

@@ -169,12 +169,7 @@ def select_arm_pair(mode, candidates, pool_feats, design: DesignMatrix, rng_sel)
         second = int(np.argmax(design.inv_quad_rows(gaps)))
         return int(candidates[first]), int(candidates[second])
     if mode == "full_maxinp":
-        gram = feats @ design.m_inv @ feats.T
-        diag = np.diag(gram).copy()
-        dist2 = diag[:, None] + diag[None, :] - 2.0 * gram
-        dist2[np.tril_indices(candidates.size)] = -np.inf  # canonical (low, high)
-        flat = int(np.argmax(dist2))  # row-major: lowest pair wins ties
-        i, j = divmod(flat, candidates.size)
+        i, j = _max_info_pair(feats, design)
         return int(candidates[i]), int(candidates[j])
     if mode == "random":
         i, j = rng_sel.choice(candidates.size, size=2, replace=False)

@@ -28,7 +28,6 @@ __all__ = [
     "gen_synthetic",
     "sample_duel_feedback",
     "sample_choice_feedback",
-    "conversations_this_round",
     "dueling_regret",
     "mnl_regret",
 ]
@@ -222,10 +221,6 @@ class Schedule:
         except ValueError as exc:
             raise ConfigError(f"bad schedule parameter in {text!r}") from exc
         return cls(name, param)
-
-
-def conversations_this_round(schedule: Schedule, t: int) -> int:
-    return schedule.conversations(t)
 
 
 def sample_duel_feedback(env: Environment, x_first, x_second, rng) -> int:

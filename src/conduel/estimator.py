@@ -1,14 +1,16 @@
 """Regularized maximum-likelihood estimation from dueling observations.
 
 Observations are difference vectors with binary outcomes, at either the arm
-level or the key-term level; both levels enter one likelihood.  The fit is
-Newton's method with step-halving on the strictly concave objective
+level or the key-term level; both levels enter one likelihood.
+``DuelObjective`` is its only implementation: the strictly concave
 
     sum_s [ o_s * d_s^T theta - m(d_s^T theta) ] - (lam / 2) ||theta||^2,
 
-where m is the antiderivative of the link.  When the fit leaves the unit
+with m the antiderivative of the link, together with its score, the
+regularized mean-value map g and the Jacobian of g.  The fit is Newton's
+method with step-halving on that objective.  When the fit leaves the unit
 ball it is pulled back by minimizing || g(theta) - g(theta_hat) ||_{M^-1}
-over the ball, with g the regularized mean-value map.
+over the ball, using the same object's g and Jacobian-vector product.
 """
 
 from __future__ import annotations
@@ -26,9 +28,7 @@ __all__ = [
     "KEYTERM_LEVEL",
     "InteractionHistory",
     "ThetaEstimate",
-    "log_likelihood",
-    "score",
-    "mean_map",
+    "DuelObjective",
     "mle_fit",
     "project_theta",
     "dueling_radius",
@@ -104,43 +104,56 @@ class ThetaEstimate:
     grad_norm: float
 
 
-def log_likelihood(history: InteractionHistory, theta, lam: float, link: LinkFunction) -> float:
-    """Regularized log-likelihood of ``theta`` under both observation levels."""
-    if lam <= 0.0:
-        raise DomainError("lam must be positive")
-    theta = np.asarray(theta, dtype=float)
-    reg = 0.5 * lam * float(theta @ theta)
-    if len(history) == 0:
-        return -reg
-    z = history.diffs @ theta
-    return float(history.outcomes @ z - link.antiderivative(z).sum()) - reg
+class DuelObjective:
+    """Regularized dueling log-likelihood over one history, built once per fit.
 
+    Serves the value, the score, the mean-value map
+    g(theta) = sum mu(d^T theta) d + lam theta, its Jacobian
+    J(theta) = sum mu'(d^T theta) d d^T + lam I (minus the Hessian of the
+    value), and the product J(theta) v.  Each method takes the utility pass
+    ``z = diffs @ theta`` when the caller already has it.  Inputs are not
+    validated: callers pass finite float arrays of the history's dimension.
+    """
 
-def score(history: InteractionHistory, theta, lam: float, link: LinkFunction) -> np.ndarray:
-    """Gradient of the regularized log-likelihood; zero exactly at the MLE."""
-    theta = np.asarray(theta, dtype=float)
-    if len(history) == 0:
-        return -lam * theta
-    z = history.diffs @ theta
-    return history.diffs.T @ (history.outcomes - link.mu(z)) - lam * theta
+    __slots__ = ("diffs", "outcomes", "lam", "_mu", "_slope", "_anti", "_ridge")
 
+    def __init__(self, history: InteractionHistory, lam: float, link: LinkFunction):
+        if lam <= 0.0:
+            raise DomainError("lam must be positive")
+        self.diffs = history.diffs
+        self.outcomes = history.outcomes
+        self.lam = lam
+        self._mu, self._slope, self._anti = link.raw_funcs()
+        self._ridge = lam * np.eye(history.dim)
 
-def mean_map(history: InteractionHistory, theta, lam: float, link: LinkFunction) -> np.ndarray:
-    """Regularized mean-value map g(theta) = sum mu(d^T theta) d + lam theta."""
-    theta = np.asarray(theta, dtype=float)
-    if len(history) == 0:
-        return lam * theta
-    z = history.diffs @ theta
-    return history.diffs.T @ np.asarray(link.mu(z)) + lam * theta
+    def value(self, theta, z=None) -> float:
+        if z is None:
+            z = self.diffs @ theta
+        reg = 0.5 * self.lam * float(theta @ theta)
+        return float(self.outcomes @ z - self._anti(z).sum()) - reg
 
+    def score(self, theta, z=None) -> np.ndarray:
+        """Gradient of the value; zero exactly at the MLE."""
+        if z is None:
+            z = self.diffs @ theta
+        return self.diffs.T @ (self.outcomes - self._mu(z)) - self.lam * theta
 
-def _hessian(history: InteractionHistory, theta, lam: float, link: LinkFunction) -> np.ndarray:
-    d = history.dim
-    h = lam * np.eye(d)
-    if len(history):
-        w = np.asarray(link.mu_prime(history.diffs @ theta))
-        h += history.diffs.T @ (w[:, None] * history.diffs)
-    return h
+    def mean_map(self, theta, z=None) -> np.ndarray:
+        if z is None:
+            z = self.diffs @ theta
+        return self.diffs.T @ self._mu(z) + self.lam * theta
+
+    def jacobian(self, theta, z=None) -> np.ndarray:
+        if z is None:
+            z = self.diffs @ theta
+        w = self._slope(z)
+        return self.diffs.T @ (w[:, None] * self.diffs) + self._ridge
+
+    def jvp(self, theta, v, z=None) -> np.ndarray:
+        """J(theta) v without forming J."""
+        if z is None:
+            z = self.diffs @ theta
+        return self.diffs.T @ (self._slope(z) * (self.diffs @ v)) + self.lam * v
 
 
 def mle_fit(
@@ -159,23 +172,13 @@ def mle_fit(
     by the projection step; when omitted a fresh lam/kappa1-regularized
     matrix built from the history is used.
     """
-    if lam <= 0.0:
-        raise DomainError("lam must be positive")
+    obj = DuelObjective(history, lam, link)
     if tol <= 0.0:
         raise DomainError("tol must be positive")
     theta = np.zeros(history.dim) if theta0 is None else np.asarray(theta0, dtype=float).copy()
 
-    mu_f, slope_f, anti_f = link.raw_funcs()
-    diffs = history.diffs
-    outcomes = history.outcomes
-    eye = lam * np.eye(history.dim)
-
-    def value(th):
-        z = diffs @ th
-        return float(outcomes @ z - anti_f(z).sum()) - 0.5 * lam * float(th @ th)
-
-    z = diffs @ theta
-    grad = diffs.T @ (outcomes - mu_f(z)) - lam * theta
+    z = obj.diffs @ theta
+    grad = obj.score(theta, z)
     grad_norm = math.sqrt(float(grad @ grad))
     iters = 0
     while grad_norm > tol:
@@ -184,19 +187,17 @@ def mle_fit(
                 f"MLE Newton failed to converge: ||score|| = {grad_norm:.3e} "
                 f"after {max_iters} iterations"
             )
-        w = slope_f(z)
-        hess = diffs.T @ (w[:, None] * diffs) + eye
-        step = np.linalg.solve(hess, grad)
-        f0 = float(outcomes @ z - anti_f(z).sum()) - 0.5 * lam * float(theta @ theta)
+        step = np.linalg.solve(obj.jacobian(theta, z), grad)
+        f0 = obj.value(theta, z)
         slack = 1e-13 * (1.0 + abs(f0))  # tolerate round-off near the optimum
         scale = 1.0
         while scale > 2.0 ** -40:
-            if value(theta + scale * step) >= f0 - slack:
+            if obj.value(theta + scale * step) >= f0 - slack:
                 break
             scale *= 0.5
         theta = theta + scale * step
-        z = diffs @ theta
-        grad = diffs.T @ (outcomes - mu_f(z)) - lam * theta
+        z = obj.diffs @ theta
+        grad = obj.score(theta, z)
         grad_norm = math.sqrt(float(grad @ grad))
         iters += 1
 
@@ -231,30 +232,19 @@ def project_theta(
     raw_norm = float(np.linalg.norm(theta_raw))
     if raw_norm <= 1.0:
         return theta_raw.copy()
-    mu_f, slope_f, _ = link.raw_funcs()
+    obj = DuelObjective(history, lam, link)
     m_inv = design.m_inv
-    diffs = history.diffs if len(history) else None
-    if diffs is None:
-        g_target = lam * theta_raw
-    else:
-        g_target = diffs.T @ mu_f(diffs @ theta_raw) + lam * theta_raw
+    g_target = obj.mean_map(theta_raw)
 
-    def objective_parts(th):
-        # returns F(th), M^-1 residual, and the utility pass for reuse
-        z = diffs @ th if diffs is not None else None
-        g = lam * th if z is None else diffs.T @ mu_f(z) + lam * th
-        r = g - g_target
+    def residual(th):
+        # F(th), the M^-1 residual, and the utility pass for the gradient
+        z = obj.diffs @ th
+        r = obj.mean_map(th, z) - g_target
         w = m_inv @ r
         return float(r @ w), w, z
 
-    def gradient(th, w, z):
-        # 2 J(th) M^-1 r with J = sum mu'(d^T th) d d^T + lam I
-        if diffs is None:
-            return 2.0 * lam * w
-        return 2.0 * (diffs.T @ (slope_f(z) * (diffs @ w)) + lam * w)
-
     theta = theta_raw / raw_norm
-    f_cur, w, z = objective_parts(theta)
+    f_cur, w, z = residual(theta)
     best_theta, best_f = theta.copy(), f_cur
     step = 1.0
     prev_theta = None
@@ -263,7 +253,7 @@ def project_theta(
     for _ in range(max_iters):
         if f_cur <= floor:
             break
-        grad = gradient(theta, w, z)
+        grad = 2.0 * obj.jvp(theta, w, z)  # grad F = 2 J(th) M^-1 r
         if prev_grad is not None:
             dth = theta - prev_theta
             dgr = grad - prev_grad
@@ -278,7 +268,7 @@ def project_theta(
             nrm = math.sqrt(float(cand @ cand))
             if nrm > 1.0:
                 cand = cand / nrm
-            f_new, w_new, z_new = objective_parts(cand)
+            f_new, w_new, z_new = residual(cand)
             if f_new < f_cur:
                 moved = True
                 break

@@ -20,8 +20,6 @@ from .errors import DomainError, StructuralError
 __all__ = [
     "LinkFunction",
     "get_link",
-    "link_eval",
-    "link_deriv",
     "duel_prob",
     "WeightGraph",
     "keyterm_feature",
@@ -42,49 +40,30 @@ class LinkFunction:
     clamped-linear slope is exactly zero outside (-1, 1), so its kappa1 is
     reported as the interior slope 0.5 and is valid only while |z| < 1.
 
-    ``slope_bound`` and ``curvature_bound`` record upper bounds on mu' and
-    mu''; they are documentation constants and no operation consumes them.
+    The public methods validate their input and return a float for a scalar;
+    ``raw_funcs`` hands the same functions to hot loops without either step.
     """
 
-    __slots__ = ("kind", "kappa1", "slope_bound", "curvature_bound")
+    __slots__ = ("kind", "kappa1")
 
     def __init__(self, kind: str):
         if kind == "sigmoid":
             s2 = 1.0 / (1.0 + math.exp(-2.0))
             self.kappa1 = s2 * (1.0 - s2)
-            self.slope_bound = 0.25
-            self.curvature_bound = 0.25
         elif kind == "clamped_linear":
             # Slope on the clamp region is 0; 0.5 is the interior value.
             self.kappa1 = 0.5
-            self.slope_bound = 0.5
-            self.curvature_bound = 0.0
         else:
             raise DomainError(f"unknown link kind: {kind!r}")
         self.kind = kind
 
     def mu(self, z):
         """Win probability mu(z); stable for large |z|."""
-        z = _finite(z)
-        if self.kind == "sigmoid":
-            out = np.empty_like(z)
-            pos = z >= 0
-            out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-            e = np.exp(z[~pos])
-            out[~pos] = e / (1.0 + e)
-        else:
-            out = np.clip(0.5 * (1.0 + z), 0.0, 1.0)
-        return out if out.ndim else float(out)
+        return _checked(self.raw_funcs()[0], z)
 
     def mu_prime(self, z):
         """Slope mu'(z) >= 0.  Clamp boundary points report the interior 0.5."""
-        z = _finite(z)
-        if self.kind == "sigmoid":
-            p = self.mu(z)
-            out = np.asarray(p * (1.0 - np.asarray(p)))
-        else:
-            out = np.where(np.abs(z) <= 1.0, 0.5, 0.0)
-        return out if out.ndim else float(out)
+        return _checked(self.raw_funcs()[1], z)
 
     def antiderivative(self, z):
         """A primitive m with m' = mu, used by the log-likelihood.
@@ -92,18 +71,12 @@ class LinkFunction:
         sigmoid: m(z) = log(1 + e^z).  clamped_linear: m(-1) = 0, quadratic
         on [-1, 1], slope one beyond.
         """
-        z = _finite(z)
-        if self.kind == "sigmoid":
-            out = np.logaddexp(0.0, z)
-        else:
-            out = np.where(z <= -1.0, 0.0, np.where(z >= 1.0, z, 0.25 * (1.0 + z) ** 2))
-        return out if out.ndim else float(out)
+        return _checked(self.raw_funcs()[2], z)
 
     def raw_funcs(self):
         """Unvalidated vectorized (mu, slope, antiderivative) for hot loops.
 
-        Callers guarantee finite float arrays; values agree with the public
-        methods up to rounding.
+        Callers guarantee finite float arrays.
         """
         if self.kind == "sigmoid":
             return _sig, _sig_slope, _sig_anti
@@ -146,21 +119,13 @@ def get_link(kind: str) -> LinkFunction:
     return _LINKS[kind]
 
 
-def _finite(z):
+def _checked(func, z):
+    """``func`` on finite input only; a scalar input gives a float back."""
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
         raise DomainError("link input must be finite")
-    return z
-
-
-def link_eval(link: LinkFunction, z: float) -> float:
-    """mu(z) as a probability in [0, 1]."""
-    return float(link.mu(z))
-
-
-def link_deriv(link: LinkFunction, z: float) -> float:
-    """mu'(z) >= 0."""
-    return float(link.mu_prime(z))
+    out = func(z)
+    return out if np.ndim(out) else float(out)
 
 
 def duel_prob(link: LinkFunction, theta: np.ndarray, x_i: np.ndarray, x_j: np.ndarray) -> float:
@@ -324,12 +289,3 @@ class DesignMatrix:
         out._since_refactor = self._since_refactor
         return out
 
-
-def design_update(design: DesignMatrix, v: np.ndarray) -> DesignMatrix:
-    """Functional wrapper over ``DesignMatrix.update`` (mutates and returns)."""
-    design.update(v)
-    return design
-
-
-def mahalanobis(design: DesignMatrix, v: np.ndarray) -> float:
-    return design.mahalanobis(v)

@@ -12,13 +12,13 @@ import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng as streams
 from .dueling import DUEL_KINDS, DuelConfig, RCONUCB_KINDS, make_duel_policy
-from .env import Environment, EnvironmentSet, Schedule, SimulatedUser, dueling_regret, mnl_regret
+from .env import EnvironmentSet, Schedule, SimulatedUser, dueling_regret, mnl_regret
 from .errors import ConfigError, NumericalError
 from .mnl import MNL_KINDS, MnlConfig, MnlPolicy
 from .spanner import Spanner, build_spanner

@@ -3,9 +3,12 @@ MLE, optimistic utilities, and exact cardinality-constrained assortment
 optimization via threshold bisection.
 
 A choice observation offers up to q features (arms or key-terms); the user
-picks one of them or the outside option.  The likelihood is unregularized;
-identifiability comes from the forced-exploration initialization phase, and
-a vanishing ridge enters the Newton solve only for conditioning.
+picks one of them or the outside option.  ``MnlObjective`` is the only
+implementation of the choice log-likelihood, its score and its observed
+information; the Newton fit reads all three from it.  The likelihood is
+unregularized; identifiability comes from the forced-exploration
+initialization phase, and a vanishing ridge enters the Newton solve only for
+conditioning.
 """
 
 from __future__ import annotations
@@ -18,18 +21,16 @@ import numpy as np
 from . import rng as streams
 from .dueling import RoundRecord
 from .errors import DomainError, NumericalError, StructuralError
+from .estimator import ARM_LEVEL, KEYTERM_LEVEL
 from .glm import DesignMatrix
 from .spanner import Spanner
 
 __all__ = [
     "MNL_KINDS",
-    "ARM_LEVEL",
-    "KEYTERM_LEVEL",
     "MnlConfig",
     "ChoiceHistory",
     "mnl_probs",
-    "mnl_log_likelihood",
-    "mnl_score",
+    "MnlObjective",
     "mnl_mle_fit",
     "mnl_radius",
     "ucb_utilities",
@@ -39,9 +40,6 @@ __all__ = [
 ]
 
 MNL_KINDS = ("conmnl", "conmnl-ucb", "conmnl-random", "ucb-mnl")
-
-ARM_LEVEL = 0
-KEYTERM_LEVEL = 1
 
 OUTSIDE = -1
 
@@ -146,46 +144,59 @@ def mnl_probs(theta, offered):
     return e / den, e0 / den
 
 
-def _masked_parts(history: ChoiceHistory, theta):
-    z = np.einsum("nwd,d->nw", history.feats, np.asarray(theta, dtype=float))
-    z = np.where(history.mask, z, -np.inf)
-    shift = np.maximum(z.max(axis=1), 0.0)
-    e = np.exp(z - shift[:, None])
-    e0 = np.exp(-shift)
-    den = e0 + e.sum(axis=1)
-    return z, shift, e, e0, den
+class MnlObjective:
+    """Choice log-likelihood over one history, built once per fit.
 
+    Holds the flat (n*width, d) feature view, the one-hot picks and the
+    -inf offsets that mask padded slots.  Serves the value, the choice
+    probabilities, the score and the observed information (minus the
+    Hessian of the value); the last two take the probabilities when the
+    caller already has them.  Inputs are not validated.
+    """
 
-def mnl_log_likelihood(history: ChoiceHistory, theta) -> float:
-    """Sum of log-probabilities of the recorded choices (both levels)."""
-    if len(history) == 0:
-        return 0.0
-    z, shift, e, e0, den = _masked_parts(history, theta)
-    rows = np.arange(len(history))
-    picked = np.where(history.chosen >= 0, z[rows, np.maximum(history.chosen, 0)], 0.0)
-    return float(np.sum(picked - shift - np.log(den)))
+    __slots__ = ("feats", "flat", "_pad", "_one_hot", "_rows", "_picked_col", "_has_pick")
 
+    def __init__(self, history: ChoiceHistory):
+        n, width = len(history), history.width
+        self.feats = history.feats
+        self.flat = history.feats.reshape(n * width, history.dim)
+        self._pad = np.where(history.mask, 0.0, -np.inf)
+        chosen = history.chosen
+        self._rows = np.arange(n)
+        self._picked_col = np.maximum(chosen, 0)
+        self._has_pick = chosen >= 0
+        one_hot = np.zeros((n, width))
+        one_hot[self._rows[self._has_pick], chosen[self._has_pick]] = 1.0
+        self._one_hot = one_hot.ravel()
 
-def mnl_score(history: ChoiceHistory, theta) -> np.ndarray:
-    """Gradient of the choice log-likelihood; zero at the MLE."""
-    theta = np.asarray(theta, dtype=float)
-    if len(history) == 0:
-        return np.zeros(history.dim if hasattr(history, "dim") else theta.shape[0])
-    _, _, e, _, den = _masked_parts(history, theta)
-    p = e / den[:, None]
-    one_hot = np.zeros_like(p)
-    rows = np.arange(len(history))
-    sel = history.chosen >= 0
-    one_hot[rows[sel], history.chosen[sel]] = 1.0
-    return np.einsum("nw,nwd->d", one_hot - p, history.feats)
+    def _pass(self, theta):
+        z = (self.flat @ theta).reshape(self._pad.shape) + self._pad
+        shift = np.maximum(z.max(axis=1), 0.0)
+        e = np.exp(z - shift[:, None])
+        den = np.exp(-shift) + e.sum(axis=1)
+        picked = np.where(self._has_pick, z[self._rows, self._picked_col], 0.0)
+        return float(np.sum(picked - shift - np.log(den))), e, den
 
+    def value(self, theta) -> float:
+        """Sum of log-probabilities of the recorded choices (both levels)."""
+        return self._pass(theta)[0]
 
-def _mnl_hessian(history: ChoiceHistory, theta) -> np.ndarray:
-    _, _, e, _, den = _masked_parts(history, theta)
-    p = e / den[:, None]
-    a = np.einsum("nw,nwd,nwe->de", p, history.feats, history.feats)
-    xbar = np.einsum("nw,nwd->nd", p, history.feats)
-    return a - xbar.T @ xbar
+    def value_and_probs(self, theta):
+        """The value and the (n, width) choice probabilities, from one pass."""
+        value, e, den = self._pass(theta)
+        return value, e / den[:, None]
+
+    def score(self, theta, probs=None) -> np.ndarray:
+        """Gradient of the value; zero at the MLE."""
+        if probs is None:
+            probs = self.value_and_probs(theta)[1]
+        return (self._one_hot - probs.ravel()) @ self.flat
+
+    def information(self, theta, probs=None) -> np.ndarray:
+        if probs is None:
+            probs = self.value_and_probs(theta)[1]
+        xbar = (probs[:, None, :] @ self.feats)[:, 0, :]
+        return self.flat.T @ (probs.reshape(-1, 1) * self.flat) - xbar.T @ xbar
 
 
 def mnl_mle_fit(
@@ -197,64 +208,30 @@ def mnl_mle_fit(
     """Newton maximizer of the multinomial log-likelihood (warm-startable)."""
     if tol <= 0.0:
         raise DomainError("tol must be positive")
-    dim = history.dim
-    theta = np.zeros(dim) if theta0 is None else np.asarray(theta0, dtype=float).copy()
-    if len(history) == 0:
-        return theta
-
-    n = len(history)
-    width = history.width
-    flat = history.feats.reshape(n * width, dim)
-    mask = history.mask
-    rows = np.arange(n)
-    chosen = history.chosen
-    picked_col = np.maximum(chosen, 0)
-    has_pick = chosen >= 0
-    one_hot = np.zeros((n, width))
-    one_hot[rows[has_pick], chosen[has_pick]] = 1.0
-    oh_flat = one_hot.ravel()
-    neg_inf = np.where(mask, 0.0, -np.inf)
-
-    def parts(th):
-        z = (flat @ th).reshape(n, width) + neg_inf
-        shift = np.maximum(z.max(axis=1), 0.0)
-        e = np.exp(z - shift[:, None])
-        den = np.exp(-shift) + e.sum(axis=1)
-        picked = np.where(has_pick, z[rows, picked_col], 0.0)
-        value = float(np.sum(picked - shift - np.log(den)))
-        return value, e / den[:, None]
-
-    def value_only(th):
-        z = (flat @ th).reshape(n, width) + neg_inf
-        shift = np.maximum(z.max(axis=1), 0.0)
-        den = np.exp(-shift) + np.exp(z - shift[:, None]).sum(axis=1)
-        picked = np.where(has_pick, z[rows, picked_col], 0.0)
-        return float(np.sum(picked - shift - np.log(den)))
-
-    f0, p = parts(theta)
-    grad = (oh_flat - p.ravel()) @ flat
+    theta = np.zeros(history.dim) if theta0 is None else np.asarray(theta0, dtype=float).copy()
+    obj = MnlObjective(history)
+    f0, p = obj.value_and_probs(theta)
+    grad = obj.score(theta, p)
     grad_norm = float(np.linalg.norm(grad))
     iters = 0
-    ridge = 1e-8 * np.eye(dim)  # solve conditioning only
+    ridge = 1e-8 * np.eye(history.dim)  # solve conditioning only
     while grad_norm > tol:
         if iters >= max_iters:
             raise NumericalError(
                 f"choice-model Newton failed to converge: ||score|| = {grad_norm:.3e}"
             )
-        xbar = (p[:, None, :] @ history.feats)[:, 0, :]
-        hess = flat.T @ (p.reshape(-1, 1) * flat) - xbar.T @ xbar
-        step = np.linalg.solve(hess + ridge, grad)
+        step = np.linalg.solve(obj.information(theta, p) + ridge, grad)
         slack = 1e-13 * (1.0 + abs(f0))
         scale = 1.0
         while scale > 2.0 ** -40:
-            if value_only(theta + scale * step) >= f0 - slack:
+            if obj.value(theta + scale * step) >= f0 - slack:
                 break
             scale *= 0.5
         theta = theta + scale * step
         if not np.all(np.isfinite(theta)):
             raise NumericalError("choice-model estimate diverged")
-        f0, p = parts(theta)
-        grad = (oh_flat - p.ravel()) @ flat
+        f0, p = obj.value_and_probs(theta)
+        grad = obj.score(theta, p)
         grad_norm = float(np.linalg.norm(grad))
         iters += 1
     return theta

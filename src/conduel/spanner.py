@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NumericalError, StructuralError
 
-__all__ = ["Spanner", "build_spanner", "spanner_coefficients", "spanner_lambda_b"]
+__all__ = ["Spanner", "build_spanner", "spanner_coefficients"]
 
 
 @dataclass(frozen=True)
@@ -103,21 +103,3 @@ def spanner_coefficients(spanner: Spanner, x) -> np.ndarray:
     if not np.all(np.isfinite(c)):
         raise NumericalError("spanner coefficients are not finite")
     return c
-
-
-def spanner_lambda_b(spanner: Spanner) -> float:
-    """Smallest eigenvalue of the pair-difference second moment.
-
-    Averages (x - y)(x - y)^T over all d^2 ordered member pairs.  Differences
-    of d points lie in a (d-1)-dimensional subspace, so for d >= 2 this is
-    zero up to round-off; it is kept as a diagnostic.
-    """
-    cols = spanner.basis.T
-    d = cols.shape[0]
-    sigma = np.zeros((d, d))
-    for i in range(d):
-        for j in range(d):
-            diff = cols[i] - cols[j]
-            sigma += np.outer(diff, diff)
-    sigma /= d * d
-    return float(max(np.linalg.eigvalsh(sigma)[0], 0.0))

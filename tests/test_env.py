@@ -8,7 +8,6 @@ from conduel.env import (
     Schedule,
     SimulatedUser,
     SyntheticConfig,
-    conversations_this_round,
     dueling_regret,
     gen_synthetic,
     mnl_regret,
@@ -16,7 +15,7 @@ from conduel.env import (
     sample_duel_feedback,
 )
 from conduel.errors import ConfigError, DomainError, StructuralError
-from conduel.glm import duel_prob, get_link
+from conduel.glm import duel_prob
 from conduel.mnl import expected_revenue, mnl_probs, optimal_assortment
 
 
@@ -76,8 +75,8 @@ def test_user_view():
 
 def test_linear_schedule_reference_values():
     s = Schedule("linear", 10)
-    assert conversations_this_round(s, 50) == 10
-    assert conversations_this_round(s, 51) == 0
+    assert s.conversations(50) == 10
+    assert s.conversations(51) == 0
     assert s.b(49) == 0.0
     assert s.b(100) == 20.0
 

@@ -7,17 +7,22 @@ from conduel.errors import DomainError, NumericalError, StructuralError
 from conduel.estimator import (
     ARM_LEVEL,
     KEYTERM_LEVEL,
+    DuelObjective,
     InteractionHistory,
     dueling_radius,
-    log_likelihood,
-    mean_map,
     mle_fit,
     project_theta,
-    score,
 )
 from conduel.glm import DesignMatrix, get_link
 
 SIG = get_link("sigmoid")
+CLAMP = get_link("clamped_linear")
+
+# the objective's edge cases beyond the sigmoid at d=3: the clamped-linear
+# link and a one-dimensional feature space
+EDGE_CASES = pytest.mark.parametrize(
+    "link, d", [(CLAMP, 3), (SIG, 1), (CLAMP, 1)], ids=["clamped-d3", "sigmoid-d1", "clamped-d1"]
+)
 
 
 def history_from(diffs, outcomes, levels=None):
@@ -81,30 +86,40 @@ def test_history_buffers_grow():
 
 def test_log_likelihood_empty_is_zero():
     h = InteractionHistory(3)
-    assert log_likelihood(h, np.zeros(3), 1.0, SIG) == 0.0
+    assert DuelObjective(h, 1.0, SIG).value(np.zeros(3)) == 0.0
 
 
 def test_log_likelihood_single_observation_hand_value():
     h = history_from([[1.0, 0.0]], [1])
     # o z - m(z) - reg at theta = 0: 0 - log 2 - 0
-    assert abs(log_likelihood(h, np.zeros(2), 1.0, SIG) + math.log(2.0)) < 1e-12
+    assert abs(DuelObjective(h, 1.0, SIG).value(np.zeros(2)) + math.log(2.0)) < 1e-12
 
 
 def test_log_likelihood_concave_midpoint():
     rng = np.random.default_rng(0)
     h, _ = random_history(rng, d=3, n=25)
+    obj = DuelObjective(h, 1.0, SIG)
     for _ in range(25):
         t1, t2 = rng.normal(size=3), rng.normal(size=3)
         mid = 0.5 * (t1 + t2)
-        lhs = log_likelihood(h, mid, 1.0, SIG)
-        rhs = 0.5 * (log_likelihood(h, t1, 1.0, SIG) + log_likelihood(h, t2, 1.0, SIG))
-        assert lhs >= rhs - 1e-10
+        assert obj.value(mid) >= 0.5 * (obj.value(t1) + obj.value(t2)) - 1e-10
 
 
 def test_log_likelihood_rejects_bad_lam():
     h = InteractionHistory(2)
     with pytest.raises(DomainError):
-        log_likelihood(h, np.zeros(2), 0.0, SIG)
+        DuelObjective(h, 0.0, SIG)
+
+
+def test_value_matches_direct_evaluation():
+    rng = np.random.default_rng(12)
+    h, _ = random_history(rng, d=3, n=20)
+    obj = DuelObjective(h, 0.7, SIG)
+    for _ in range(5):
+        theta = rng.normal(size=3)
+        assert obj.value(theta) == pytest.approx(
+            loglik_direct(h.diffs, h.outcomes, theta, 0.7), abs=1e-12
+        )
 
 
 # ---------------------------------------------------------------- score / mean map
@@ -113,64 +128,105 @@ def test_log_likelihood_rejects_bad_lam():
 def test_score_empty_is_ridge_pull():
     h = InteractionHistory(2)
     theta = np.array([0.4, -0.2])
-    np.testing.assert_allclose(score(h, theta, 2.0, SIG), -2.0 * theta)
+    np.testing.assert_allclose(DuelObjective(h, 2.0, SIG).score(theta), -2.0 * theta)
 
 
-def test_score_matches_finite_differences():
+def check_score_matches_finite_differences(link, d):
     rng = np.random.default_rng(1)
-    h, _ = random_history(rng, d=3, n=20)
+    h, _ = random_history(rng, d=d, n=20)
+    obj = DuelObjective(h, 1.0, link)
     for _ in range(10):
-        theta = rng.normal(size=3)
-        s = score(h, theta, 1.0, SIG)
-        num = np.empty(3)
-        for i in range(3):
-            e = np.zeros(3)
+        theta = rng.normal(size=d)
+        s = obj.score(theta)
+        num = np.empty(d)
+        for i in range(d):
+            e = np.zeros(d)
             e[i] = 1e-6
-            num[i] = (
-                log_likelihood(h, theta + e, 1.0, SIG)
-                - log_likelihood(h, theta - e, 1.0, SIG)
-            ) / 2e-6
+            num[i] = (obj.value(theta + e) - obj.value(theta - e)) / 2e-6
         np.testing.assert_allclose(s, num, atol=1e-5)
 
 
-def test_score_zero_at_fit():
+def test_score_matches_finite_differences():
+    check_score_matches_finite_differences(SIG, 3)
+
+
+@EDGE_CASES
+def test_score_matches_finite_differences_edge_cases(link, d):
+    check_score_matches_finite_differences(link, d)
+
+
+def check_score_zero_at_fit(link, d):
     rng = np.random.default_rng(2)
-    h, _ = random_history(rng, d=2, n=30)
-    est = mle_fit(h, 1.0, SIG)
-    assert np.linalg.norm(score(h, est.theta_raw, 1.0, SIG)) <= 1e-8
+    h, _ = random_history(rng, d=d, n=30)
+    est = mle_fit(h, 1.0, link)
+    assert np.linalg.norm(DuelObjective(h, 1.0, link).score(est.theta_raw)) <= 1e-8
+
+
+def test_score_zero_at_fit():
+    check_score_zero_at_fit(SIG, 2)
+
+
+@EDGE_CASES
+def test_score_zero_at_fit_edge_cases(link, d):
+    check_score_zero_at_fit(link, d)
 
 
 def test_mean_map_empty_and_fit_identity():
     h = InteractionHistory(2)
     theta = np.array([1.0, -1.0])
-    np.testing.assert_allclose(mean_map(h, theta, 1.5, SIG), 1.5 * theta)
+    np.testing.assert_allclose(DuelObjective(h, 1.5, SIG).mean_map(theta), 1.5 * theta)
 
     rng = np.random.default_rng(3)
     h, _ = random_history(rng, d=2, n=30)
     est = mle_fit(h, 1.0, SIG)
     # at the fit, g(theta) equals the outcome-weighted sum of differences
-    lhs = mean_map(h, est.theta_raw, 1.0, SIG)
+    lhs = DuelObjective(h, 1.0, SIG).mean_map(est.theta_raw)
     rhs = h.diffs.T @ h.outcomes
     np.testing.assert_allclose(lhs, rhs, atol=1e-7)
 
 
-def test_mean_map_strong_monotonicity():
+def check_mean_map_strong_monotonicity(link, d, radius):
+    # (g(t1) - g(t2))^T delta >= kappa1 delta^T M delta with M = lam/kappa1 I
+    # + sum d d^T, for t1, t2 in the ball of ``radius``, where every
+    # |d^T theta| stays in the range on which the link's slope is >= kappa1
     rng = np.random.default_rng(4)
-    h, _ = random_history(rng, d=3, n=15)
-    kappa1 = SIG.kappa1
+    h, _ = random_history(rng, d=d, n=15)
+    kappa1 = link.kappa1
     lam = 1.0
-    m = lam / kappa1 * np.eye(3)
+    obj = DuelObjective(h, lam, link)
+    m = lam / kappa1 * np.eye(d)
     for row in h.diffs:
         m = m + np.outer(row, row)
     for _ in range(20):
-        t1 = rng.normal(size=3)
-        t1 /= max(np.linalg.norm(t1), 1.0)
-        t2 = rng.normal(size=3)
-        t2 /= max(np.linalg.norm(t2), 1.0)
+        t1 = rng.normal(size=d)
+        t1 *= radius / max(np.linalg.norm(t1), radius)
+        t2 = rng.normal(size=d)
+        t2 *= radius / max(np.linalg.norm(t2), radius)
         delta = t1 - t2
-        lhs = float((mean_map(h, t1, lam, SIG) - mean_map(h, t2, lam, SIG)) @ delta)
+        lhs = float((obj.mean_map(t1) - obj.mean_map(t2)) @ delta)
         rhs = kappa1 * float(delta @ m @ delta)
         assert lhs >= rhs - 1e-9
+
+
+def test_mean_map_strong_monotonicity():
+    check_mean_map_strong_monotonicity(SIG, 3, 1.0)
+
+
+@EDGE_CASES
+def test_mean_map_strong_monotonicity_edge_cases(link, d):
+    # the clamped-linear slope is kappa1 only on |z| <= 1: radius 1/2 with
+    # ||diff|| <= 2 keeps every utility difference there
+    check_mean_map_strong_monotonicity(link, d, 0.5 if link is CLAMP else 1.0)
+
+
+def test_jacobian_and_jvp_match_mean_map_differences():
+    rng = np.random.default_rng(13)
+    h, _ = random_history(rng, d=3, n=20)
+    obj = DuelObjective(h, 1.0, SIG)
+    theta, v = rng.normal(size=3), rng.normal(size=3)
+    num = (obj.mean_map(theta + 1e-6 * v) - obj.mean_map(theta - 1e-6 * v)) / 2e-6
+    np.testing.assert_allclose(obj.jacobian(theta) @ v, num, atol=1e-6)
+    np.testing.assert_allclose(obj.jvp(theta, v), obj.jacobian(theta) @ v, atol=1e-12)
 
 
 # ---------------------------------------------------------------- mle_fit
@@ -238,9 +294,8 @@ def test_mle_fit_objective_never_below_start():
     for _ in range(10):
         h, _ = random_history(rng, d=3, n=20)
         est = mle_fit(h, 1.0, SIG)
-        assert log_likelihood(h, est.theta_raw, 1.0, SIG) >= log_likelihood(
-            h, np.zeros(3), 1.0, SIG
-        )
+        obj = DuelObjective(h, 1.0, SIG)
+        assert obj.value(est.theta_raw) >= obj.value(np.zeros(3))
 
 
 def test_mle_fit_nonconvergence_raises():
@@ -265,6 +320,17 @@ def test_projection_empty_history_is_radial_shrink():
     design = DesignMatrix(3, 1.0 / SIG.kappa1)
     raw = np.array([1.2, -0.9, 0.3])
     got = project_theta(raw, h, 1.0, SIG, design)
+    np.testing.assert_allclose(got, raw / np.linalg.norm(raw), atol=1e-12)
+
+
+@pytest.mark.parametrize("link", [SIG, CLAMP], ids=["sigmoid", "clamped"])
+@pytest.mark.parametrize("d, reg", [(1, 0.3), (4, 7.0)])
+def test_projection_empty_history_any_metric_is_radial_shrink(link, d, reg):
+    # with no observations g(theta) = lam theta and M = reg I, so the nearest
+    # feasible point in the M^-1 norm is the radial shrink
+    raw = np.linspace(-1.5, 2.0, d) + 0.25
+    assert np.linalg.norm(raw) > 1.0
+    got = project_theta(raw, InteractionHistory(d), 0.8, link, DesignMatrix(d, reg))
     np.testing.assert_allclose(got, raw / np.linalg.norm(raw), atol=1e-12)
 
 

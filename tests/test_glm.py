@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -13,8 +13,6 @@ from conduel.glm import (
     duel_prob,
     get_link,
     keyterm_feature,
-    link_deriv,
-    link_eval,
 )
 
 mp.dps = 50
@@ -29,36 +27,36 @@ finite_z = st.floats(min_value=-500.0, max_value=500.0, allow_nan=False)
 
 
 def test_link_eval_examples():
-    assert link_eval(SIG, 0.0) == 0.5
-    assert link_eval(CLAMP, 0.5) == 0.75
+    assert SIG.mu(0.0) == 0.5
+    assert CLAMP.mu(0.5) == 0.75
     # extended-precision oracle for 1/(1+e^-2)
     oracle = float(1 / (1 + mp.e ** -2))
-    assert abs(link_eval(SIG, 2.0) - oracle) < 1e-12
+    assert abs(SIG.mu(2.0) - oracle) < 1e-12
 
 
 def test_link_eval_stable_for_large_inputs():
-    assert link_eval(SIG, 800.0) == 1.0
-    assert link_eval(SIG, -800.0) == 0.0
-    assert 0.0 <= link_eval(SIG, -40.0) < 1e-15
+    assert SIG.mu(800.0) == 1.0
+    assert SIG.mu(-800.0) == 0.0
+    assert 0.0 <= SIG.mu(-40.0) < 1e-15
 
 
 def test_link_deriv_examples():
-    assert link_deriv(SIG, 0.0) == 0.25
+    assert SIG.mu_prime(0.0) == 0.25
     s2 = 1 / (1 + mp.e ** -2)
     oracle = float(s2 * (1 - s2))
-    assert abs(link_deriv(SIG, 2.0) - oracle) < 1e-12
-    assert link_deriv(CLAMP, 2.0) == 0.0
+    assert abs(SIG.mu_prime(2.0) - oracle) < 1e-12
+    assert CLAMP.mu_prime(2.0) == 0.0
     # boundary tie-break: inside-limit value
-    assert link_deriv(CLAMP, 1.0) == 0.5
-    assert link_deriv(CLAMP, -1.0) == 0.5
+    assert CLAMP.mu_prime(1.0) == 0.5
+    assert CLAMP.mu_prime(-1.0) == 0.5
 
 
 def test_nonfinite_input_rejected():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError):
-            link_eval(SIG, bad)
+            SIG.mu(bad)
         with pytest.raises(DomainError):
-            link_deriv(CLAMP, bad)
+            CLAMP.mu_prime(bad)
 
 
 def test_unknown_link_kind_rejected():
@@ -69,30 +67,32 @@ def test_unknown_link_kind_rejected():
 @given(finite_z)
 def test_link_range_and_symmetry(z):
     for link in (SIG, CLAMP):
-        p = link_eval(link, z)
+        p = link.mu(z)
         assert 0.0 <= p <= 1.0
-        assert abs(p + link_eval(link, -z) - 1.0) <= 1e-12
-        assert link_deriv(link, z) >= 0.0
+        assert abs(p + link.mu(-z) - 1.0) <= 1e-12
+        assert link.mu_prime(z) >= 0.0
 
 
 @given(finite_z, finite_z)
 def test_link_monotone(a, b):
     lo, hi = min(a, b), max(a, b)
     for link in (SIG, CLAMP):
-        assert link_eval(link, lo) <= link_eval(link, hi) + 1e-15
+        assert link.mu(lo) <= link.mu(hi) + 1e-15
 
 
 @given(st.floats(min_value=-2.0, max_value=2.0))
 def test_sigmoid_slope_floor_on_duel_range(z):
-    assert link_deriv(SIG, z) >= SIG.kappa1 - 1e-15
+    assert SIG.mu_prime(z) >= SIG.kappa1 - 1e-15
 
 
 def test_kappa1_constants():
     s2 = 1 / (1 + mp.e ** -2)
     assert abs(SIG.kappa1 - float(s2 * (1 - s2))) < 1e-15
     assert CLAMP.kappa1 == 0.5
-    assert SIG.slope_bound == 0.25
-    assert SIG.curvature_bound == 0.25
+    # slope ceilings: 1/4 at the sigmoid's centre, 1/2 inside the clamp
+    z = np.linspace(-50.0, 50.0, 100_001)
+    assert SIG.mu_prime(z).max() <= 0.25
+    assert CLAMP.mu_prime(z).max() <= 0.5
 
 
 def test_antiderivative_matches_slope():

@@ -8,20 +8,18 @@ from scipy.optimize import minimize
 from conduel import rng as streams
 from conduel.env import Schedule, SimulatedUser, SyntheticConfig, gen_synthetic
 from conduel.errors import DomainError, NumericalError, StructuralError
+from conduel.estimator import ARM_LEVEL, KEYTERM_LEVEL
 from conduel.glm import DesignMatrix
 from conduel.mnl import (
-    ARM_LEVEL,
-    KEYTERM_LEVEL,
     OUTSIDE,
     ChoiceHistory,
     MnlConfig,
+    MnlObjective,
     MnlPolicy,
     expected_revenue,
-    mnl_log_likelihood,
     mnl_mle_fit,
     mnl_probs,
     mnl_radius,
-    mnl_score,
     optimal_assortment,
     ucb_utilities,
 )
@@ -108,9 +106,9 @@ def test_probs_empty_offer_rejected():
 
 
 def test_likelihood_and_score_empty():
-    h = ChoiceHistory(3, width=2)
-    assert mnl_log_likelihood(h, np.zeros(3)) == 0.0
-    np.testing.assert_array_equal(mnl_score(h, np.zeros(3)), np.zeros(3))
+    obj = MnlObjective(ChoiceHistory(3, width=2))
+    assert obj.value(np.zeros(3)) == 0.0
+    np.testing.assert_array_equal(obj.score(np.zeros(3)), np.zeros(3))
 
 
 def test_single_observation_hand_values():
@@ -118,24 +116,33 @@ def test_single_observation_hand_values():
     x = np.array([0.6, 0.8])
     h.append(x[None, :], 0, ARM_LEVEL)
     # theta = 0: choice probability 1/2, gradient x/2
-    assert mnl_log_likelihood(h, np.zeros(2)) == pytest.approx(math.log(0.5))
-    np.testing.assert_allclose(mnl_score(h, np.zeros(2)), x / 2.0)
+    obj = MnlObjective(h)
+    assert obj.value(np.zeros(2)) == pytest.approx(math.log(0.5))
+    np.testing.assert_allclose(obj.score(np.zeros(2)), x / 2.0)
 
 
 def test_score_matches_finite_differences():
     rng = np.random.default_rng(2)
     h, _ = sample_history(rng, d=3, n=25)
+    obj = MnlObjective(h)
     for _ in range(5):
         theta = rng.normal(size=3)
-        s = mnl_score(h, theta)
+        s = obj.score(theta)
         num = np.empty(3)
         for i in range(3):
             e = np.zeros(3)
             e[i] = 1e-6
-            num[i] = (
-                mnl_log_likelihood(h, theta + e) - mnl_log_likelihood(h, theta - e)
-            ) / 2e-6
+            num[i] = (obj.value(theta + e) - obj.value(theta - e)) / 2e-6
         np.testing.assert_allclose(s, num, atol=1e-5)
+
+
+def test_information_matches_score_differences():
+    rng = np.random.default_rng(6)
+    h, _ = sample_history(rng, d=3, n=25)
+    obj = MnlObjective(h)
+    theta, v = rng.normal(size=3), rng.normal(size=3)
+    num = (obj.score(theta - 1e-6 * v) - obj.score(theta + 1e-6 * v)) / 2e-6
+    np.testing.assert_allclose(obj.information(theta) @ v, num, atol=1e-6)
 
 
 def test_outside_option_contributes_outside_probability():
@@ -143,7 +150,7 @@ def test_outside_option_contributes_outside_probability():
     offered = np.array([[1.0, 0.0], [0.0, 1.0]])
     h.append(offered, OUTSIDE, ARM_LEVEL)
     p, p0 = mnl_probs(np.array([0.3, -0.4]), offered)
-    assert mnl_log_likelihood(h, np.array([0.3, -0.4])) == pytest.approx(math.log(p0))
+    assert MnlObjective(h).value(np.array([0.3, -0.4])) == pytest.approx(math.log(p0))
 
 
 # ---------------------------------------------------------------- fit
@@ -200,7 +207,8 @@ def test_fit_improves_on_zero():
     for _ in range(5):
         h, _ = sample_history(rng, d=3, n=30)
         theta = mnl_mle_fit(h)
-        assert mnl_log_likelihood(h, theta) >= mnl_log_likelihood(h, np.zeros(3))
+        obj = MnlObjective(h)
+        assert obj.value(theta) >= obj.value(np.zeros(3))
 
 
 def test_fit_nonconvergence_raises():

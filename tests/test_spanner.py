@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conduel.errors import StructuralError
-from conduel.spanner import Spanner, build_spanner, spanner_coefficients, spanner_lambda_b
+from conduel.spanner import build_spanner, spanner_coefficients
 
 
 def unit_rows(a):
@@ -90,33 +90,3 @@ def test_invariant_under_appended_convex_combinations():
     s2 = build_spanner(np.vstack([feats, extra]))
     assert s1.member_ids == s2.member_ids
 
-
-def test_lambda_b_standard_basis_oracle():
-    # hand-oracle: enumerate the 4 ordered pairs for members {e1, e2}
-    s = Spanner((0, 1), np.eye(2))
-    cols = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-    sigma = np.zeros((2, 2))
-    for a in cols:
-        for b in cols:
-            sigma += np.outer(a - b, a - b)
-    sigma /= 4.0
-    np.testing.assert_allclose(sigma, np.array([[0.5, -0.5], [-0.5, 0.5]]))
-    oracle = np.linalg.eigvalsh(sigma)[0]
-    assert abs(spanner_lambda_b(s) - max(oracle, 0.0)) < 1e-12
-    # pair differences of d points span d-1 dims, so the floor is 0 here
-    assert spanner_lambda_b(s) <= 1e-12
-
-
-def test_lambda_b_degenerate_single_direction():
-    s = Spanner((0,), np.array([[0.8]]))
-    assert spanner_lambda_b(s) == 0.0
-
-
-def test_lambda_b_bounded_by_member_covariance():
-    rng = np.random.default_rng(4)
-    for _ in range(10):
-        basis = rng.normal(size=(3, 3))
-        s = Spanner((0, 1, 2), basis)
-        cov = np.cov(basis.T, rowvar=False, bias=True)  # members are basis columns
-        lam_max = np.linalg.eigvalsh(cov)[-1]
-        assert spanner_lambda_b(s) <= 2.0 * lam_max + 1e-12
