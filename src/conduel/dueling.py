@@ -55,14 +55,16 @@ DUEL_KINDS = CONVERSATIONAL_KINDS + PLAIN_KINDS + RCONUCB_KINDS
 # calibration.  The adapted linear baselines keep their standard width.
 DEFAULT_RADIUS_SCALE = 0.03
 
+# Sub-Gaussian level of a Bernoulli click, in the linear baselines' radius
+# (whose norm bound on theta is 1).
+_CLICK_NOISE_LEVEL = 0.5
+
 
 @dataclass
 class DuelConfig:
     lam: float = 1.0
     delta: float = 0.1
     kappa1: float | None = None  # None: take the link's slope floor
-    noise_level: float = 0.5
-    theta_norm_bound: float = 1.0
     radius_scale: float = DEFAULT_RADIUS_SCALE
     radius_const: float | None = None  # fixed radius override for diagnostics
     pair_mode: str = "sampled_first"  # or "full_maxinp"
@@ -218,14 +220,7 @@ class DuelPolicy:
         if cfg.radius_const is not None:
             return cfg.radius_const
         return cfg.radius_scale * dueling_radius(
-            t,
-            b_of_t,
-            self.d,
-            cfg.lam,
-            self.kappa1,
-            cfg.noise_level,
-            cfg.delta,
-            cfg.theta_norm_bound,
+            t, b_of_t, self.d, cfg.lam, self.kappa1, delta=cfg.delta
         )
 
     def play_round(self, pool_ids, pool_feats, oracle, t, n_conversations, b_of_t) -> RoundRecord:
@@ -317,7 +312,7 @@ class RconucbPolicy:
         if cfg.radius_const is not None:
             return cfg.radius_const
         lam, d = cfg.lam, self.d
-        return math.sqrt(lam) * cfg.theta_norm_bound + cfg.noise_level * math.sqrt(
+        return math.sqrt(lam) + _CLICK_NOISE_LEVEL * math.sqrt(
             2.0 * math.log(1.0 / cfg.delta) + d * math.log(1.0 + t / (d * lam))
         )
 

@@ -254,8 +254,7 @@ class SimulatedUser:
 
     def click(self, x, rng) -> int:
         # adapted absolute-feedback reward used by the linear baselines
-        z = float(np.asarray(x) @ self.env.theta_star)
-        p = 1.0 / (1.0 + math.exp(-z)) if z >= 0 else math.exp(z) / (1.0 + math.exp(z))
+        p = get_link("sigmoid").mu(float(np.asarray(x) @ self.env.theta_star))
         return int(rng.random() < p)
 
     def choice(self, offered, rng) -> int:

@@ -307,12 +307,8 @@ def dueling_radius(
         raise DomainError("delta must lie in (0, 1)")
     if b_of_t < 0.0:
         raise DomainError("b(t) must be nonnegative")
-    arg = (1.0 + 4.0 * kappa1 * (t + b_of_t) / (d * lam)) / delta
-    if arg <= 0.0:
-        raise DomainError("log argument must be positive")
-    inner = d * math.log(arg)
-    if inner < 0.0:
-        raise DomainError("radius radicand is negative")
+    # t, d, lam, kappa1 > 0, b >= 0 and delta < 1 put the argument above 1
+    inner = d * math.log((1.0 + 4.0 * kappa1 * (t + b_of_t) / (d * lam)) / delta)
     return (2.0 / kappa1) * (
         noise_level * math.sqrt(inner) + math.sqrt(lam * kappa1) * theta_norm_bound
     )

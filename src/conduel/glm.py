@@ -4,8 +4,8 @@ incrementally maintained design matrix.
 These are the pieces every policy shares.  Arm features are unit vectors, so
 utility differences live in [-2, 2]; the link maps a difference to a win
 probability.  The design matrix accumulates rank-one updates of observed
-difference (or offered-item) vectors and keeps its inverse and
-log-determinant current so Mahalanobis norms cost O(d^2) per query.
+difference (or offered-item) vectors and keeps its inverse current so
+Mahalanobis norms cost O(d^2) per query.
 """
 
 from __future__ import annotations
@@ -224,16 +224,15 @@ def keyterm_feature(graph: WeightGraph, arm_features, k: int) -> np.ndarray:
 class DesignMatrix:
     """Symmetric positive-definite accumulator M with maintained inverse.
 
-    Initialized to ``regularizer * I``.  ``update(v)`` adds v v^T, patches
-    the inverse with the rank-one downdate, and advances the running
-    log-determinant by log(1 + ||v||^2_{M^-1}).  A full refactorization every
+    Initialized to ``regularizer * I``.  ``update(v)`` adds v v^T and patches
+    the inverse with the rank-one downdate.  A full refactorization every
     ``refactor_every`` updates keeps accumulated round-off below 1e-6 in
     max norm of M @ M_inv - I.
     """
 
     refactor_every = 256
 
-    __slots__ = ("dim", "regularizer", "m", "m_inv", "log_det", "_since_refactor")
+    __slots__ = ("dim", "regularizer", "m", "m_inv", "_since_refactor")
 
     def __init__(self, dim: int, regularizer: float):
         if regularizer <= 0.0 or not math.isfinite(regularizer):
@@ -242,7 +241,6 @@ class DesignMatrix:
         self.regularizer = float(regularizer)
         self.m = np.eye(self.dim) * self.regularizer
         self.m_inv = np.eye(self.dim) / self.regularizer
-        self.log_det = self.dim * math.log(self.regularizer)
         self._since_refactor = 0
 
     def update(self, v: np.ndarray) -> None:
@@ -252,20 +250,18 @@ class DesignMatrix:
         q = float(v @ w)
         self.m += np.outer(v, v)
         self.m_inv -= np.outer(w, w) / (1.0 + q)
-        self.log_det += math.log1p(q)
         self._since_refactor += 1
         if self._since_refactor >= self.refactor_every:
             self.refactor()
 
     def refactor(self) -> None:
-        """Recompute inverse and log-determinant from M itself."""
+        """Recompute the inverse from M itself."""
         self.m = 0.5 * (self.m + self.m.T)
-        sign, logdet = np.linalg.slogdet(self.m)
+        sign, _ = np.linalg.slogdet(self.m)
         if sign <= 0:
             raise StructuralError("design matrix lost positive-definiteness")
         self.m_inv = np.linalg.inv(self.m)
         self.m_inv = 0.5 * (self.m_inv + self.m_inv.T)
-        self.log_det = float(logdet)
         self._since_refactor = 0
 
     def mahalanobis(self, v: np.ndarray) -> float:
@@ -285,7 +281,6 @@ class DesignMatrix:
         out.regularizer = self.regularizer
         out.m = self.m.copy()
         out.m_inv = self.m_inv.copy()
-        out.log_det = self.log_det
         out._since_refactor = self._since_refactor
         return out
 

@@ -47,6 +47,10 @@ OUTSIDE = -1
 # constants are dominated by 1/kappa2 and would drown every utility signal.
 DEFAULT_MNL_RADIUS_SCALE = 0.05
 
+# Starting value of the design matrix; numerical only, since the likelihood
+# has no ridge.
+_DESIGN_REG = 1e-6
+
 
 @dataclass
 class MnlConfig:
@@ -54,10 +58,8 @@ class MnlConfig:
     t0: int = 50
     kappa2: float = 0.005
     radius_scale: float = DEFAULT_MNL_RADIUS_SCALE
-    radius_const: float | None = None
     tol: float = 1e-8
     max_iters: int = 100
-    design_reg: float = 1e-6  # numerical only; the likelihood has no ridge
 
 
 class ChoiceHistory:
@@ -340,7 +342,7 @@ class MnlPolicy:
         self.stream = stream
         self.config = config or MnlConfig()
         self.d = self.keyterm_feats.shape[1]
-        self.design = DesignMatrix(self.d, self.config.design_reg)
+        self.design = DesignMatrix(self.d, _DESIGN_REG)
         self.history = ChoiceHistory(self.d, width=self.config.q)
         self.theta = np.zeros(self.d)
         self.converses = kind != "ucb-mnl"
@@ -350,8 +352,6 @@ class MnlPolicy:
 
     def radius(self, t: int, b_of_t: float) -> float:
         cfg = self.config
-        if cfg.radius_const is not None:
-            return cfg.radius_const
         return cfg.radius_scale * mnl_radius(t, b_of_t, self.d, cfg.kappa2)
 
     def _select_keyterms(self, t, b_of_t, rng_sel) -> np.ndarray:
@@ -390,7 +390,7 @@ class MnlPolicy:
         else:
             if not self._curvature_checked:
                 smallest = float(np.linalg.eigvalsh(self.design.m)[0])
-                if smallest <= cfg.design_reg + 1e-9:
+                if smallest <= _DESIGN_REG + 1e-9:
                     raise NumericalError(
                         "initialization phase left the design matrix singular; "
                         "increase t0 or the assortment size"

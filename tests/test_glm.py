@@ -224,32 +224,6 @@ def test_maintained_inverse_against_fresh_inversion():
     assert np.max(np.abs(m.m @ m.m_inv - np.eye(4))) < 1e-6
 
 
-def test_log_det_increment_matches_determinant_lemma():
-    rng = np.random.default_rng(9)
-    m = DesignMatrix(3, 2.0)
-    for _ in range(50):
-        v = rng.normal(size=3)
-        before = m.log_det
-        q = float(v @ m.m_inv @ v)
-        m.update(v)
-        assert abs(m.log_det - (before + math.log1p(q))) < 1e-8
-    _, direct = np.linalg.slogdet(m.m)
-    assert abs(m.log_det - direct) < 1e-8
-
-
-def test_determinant_lemma_on_random_spd():
-    # det(M + vv^T) = det(M) (1 + v^T M^-1 v), relative 1e-8, 100 draws
-    rng = np.random.default_rng(123)
-    for _ in range(100):
-        d = int(rng.integers(2, 6))
-        a = rng.normal(size=(d, d))
-        m = a @ a.T + np.eye(d) * rng.uniform(0.1, 2.0)
-        v = rng.normal(size=d)
-        lhs = np.linalg.det(m + np.outer(v, v))
-        rhs = np.linalg.det(m) * (1.0 + v @ np.linalg.solve(m, v))
-        assert abs(lhs - rhs) <= 1e-8 * abs(rhs)
-
-
 def test_refactorization_bounds_drift():
     rng = np.random.default_rng(17)
     m = DesignMatrix(6, 0.5)
@@ -295,4 +269,4 @@ def test_design_matrix_copy_is_independent():
     cp = dm.copy()
     cp.update(np.array([1.0, 1.0]))
     np.testing.assert_allclose(dm.m, np.eye(2))
-    assert cp.log_det != dm.log_det
+    np.testing.assert_allclose(cp.m, [[2.0, 1.0], [1.0, 2.0]])
