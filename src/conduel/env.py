@@ -270,7 +270,8 @@ def dueling_regret(env: Environment, pool_feats, first: int, second: int) -> flo
 def mnl_regret(env: Environment, pool_feats, offered_positions, q: int) -> float:
     """Revenue gap to the exact optimal assortment under the true model.
 
-    Revenues equal true utilities.  Nonnegative up to optimizer tolerance.
+    Revenues equal true utilities.  Nonnegative up to floating-point rounding,
+    since the optimizer is exact over all sets of at most q items.
     """
     util = np.asarray(pool_feats) @ env.theta_star
     best = optimal_assortment(util, util, q)

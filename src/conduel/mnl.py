@@ -1,6 +1,6 @@
 """Multinomial-logit choice policies: choice probabilities, the multinomial
 MLE, optimistic utilities, and exact cardinality-constrained assortment
-optimization via threshold bisection.
+optimization by Dinkelbach's fixed-point iteration on the revenue threshold.
 
 A choice observation offers up to q features (arms or key-terms); the user
 picks one of them or the outside option.  ``MnlObjective`` is the only
@@ -225,14 +225,17 @@ def mnl_mle_fit(
         step = np.linalg.solve(obj.information(theta, p) + ridge, grad)
         slack = 1e-13 * (1.0 + abs(f0))
         scale = 1.0
-        while scale > 2.0 ** -40:
-            if obj.value(theta + scale * step) >= f0 - slack:
+        while True:
+            trial = theta + scale * step
+            f, p_trial = obj.value_and_probs(trial)
+            # the smallest step is taken even when no trial is accepted
+            if f >= f0 - slack or scale <= 2.0 ** -40:
                 break
             scale *= 0.5
-        theta = theta + scale * step
+        theta = trial
         if not np.all(np.isfinite(theta)):
             raise NumericalError("choice-model estimate diverged")
-        f0, p = obj.value_and_probs(theta)
+        f0, p = f, p_trial
         grad = obj.score(theta, p)
         grad_norm = float(np.linalg.norm(grad))
         iters += 1
@@ -262,15 +265,22 @@ def ucb_utilities(theta, design: DesignMatrix, alpha: float, pool_feats) -> np.n
     )
 
 
-def optimal_assortment(z, revenues, q: int, tol: float = 1e-10, max_iters: int = 200) -> np.ndarray:
+def optimal_assortment(z, revenues, q: int) -> np.ndarray:
     """Exact revenue-optimal assortment of size at most q.
 
-    Bisection on the revenue threshold: at threshold lam the best candidate
-    set keeps the up-to-q items with the largest positive (r_i - lam) *
-    exp(z_i), and the optimal revenue is the fixed point lam = revenue of
-    that set.  Ties go to the lowest id; the empty set is allowed when no
-    revenue is positive.  Utilities may be arbitrarily large: weights are
-    max-shifted.
+    Dinkelbach's iteration on the revenue threshold lam: the set picked at lam
+    keeps the up-to-q items with the largest positive (r_i - lam) * exp(z_i);
+    lam starts at 0 and moves to the revenue of the set just picked, and the
+    loop stops once that revenue no longer rises strictly.  lam strictly
+    increases over finitely many sets, so the loop ends, and the revenue at
+    which it stops is the optimum.  The best set seen is returned, so a
+    revenue that rounds onto a threshold cannot lose the set that reached it.
+
+    Ties: within a pick, equal weights go to the lowest id.  Among sets of
+    equal revenue the one the iteration reaches first, at the lowest
+    threshold, is returned, so it keeps items that leave the revenue
+    unchanged in floating point.  The empty set is returned when no revenue
+    is positive.  Utilities may be arbitrarily large: weights are max-shifted.
     """
     z = np.asarray(z, dtype=float)
     r = np.asarray(revenues, dtype=float)
@@ -281,30 +291,19 @@ def optimal_assortment(z, revenues, q: int, tol: float = 1e-10, max_iters: int =
     shift = max(float(z.max()), 0.0)
     v = np.exp(z - shift)
     v0 = math.exp(-shift)
-
-    def pick(lam):
+    best = np.empty(0, dtype=np.intp)
+    lam = 0.0
+    while True:
         s = (r - lam) * v
         order = np.argsort(-s, kind="stable")[:q]
-        return order[s[order] > 0.0]
-
-    def value(sel):
-        den = v0 + float(v[sel].sum())
-        return float((r[sel] * v[sel]).sum() / den)
-
-    lo = min(0.0, float(r.min()))
-    hi = max(0.0, float(r.max()))  # clamped at 0 so the bracket holds when all r < 0
-    sel = pick(lo)
-    for _ in range(max_iters):
-        lam = 0.5 * (lo + hi)
-        sel = pick(lam)
-        val = value(sel)
-        if abs(val - lam) <= tol:
+        sel = order[s[order] > 0.0]
+        if sel.size == 0:
             break
-        if val > lam:
-            lo = lam
-        else:
-            hi = lam
-    return np.sort(sel)
+        val = float((r[sel] * v[sel]).sum() / (v0 + float(v[sel].sum())))
+        if not val > lam:  # also stops on a NaN revenue
+            break
+        best, lam = sel, val
+    return np.sort(best)
 
 
 def expected_revenue(offered_feats, theta, revenues) -> float:

@@ -19,6 +19,11 @@ GOLDEN = {
     "conduel": "8bb79af48ce01e45009b3ebb1e5dde308d167835cb2c87a892b3c4798270340d",
     "rconucb-diff": "a9e7fedd9a6198ea70c683c965fb5954c817d5a59a9ba288094917f70e5b0b3d",
     "conmnl": "7b3f1de1b9fbd777f209e22044947b97ff247c2122534868bef9833b9c13c856",
+    # the two pick key-terms differently only after the initialization
+    # phase, and on this config they then offer the same assortments
+    "conmnl-ucb": "3ee74b9859139f70a79c3b02f33e1b541b90e7d9fb7662aa42d28826c0d3d626",
+    "conmnl-random": "3ee74b9859139f70a79c3b02f33e1b541b90e7d9fb7662aa42d28826c0d3d626",
+    "ucb-mnl": "124ad858182c68ed576d2995a8af738d9b86c0a971b2f5610bfeabb038242a1e",
 }
 
 

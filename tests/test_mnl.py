@@ -26,15 +26,23 @@ from conduel.mnl import (
 from conduel.spanner import build_spanner
 
 
+def expected_revenue_from_z(z, r, idx):
+    """Revenue of the offer idx under utilities z, max-shifted so that large
+    utilities stay finite."""
+    idx = list(idx)
+    if not idx:
+        return 0.0
+    z = np.asarray(z, dtype=float)[idx]
+    shift = max(float(z.max()), 0.0)
+    v = np.exp(z - shift)
+    return float((np.asarray(r, dtype=float)[idx] * v).sum() / (math.exp(-shift) + v.sum()))
+
+
 def brute_force_assortment(z, revenues, q):
-    v = np.exp(np.asarray(z, dtype=float))
-    r = np.asarray(revenues, dtype=float)
-    n = len(r)
     best_val, best_set = 0.0, ()
     for size in range(1, q + 1):
-        for combo in combinations(range(n), size):
-            idx = list(combo)
-            val = float((r[idx] * v[idx]).sum() / (1.0 + v[idx].sum()))
+        for combo in combinations(range(len(z)), size):
+            val = expected_revenue_from_z(z, revenues, combo)
             if val > best_val + 1e-15:
                 best_val, best_set = val, combo
     return best_val, best_set
@@ -211,6 +219,68 @@ def test_fit_improves_on_zero():
         assert obj.value(theta) >= obj.value(np.zeros(3))
 
 
+def reference_newton_fit(history, theta0=None):
+    """The choice-model Newton loop evaluating each accepted step twice: once
+    in the line search and again after the step is taken."""
+    theta = np.zeros(history.dim) if theta0 is None else np.array(theta0, dtype=float)
+    obj = MnlObjective(history)
+    f0, p = obj.value_and_probs(theta)
+    grad = obj.score(theta, p)
+    ridge = 1e-8 * np.eye(history.dim)
+    for _ in range(100):
+        if np.linalg.norm(grad) <= 1e-8:
+            return theta
+        step = np.linalg.solve(obj.information(theta, p) + ridge, grad)
+        slack = 1e-13 * (1.0 + abs(f0))
+        scale = 1.0
+        while scale > 2.0 ** -40:
+            if obj.value_and_probs(theta + scale * step)[0] >= f0 - slack:
+                break
+            scale *= 0.5
+        theta = theta + scale * step
+        f0, p = obj.value_and_probs(theta)
+        grad = obj.score(theta, p)
+    raise AssertionError("reference fit did not converge")
+
+
+def test_fit_matches_reference_newton_loop(monkeypatch):
+    plain = MnlObjective.value_and_probs
+    points, penalty = [], [0.0]
+
+    def recorded(self, theta):
+        points.append(np.array(theta))
+        value, probs = plain(self, theta)
+        return (value - penalty[0] if np.any(theta) else value), probs
+
+    monkeypatch.setattr(MnlObjective, "value_and_probs", recorded)
+
+    def evaluated(fit, h, start):
+        points.clear()
+        return fit(h, theta0=start), list(points)
+
+    rng = np.random.default_rng(12)
+    cases = [
+        (sample_history(rng, d=3, n=50)[0], start, 0.0)
+        # a far start makes the line search halve its first steps
+        for start in (None, 0.1 * rng.normal(size=3), 4.0 * rng.normal(size=3))
+        for _ in range(3)
+    ]
+    # a value 1e9 lower everywhere but at the start rejects every trial of
+    # the first step, which then takes the smallest step
+    cases.append((sample_history(rng, d=3, n=50)[0], None, 1e9))
+    for h, start, penalty[0] in cases:
+        theta, seen = evaluated(mnl_mle_fit, h, start)
+        ref_theta, ref_seen = evaluated(reference_newton_fit, h, start)
+        np.testing.assert_array_equal(theta, ref_theta)
+        # the same points in the same order, each evaluated once
+        ref_once = [
+            x for i, x in enumerate(ref_seen) if i == 0 or not np.array_equal(x, ref_seen[i - 1])
+        ]
+        assert len(seen) == len(ref_once) < len(ref_seen)
+        for x, y in zip(seen, ref_once):
+            np.testing.assert_array_equal(x, y)
+
+
 def test_fit_nonconvergence_raises():
     rng = np.random.default_rng(5)
     h, _ = sample_history(rng, d=2, n=30)
@@ -276,48 +346,51 @@ def test_assortment_single_slot_argmax():
 
 
 def test_assortment_matches_enumeration():
+    # mixed-sign revenues, and revenue = utility as the regret oracle passes
     rng = np.random.default_rng(8)
-    for _ in range(40):
-        n = int(rng.integers(4, 12))
-        q = int(rng.integers(1, 5))
-        z = rng.normal(size=n)
-        r = rng.normal(size=n)
-        got = optimal_assortment(z, r, q)
-        got_val = expected_revenue_from_z(z, r, got)
-        best_val, _ = brute_force_assortment(z, r, q)
-        assert got_val == pytest.approx(best_val, abs=1e-9)
-        assert len(got) <= q
+    for scale in (0.3, 1.0, 3.0, 30.0):
+        for revenue_is_utility in (False, True):
+            for _ in range(40):
+                n = int(rng.integers(2, 13))
+                q = int(rng.integers(1, 6))
+                z = scale * rng.normal(size=n)
+                r = z.copy() if revenue_is_utility else rng.normal(size=n)
+                got = optimal_assortment(z, r, q)
+                best_val, _ = brute_force_assortment(z, r, q)
+                assert expected_revenue_from_z(z, r, got) == pytest.approx(best_val, abs=1e-12)
+                assert len(got) <= q and np.all(np.diff(got) > 0)
 
 
-def expected_revenue_from_z(z, r, idx):
-    idx = np.asarray(idx, dtype=int)
-    if idx.size == 0:
-        return 0.0
-    v = np.exp(np.asarray(z, dtype=float)[idx])
-    return float((np.asarray(r)[idx] * v).sum() / (1.0 + v.sum()))
+def test_assortment_dominant_item_not_lost_to_rounding():
+    # {0} earns 40 / (1 + exp(-40)), which rounds to exactly r_0 = 40, so the
+    # next threshold picks nothing; the set that reached 40 must be returned
+    z = np.array([40.0, 0.0, -1.0])
+    assert optimal_assortment(z, z, 1).tolist() == [0]
+
+
+def test_assortment_tie_rule():
+    # {0} and {0, 1} both earn exactly 1.0 (2 / 2 and 3 / 3): the set reached
+    # first, at the lower threshold, is returned
+    assert optimal_assortment(np.zeros(2), np.array([2.0, 1.0]), 2).tolist() == [0, 1]
+    # equal weights go to the lowest id
+    assert optimal_assortment(np.zeros(3), np.ones(3), 1).tolist() == [0]
+    assert optimal_assortment(np.zeros(4), np.ones(4), 2).tolist() == [0, 1]
 
 
 def test_assortment_all_negative_revenue_is_empty():
-    z = np.zeros(4)
     r = np.array([-0.5, -0.1, -2.0, -0.9])
-    assert optimal_assortment(z, r, 2).size == 0
+    assert optimal_assortment(np.zeros(4), r, 2).size == 0
+    # the outside option's weight underflows to zero
+    assert optimal_assortment(np.array([800.0, 799.0, 0.0, -5.0]), r, 2).size == 0
 
 
 def test_assortment_huge_utilities_stable():
     z = np.array([500.0, 499.0, -3.0])
     r = np.array([1.0, 2.0, 3.0])
     got = optimal_assortment(z, r, 2)
-
-    def shifted_value(combo):
-        idx = list(combo)
-        s = max(z[idx].max(), 0.0)
-        v = np.exp(z[idx] - s)
-        return float((r[idx] * v).sum() / (math.exp(-s) + v.sum()))
-
-    vals = {c: shifted_value(c) for size in (1, 2) for c in combinations(range(3), size)}
-    best = max(vals.values())
+    best, _ = brute_force_assortment(z, r, 2)
     assert math.isfinite(best)
-    assert shifted_value(tuple(got.tolist())) == pytest.approx(best, abs=1e-9)
+    assert expected_revenue_from_z(z, r, got) == pytest.approx(best, abs=1e-9)
 
 
 def test_expected_revenue_examples():
