@@ -4,7 +4,8 @@ universe (5000 arms, 500 key-terms, d=10), T=5000, b(t)=10*floor(t/50).
 
 Heavy: hours of CPU at the published scale.  Trim --users / --t for a desk
 run.  No automatic check covers a scaled-down version yet: the acceptance
-gate (tests/test_acceptance.py) is item 5 of ROADMAP.md and not written.
+gate (tests/test_acceptance.py) is the "Headline-claim audit" item of
+ROADMAP.md and not written.
 """
 
 import os

@@ -33,8 +33,6 @@ from .errors import (
     StructuralError,
 )
 from .estimator import (
-    ARM_LEVEL,
-    KEYTERM_LEVEL,
     DuelObjective,
     InteractionHistory,
     ThetaEstimate,

@@ -20,7 +20,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .dueling import DEFAULT_RADIUS_SCALE, DuelConfig
+from .dueling import DEFAULT_RADIUS_SCALE, PAIR_MODES, DuelConfig
 from .env import Schedule, SyntheticConfig, gen_synthetic
 from .envfile import export_environment, import_environment
 from .errors import ConduelError, ConfigError
@@ -60,9 +60,6 @@ class RunConfig:
     # dueling estimator
     lam: float = 1.0
     delta: float = 0.1
-    kappa1: str = "auto"
-    tol: float = 1e-8
-    max_iters: int = 100
     radius_scale: float = DEFAULT_RADIUS_SCALE
     pair_mode: str = "sampled_first"
     # choice model
@@ -117,6 +114,8 @@ def load_config(args) -> RunConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             setattr(cfg, key, _coerce(key, flag))
+    if cfg.pair_mode not in PAIR_MODES:
+        raise ConfigError(f"unknown pair mode {cfg.pair_mode!r}; known: {', '.join(PAIR_MODES)}")
     if not cfg.out:
         cfg.out = os.environ.get("CONDUEL_OUT", ".")
     return cfg
@@ -150,15 +149,11 @@ def _algorithms(cfg: RunConfig) -> list:
 
 
 def _duel_config(cfg: RunConfig) -> DuelConfig:
-    kappa1 = None if cfg.kappa1 == "auto" else float(cfg.kappa1)
     return DuelConfig(
         lam=cfg.lam,
         delta=cfg.delta,
-        kappa1=kappa1,
         radius_scale=cfg.radius_scale,
         pair_mode=cfg.pair_mode,
-        tol=cfg.tol,
-        max_iters=cfg.max_iters,
     )
 
 
@@ -168,8 +163,6 @@ def _mnl_config(cfg: RunConfig) -> MnlConfig:
         t0=cfg.t0,
         kappa2=cfg.kappa2,
         radius_scale=cfg.mnl_radius_scale,
-        tol=cfg.tol,
-        max_iters=cfg.max_iters,
     )
 
 

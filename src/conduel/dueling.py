@@ -17,19 +17,13 @@ import numpy as np
 
 from . import rng as streams
 from .errors import DomainError, StructuralError
-from .estimator import (
-    ARM_LEVEL,
-    KEYTERM_LEVEL,
-    InteractionHistory,
-    ThetaEstimate,
-    dueling_radius,
-    mle_fit,
-)
+from .estimator import InteractionHistory, ThetaEstimate, dueling_radius, mle_fit
 from .glm import DesignMatrix, LinkFunction
 from .spanner import Spanner
 
 __all__ = [
     "DUEL_KINDS",
+    "PAIR_MODES",
     "DuelConfig",
     "RoundRecord",
     "select_keyterm_pair",
@@ -48,6 +42,9 @@ PLAIN_KINDS = ("maxinp", "random-opt")
 RCONUCB_KINDS = ("rconucb-posneg", "rconucb-diff")
 DUEL_KINDS = CONVERSATIONAL_KINDS + PLAIN_KINDS + RCONUCB_KINDS
 
+# Arm-pair rules of ``select_arm_pair``; random-opt always plays "random".
+PAIR_MODES = ("sampled_first", "full_maxinp", "random")
+
 # Empirical shrink applied to the theoretical confidence radius.  The
 # closed-form radius is a high-probability bound whose constants are far too
 # conservative to act on directly (it exceeds the largest possible utility
@@ -64,12 +61,8 @@ _CLICK_NOISE_LEVEL = 0.5
 class DuelConfig:
     lam: float = 1.0
     delta: float = 0.1
-    kappa1: float | None = None  # None: take the link's slope floor
     radius_scale: float = DEFAULT_RADIUS_SCALE
-    radius_const: float | None = None  # fixed radius override for diagnostics
-    pair_mode: str = "sampled_first"  # or "full_maxinp"
-    tol: float = 1e-8
-    max_iters: int = 100
+    pair_mode: str = "sampled_first"  # one of PAIR_MODES
 
 
 @dataclass
@@ -205,22 +198,19 @@ class DuelPolicy:
         self.spanner = spanner
         self.stream = stream
         self.config = config or DuelConfig()
-        self.kappa1 = self.config.kappa1 if self.config.kappa1 is not None else link.kappa1
         self.d = self.keyterm_feats.shape[1]
-        self.design = DesignMatrix(self.d, self.config.lam / self.kappa1)
+        self.design = DesignMatrix(self.d, self.config.lam / link.kappa1)
         self.history = InteractionHistory(self.d)
         zero = np.zeros(self.d)
-        self.estimate = ThetaEstimate(zero, zero.copy(), False, 0, 0.0)
+        self.estimate = ThetaEstimate(zero, zero.copy(), False, 0)
         self.converses = kind in CONVERSATIONAL_KINDS
         if self.converses and kind == "conduel" and spanner is None:
             raise StructuralError("conduel requires a spanner")
 
     def radius(self, t: int, b_of_t: float) -> float:
         cfg = self.config
-        if cfg.radius_const is not None:
-            return cfg.radius_const
         return cfg.radius_scale * dueling_radius(
-            t, b_of_t, self.d, cfg.lam, self.kappa1, delta=cfg.delta
+            t, b_of_t, self.d, cfg.lam, self.link.kappa1, delta=cfg.delta
         )
 
     def play_round(self, pool_ids, pool_feats, oracle, t, n_conversations, b_of_t) -> RoundRecord:
@@ -235,18 +225,12 @@ class DuelPolicy:
                 )
                 diff = self.keyterm_feats[k1] - self.keyterm_feats[k2]
                 won = oracle.duel(self.keyterm_feats[k1], self.keyterm_feats[k2], rng_fb)
-                self.history.append(diff, won, KEYTERM_LEVEL)
+                self.history.append(diff, won)
                 self.design.update(diff)
                 conversations.append((k1, k2, won))
 
         self.estimate = mle_fit(
-            self.history,
-            cfg.lam,
-            self.link,
-            tol=cfg.tol,
-            max_iters=cfg.max_iters,
-            theta0=self.estimate.theta_raw,
-            design=self.design,
+            self.history, cfg.lam, self.link, theta0=self.estimate.theta_raw, design=self.design
         )
         # policies without a conversation module have no key-term observations,
         # so their radius counts arm rounds only
@@ -258,7 +242,7 @@ class DuelPolicy:
         )
         won = oracle.duel(pool_feats[i], pool_feats[j], self.stream.at(t, streams.ARM_FEEDBACK))
         diff = pool_feats[i] - pool_feats[j]
-        self.history.append(diff, won, ARM_LEVEL)
+        self.history.append(diff, won)
         self.design.update(diff)
         return RoundRecord(
             pair=(i, j),
@@ -309,8 +293,6 @@ class RconucbPolicy:
         # the baseline runs with its own standard width, not the calibrated
         # shrink the GLM policies share
         cfg = self.config
-        if cfg.radius_const is not None:
-            return cfg.radius_const
         lam, d = cfg.lam, self.d
         return math.sqrt(lam) + _CLICK_NOISE_LEVEL * math.sqrt(
             2.0 * math.log(1.0 / cfg.delta) + d * math.log(1.0 + t / (d * lam))

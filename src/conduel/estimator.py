@@ -1,16 +1,17 @@
 """Regularized maximum-likelihood estimation from dueling observations.
 
-Observations are difference vectors with binary outcomes, at either the arm
-level or the key-term level; both levels enter one likelihood.
-``DuelObjective`` is its only implementation: the strictly concave
+Observations are difference vectors with binary outcomes, from arm duels and
+key-term duels alike; both enter one likelihood.  ``DuelObjective`` is its
+only implementation: the strictly concave
 
     sum_s [ o_s * d_s^T theta - m(d_s^T theta) ] - (lam / 2) ||theta||^2,
 
 with m the antiderivative of the link, together with its score, the
-regularized mean-value map g and the Jacobian of g.  The fit is Newton's
-method with step-halving on that objective.  When the fit leaves the unit
-ball it is pulled back by minimizing || g(theta) - g(theta_hat) ||_{M^-1}
-over the ball, using the same object's g and Jacobian-vector product.
+regularized mean-value map g and the Jacobian of g.  ``_newton`` is the one
+damped-Newton solver; it fits this objective and the choice-model
+likelihood of ``mnl`` alike.  When the fit leaves the unit ball it is pulled
+back by minimizing || g(theta) - g(theta_hat) ||_{M^-1} over the ball,
+using the same object's g and Jacobian-vector product.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from .errors import DomainError, NumericalError, StructuralError
 from .glm import DesignMatrix, LinkFunction
 
 __all__ = [
-    "ARM_LEVEL",
-    "KEYTERM_LEVEL",
     "InteractionHistory",
     "ThetaEstimate",
     "DuelObjective",
@@ -34,29 +33,30 @@ __all__ = [
     "dueling_radius",
 ]
 
-ARM_LEVEL = 0
-KEYTERM_LEVEL = 1
-
 _MAX_DIFF_NORM = 2.0 + 1e-9
+
+# Newton stopping rule: the score norm at which a fit stops, and the cap on
+# iterations before it is declared unconverged.
+_TOL = 1e-8
+_MAX_ITERS = 100
 
 
 class InteractionHistory:
     """Append-only store of dueling observations.
 
-    Keeps difference vectors, outcomes, and the level tag in growing buffers
-    so fits can read contiguous array views without copying.
+    Keeps difference vectors and outcomes in growing buffers so fits can
+    read contiguous array views without copying.
     """
 
-    __slots__ = ("dim", "_diffs", "_outcomes", "_levels", "n")
+    __slots__ = ("dim", "_diffs", "_outcomes", "n")
 
     def __init__(self, dim: int, capacity: int = 64):
         self.dim = int(dim)
         self._diffs = np.empty((capacity, self.dim))
         self._outcomes = np.empty(capacity)
-        self._levels = np.empty(capacity, dtype=np.int8)
         self.n = 0
 
-    def append(self, diff, outcome: int, level: int) -> None:
+    def append(self, diff, outcome: int) -> None:
         diff = np.asarray(diff, dtype=float)
         if diff.shape != (self.dim,):
             raise StructuralError(f"difference vector must have shape ({self.dim},)")
@@ -64,16 +64,12 @@ class InteractionHistory:
             raise StructuralError("difference vector norm exceeds 2")
         if outcome not in (0, 1):
             raise StructuralError("outcome must be 0 or 1")
-        if level not in (ARM_LEVEL, KEYTERM_LEVEL):
-            raise StructuralError("unknown observation level")
         if self.n == len(self._outcomes):
             grow = max(2 * self.n, 64)
             self._diffs = np.resize(self._diffs, (grow, self.dim))
             self._outcomes = np.resize(self._outcomes, grow)
-            self._levels = np.resize(self._levels, grow)
         self._diffs[self.n] = diff
         self._outcomes[self.n] = outcome
-        self._levels[self.n] = level
         self.n += 1
 
     @property
@@ -83,13 +79,6 @@ class InteractionHistory:
     @property
     def outcomes(self) -> np.ndarray:
         return self._outcomes[: self.n]
-
-    @property
-    def levels(self) -> np.ndarray:
-        return self._levels[: self.n]
-
-    def count(self, level: int) -> int:
-        return int(np.count_nonzero(self.levels == level))
 
     def __len__(self) -> int:
         return self.n
@@ -101,7 +90,6 @@ class ThetaEstimate:
     theta_proj: np.ndarray
     projected: bool
     newton_iters: int
-    grad_norm: float
 
 
 class DuelObjective:
@@ -110,9 +98,10 @@ class DuelObjective:
     Serves the value, the score, the mean-value map
     g(theta) = sum mu(d^T theta) d + lam theta, its Jacobian
     J(theta) = sum mu'(d^T theta) d d^T + lam I (minus the Hessian of the
-    value), and the product J(theta) v.  Each method takes the utility pass
-    ``z = diffs @ theta`` when the caller already has it.  Inputs are not
-    validated: callers pass finite float arrays of the history's dimension.
+    value, hence ``information``), and the product J(theta) v.  Each method
+    takes the utility pass ``z = diffs @ theta`` when the caller already has
+    it.  Inputs are not validated: callers pass finite float arrays of the
+    history's dimension.
     """
 
     __slots__ = ("diffs", "outcomes", "lam", "_mu", "_slope", "_anti", "_ridge")
@@ -132,6 +121,11 @@ class DuelObjective:
         reg = 0.5 * self.lam * float(theta @ theta)
         return float(self.outcomes @ z - self._anti(z).sum()) - reg
 
+    def value_and_pass(self, theta):
+        """The value and the utility pass z, which the other methods reuse."""
+        z = self.diffs @ theta
+        return self.value(theta, z), z
+
     def score(self, theta, z=None) -> np.ndarray:
         """Gradient of the value; zero exactly at the MLE."""
         if z is None:
@@ -143,7 +137,7 @@ class DuelObjective:
             z = self.diffs @ theta
         return self.diffs.T @ self._mu(z) + self.lam * theta
 
-    def jacobian(self, theta, z=None) -> np.ndarray:
+    def information(self, theta, z=None) -> np.ndarray:
         if z is None:
             z = self.diffs @ theta
         w = self._slope(z)
@@ -156,12 +150,56 @@ class DuelObjective:
         return self.diffs.T @ (self._slope(z) * (self.diffs @ v)) + self.lam * v
 
 
+def _newton(obj, dim: int, theta0, tol: float, max_iters: int, what: str) -> tuple:
+    """Damped Newton ascent on a strictly concave objective; (theta, iterations).
+
+    ``obj`` serves ``value_and_pass(theta)``, which returns the value and a
+    per-point pass (utilities or choice probabilities), and ``score`` and
+    ``information`` (minus the Hessian), which reuse that pass.  Each step
+    is the Newton direction, halved until the value falls by no more than
+    round-off; the accepted trial's value and pass carry over, so every
+    point is evaluated once.  When no trial down to 2^-40 is accepted, that
+    smallest step is taken.  Stops once ||score|| <= tol.
+    """
+    if tol <= 0.0:
+        raise DomainError("tol must be positive")
+    theta = np.zeros(dim) if theta0 is None else np.asarray(theta0, dtype=float).copy()
+    f0, aux = obj.value_and_pass(theta)
+    grad = obj.score(theta, aux)
+    grad_norm = math.sqrt(float(grad @ grad))
+    iters = 0
+    while grad_norm > tol:
+        if iters >= max_iters:
+            raise NumericalError(
+                f"{what} Newton failed to converge: ||score|| = {grad_norm:.3e} "
+                f"after {max_iters} iterations"
+            )
+        step = np.linalg.solve(obj.information(theta, aux), grad)
+        slack = 1e-13 * (1.0 + abs(f0))  # tolerate round-off near the optimum
+        scale = 1.0
+        while True:
+            trial = theta + scale * step
+            f, aux = obj.value_and_pass(trial)
+            # the smallest step is taken even when no trial is accepted
+            if f >= f0 - slack or scale <= 2.0 ** -40:
+                break
+            scale *= 0.5
+        theta = trial
+        if not np.all(np.isfinite(theta)):
+            raise NumericalError(f"{what} estimate diverged")
+        f0 = f
+        grad = obj.score(theta, aux)
+        grad_norm = math.sqrt(float(grad @ grad))
+        iters += 1
+    return theta, iters
+
+
 def mle_fit(
     history: InteractionHistory,
     lam: float,
     link: LinkFunction,
-    tol: float = 1e-8,
-    max_iters: int = 100,
+    tol: float = _TOL,
+    max_iters: int = _MAX_ITERS,
     theta0=None,
     design: DesignMatrix | None = None,
 ) -> ThetaEstimate:
@@ -173,66 +211,34 @@ def mle_fit(
     matrix built from the history is used.
     """
     obj = DuelObjective(history, lam, link)
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
-    theta = np.zeros(history.dim) if theta0 is None else np.asarray(theta0, dtype=float).copy()
-
-    z = obj.diffs @ theta
-    grad = obj.score(theta, z)
-    grad_norm = math.sqrt(float(grad @ grad))
-    iters = 0
-    while grad_norm > tol:
-        if iters >= max_iters:
-            raise NumericalError(
-                f"MLE Newton failed to converge: ||score|| = {grad_norm:.3e} "
-                f"after {max_iters} iterations"
-            )
-        step = np.linalg.solve(obj.jacobian(theta, z), grad)
-        f0 = obj.value(theta, z)
-        slack = 1e-13 * (1.0 + abs(f0))  # tolerate round-off near the optimum
-        scale = 1.0
-        while scale > 2.0 ** -40:
-            if obj.value(theta + scale * step) >= f0 - slack:
-                break
-            scale *= 0.5
-        theta = theta + scale * step
-        z = obj.diffs @ theta
-        grad = obj.score(theta, z)
-        grad_norm = math.sqrt(float(grad @ grad))
-        iters += 1
-
-    norm = float(np.linalg.norm(theta))
-    if norm > 1.0:
+    theta, iters = _newton(obj, history.dim, theta0, tol, max_iters, "MLE")
+    if float(np.linalg.norm(theta)) > 1.0:
         if design is None:
             design = DesignMatrix(history.dim, lam / link.kappa1)
             for row in history.diffs:
                 design.update(row)
-        proj = project_theta(theta, history, lam, link, design)
-        return ThetaEstimate(theta, proj, True, iters, grad_norm)
-    return ThetaEstimate(theta, theta.copy(), False, iters, grad_norm)
+        return ThetaEstimate(theta, project_theta(theta, obj, design), True, iters)
+    return ThetaEstimate(theta, theta.copy(), False, iters)
 
 
 def project_theta(
     theta_raw,
-    history: InteractionHistory,
-    lam: float,
-    link: LinkFunction,
+    obj: DuelObjective,
     design: DesignMatrix,
     rel_tol: float = 1e-10,
     max_iters: int = 500,
 ) -> np.ndarray:
     """Pull an out-of-ball estimate back to the unit ball.
 
-    Minimizes F(theta) = ||g(theta) - g(theta_raw)||^2_{M^-1} by projected
-    gradient descent from the radially shrunk start, with backtracking and a
-    relative-decrease stop.  Returns the best iterate seen; the result is
-    always feasible.
+    Minimizes F(theta) = ||g(theta) - g(theta_raw)||^2_{M^-1}, with g the
+    mean-value map of ``obj``, by projected gradient descent from the
+    radially shrunk start, with backtracking and a relative-decrease stop.
+    Returns the best iterate seen; the result is always feasible.
     """
     theta_raw = np.asarray(theta_raw, dtype=float)
     raw_norm = float(np.linalg.norm(theta_raw))
     if raw_norm <= 1.0:
         return theta_raw.copy()
-    obj = DuelObjective(history, lam, link)
     m_inv = design.m_inv
     g_target = obj.mean_map(theta_raw)
 

@@ -5,10 +5,10 @@ optimization by Dinkelbach's fixed-point iteration on the revenue threshold.
 A choice observation offers up to q features (arms or key-terms); the user
 picks one of them or the outside option.  ``MnlObjective`` is the only
 implementation of the choice log-likelihood, its score and its observed
-information; the Newton fit reads all three from it.  The likelihood is
-unregularized; identifiability comes from the forced-exploration
-initialization phase, and a vanishing ridge enters the Newton solve only for
-conditioning.
+information; the fit runs the shared Newton solver of ``estimator`` on it.
+The likelihood is unregularized; identifiability comes from the
+forced-exploration initialization phase, and a vanishing ridge enters the
+information only to condition the Newton solve.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from . import rng as streams
 from .dueling import RoundRecord
 from .errors import DomainError, NumericalError, StructuralError
-from .estimator import ARM_LEVEL, KEYTERM_LEVEL
+from .estimator import _MAX_ITERS, _TOL, _newton
 from .glm import DesignMatrix
 from .spanner import Spanner
 
@@ -58,14 +58,12 @@ class MnlConfig:
     t0: int = 50
     kappa2: float = 0.005
     radius_scale: float = DEFAULT_MNL_RADIUS_SCALE
-    tol: float = 1e-8
-    max_iters: int = 100
 
 
 class ChoiceHistory:
     """Append-only store of choice observations in padded buffers."""
 
-    __slots__ = ("dim", "width", "_feats", "_mask", "_chosen", "_levels", "n")
+    __slots__ = ("dim", "width", "_feats", "_mask", "_chosen", "n")
 
     def __init__(self, dim: int, width: int, capacity: int = 64):
         if width < 1:
@@ -75,10 +73,9 @@ class ChoiceHistory:
         self._feats = np.zeros((capacity, self.width, self.dim))
         self._mask = np.zeros((capacity, self.width), dtype=bool)
         self._chosen = np.empty(capacity, dtype=np.int64)
-        self._levels = np.empty(capacity, dtype=np.int8)
         self.n = 0
 
-    def append(self, offered, chosen: int, level: int) -> None:
+    def append(self, offered, chosen: int) -> None:
         offered = np.asarray(offered, dtype=float)
         if offered.ndim != 2 or offered.shape[1] != self.dim:
             raise StructuralError(f"offered features must be (m, {self.dim})")
@@ -87,8 +84,6 @@ class ChoiceHistory:
             raise StructuralError(f"offer size must be in [1, {self.width}]")
         if not (chosen == OUTSIDE or 0 <= chosen < m):
             raise StructuralError("chosen index out of range")
-        if level not in (ARM_LEVEL, KEYTERM_LEVEL):
-            raise StructuralError("unknown observation level")
         if self.n == len(self._chosen):
             grow = max(2 * self.n, 64)
             feats = np.zeros((grow, self.width, self.dim))
@@ -97,13 +92,11 @@ class ChoiceHistory:
             mask[: self.n] = self._mask[: self.n]
             self._feats, self._mask = feats, mask
             self._chosen = np.resize(self._chosen, grow)
-            self._levels = np.resize(self._levels, grow)
         self._feats[self.n, :m] = offered
         self._feats[self.n, m:] = 0.0
         self._mask[self.n, :m] = True
         self._mask[self.n, m:] = False
         self._chosen[self.n] = chosen
-        self._levels[self.n] = level
         self.n += 1
 
     @property
@@ -117,13 +110,6 @@ class ChoiceHistory:
     @property
     def chosen(self):
         return self._chosen[: self.n]
-
-    @property
-    def levels(self):
-        return self._levels[: self.n]
-
-    def count(self, level: int) -> int:
-        return int(np.count_nonzero(self.levels == level))
 
     def __len__(self) -> int:
         return self.n
@@ -152,11 +138,14 @@ class MnlObjective:
     Holds the flat (n*width, d) feature view, the one-hot picks and the
     -inf offsets that mask padded slots.  Serves the value, the choice
     probabilities, the score and the observed information (minus the
-    Hessian of the value); the last two take the probabilities when the
-    caller already has them.  Inputs are not validated.
+    Hessian of the value, plus a 1e-8 ridge that conditions the Newton
+    solve); the last two take the probabilities when the caller already has
+    them.  Inputs are not validated.
     """
 
-    __slots__ = ("feats", "flat", "_pad", "_one_hot", "_rows", "_picked_col", "_has_pick")
+    __slots__ = (
+        "feats", "flat", "_pad", "_one_hot", "_rows", "_picked_col", "_has_pick", "_ridge"
+    )
 
     def __init__(self, history: ChoiceHistory):
         n, width = len(history), history.width
@@ -170,6 +159,7 @@ class MnlObjective:
         one_hot = np.zeros((n, width))
         one_hot[self._rows[self._has_pick], chosen[self._has_pick]] = 1.0
         self._one_hot = one_hot.ravel()
+        self._ridge = 1e-8 * np.eye(history.dim)
 
     def _pass(self, theta):
         z = (self.flat @ theta).reshape(self._pad.shape) + self._pad
@@ -180,10 +170,10 @@ class MnlObjective:
         return float(np.sum(picked - shift - np.log(den))), e, den
 
     def value(self, theta) -> float:
-        """Sum of log-probabilities of the recorded choices (both levels)."""
+        """Sum of log-probabilities of the recorded choices (arm and key-term offers)."""
         return self._pass(theta)[0]
 
-    def value_and_probs(self, theta):
+    def value_and_pass(self, theta):
         """The value and the (n, width) choice probabilities, from one pass."""
         value, e, den = self._pass(theta)
         return value, e / den[:, None]
@@ -191,55 +181,25 @@ class MnlObjective:
     def score(self, theta, probs=None) -> np.ndarray:
         """Gradient of the value; zero at the MLE."""
         if probs is None:
-            probs = self.value_and_probs(theta)[1]
+            probs = self.value_and_pass(theta)[1]
         return (self._one_hot - probs.ravel()) @ self.flat
 
     def information(self, theta, probs=None) -> np.ndarray:
         if probs is None:
-            probs = self.value_and_probs(theta)[1]
+            probs = self.value_and_pass(theta)[1]
         xbar = (probs[:, None, :] @ self.feats)[:, 0, :]
-        return self.flat.T @ (probs.reshape(-1, 1) * self.flat) - xbar.T @ xbar
+        info = self.flat.T @ (probs.reshape(-1, 1) * self.flat) - xbar.T @ xbar
+        return info + self._ridge
 
 
 def mnl_mle_fit(
     history: ChoiceHistory,
-    tol: float = 1e-8,
-    max_iters: int = 100,
+    tol: float = _TOL,
+    max_iters: int = _MAX_ITERS,
     theta0=None,
 ) -> np.ndarray:
     """Newton maximizer of the multinomial log-likelihood (warm-startable)."""
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
-    theta = np.zeros(history.dim) if theta0 is None else np.asarray(theta0, dtype=float).copy()
-    obj = MnlObjective(history)
-    f0, p = obj.value_and_probs(theta)
-    grad = obj.score(theta, p)
-    grad_norm = float(np.linalg.norm(grad))
-    iters = 0
-    ridge = 1e-8 * np.eye(history.dim)  # solve conditioning only
-    while grad_norm > tol:
-        if iters >= max_iters:
-            raise NumericalError(
-                f"choice-model Newton failed to converge: ||score|| = {grad_norm:.3e}"
-            )
-        step = np.linalg.solve(obj.information(theta, p) + ridge, grad)
-        slack = 1e-13 * (1.0 + abs(f0))
-        scale = 1.0
-        while True:
-            trial = theta + scale * step
-            f, p_trial = obj.value_and_probs(trial)
-            # the smallest step is taken even when no trial is accepted
-            if f >= f0 - slack or scale <= 2.0 ** -40:
-                break
-            scale *= 0.5
-        theta = trial
-        if not np.all(np.isfinite(theta)):
-            raise NumericalError("choice-model estimate diverged")
-        f0, p = f, p_trial
-        grad = obj.score(theta, p)
-        grad_norm = float(np.linalg.norm(grad))
-        iters += 1
-    return theta
+    return _newton(MnlObjective(history), history.dim, theta0, tol, max_iters, "choice-model")[0]
 
 
 def mnl_radius(t: int, b_of_t: float, d: int, kappa2: float) -> float:
@@ -377,7 +337,7 @@ class MnlPolicy:
                 kt = self._select_keyterms(t, b_of_t, rng_sel)
                 offered = self.keyterm_feats[kt]
                 chosen = oracle.choice(offered, rng_fb)
-                self.history.append(offered, chosen, KEYTERM_LEVEL)
+                self.history.append(offered, chosen)
                 for row in offered:
                     self.design.update(row)
                 conversations.append((kt, chosen))
@@ -395,9 +355,7 @@ class MnlPolicy:
                         "increase t0 or the assortment size"
                     )
                 self._curvature_checked = True
-            self.theta = mnl_mle_fit(
-                self.history, tol=cfg.tol, max_iters=cfg.max_iters, theta0=self.theta
-            )
+            self.theta = mnl_mle_fit(self.history, theta0=self.theta)
             alpha = self.radius(t, b_of_t)
             z = ucb_utilities(self.theta, self.design, alpha, pool_feats)
             sel = optimal_assortment(z, revenues, cfg.q)
@@ -405,7 +363,7 @@ class MnlPolicy:
         if sel.size:
             offered = pool_feats[sel]
             chosen = oracle.choice(offered, self.stream.at(t, streams.CHOICE_FEEDBACK))
-            self.history.append(offered, chosen, ARM_LEVEL)
+            self.history.append(offered, chosen)
             for row in offered:
                 self.design.update(row)
             chosen_id = int(pool_ids[sel[chosen]]) if chosen >= 0 else OUTSIDE

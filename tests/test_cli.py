@@ -130,6 +130,29 @@ def test_unknown_algorithm_rejected(env_file, tmp_path, capsys):
     assert "unknown algorithm" in err
 
 
+def test_unknown_pair_mode_rejected_before_environment(tmp_path, capsys):
+    # the environment file does not exist: reading it first would be a
+    # runtime error (exit 2), so exit 1 shows the mode was checked first
+    code, _, err = run_cli(
+        capsys, "run", "--env", str(tmp_path / "none.json"), "--pair-mode", "sideways",
+        "--out", str(tmp_path),
+    )
+    assert code == 1
+    assert "unknown pair mode 'sideways'" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--tol", "1e-6"), ("--max-iters", "5"), ("--kappa1", "0.2")]
+)
+def test_solver_internals_are_not_flags(env_file, tmp_path, capsys, flag, value):
+    path, _ = env_file
+    code, _, err = run_cli(
+        capsys, "run", "--env", str(path), flag, value, "--t", "5", "--out", str(tmp_path)
+    )
+    assert code == 1
+    assert "unrecognized arguments" in err
+
+
 def test_missing_dataset_file_fails_with_path(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "prep", "--tags", str(tmp_path / "none.dat"),

@@ -17,7 +17,6 @@ from conduel.dueling import (
 )
 from conduel.env import Schedule, SimulatedUser, SyntheticConfig, gen_synthetic
 from conduel.errors import DomainError, StructuralError
-from conduel.estimator import ARM_LEVEL, KEYTERM_LEVEL
 from conduel.glm import DesignMatrix, get_link
 from conduel.spanner import build_spanner
 
@@ -269,9 +268,9 @@ def run_rounds(policy, es, user, seed, horizon, schedule, pool_size=8):
 def test_zero_budget_round_appends_no_keyterm_observations():
     es = small_envset()
     policy = make_policy("conduel", es, seed=0)
-    run_rounds(policy, es, 0, 0, 10, Schedule("linear", 0))
-    assert policy.history.count(KEYTERM_LEVEL) == 0
-    assert policy.history.count(ARM_LEVEL) == 10
+    records = run_rounds(policy, es, 0, 0, 10, Schedule("linear", 0))
+    assert sum(len(rec.conversations) for _, rec in records) == 0
+    assert len(policy.history) == 10
 
 
 def test_keyterm_observation_count_telescopes():
@@ -279,17 +278,19 @@ def test_keyterm_observation_count_telescopes():
     policy = make_policy("conduel", es, seed=1)
     sched = Schedule("prop", 0.3)
     horizon = 40
-    run_rounds(policy, es, 0, 1, horizon, sched)
-    assert policy.history.count(KEYTERM_LEVEL) == math.floor(sched.b(horizon))
-    assert policy.history.count(ARM_LEVEL) == horizon
+    records = run_rounds(policy, es, 0, 1, horizon, sched)
+    n_keyterm = sum(len(rec.conversations) for _, rec in records)
+    assert n_keyterm == math.floor(sched.b(horizon))
+    assert len(policy.history) == n_keyterm + horizon
 
 
 def test_plain_kinds_never_converse():
     es = small_envset()
     for kind in ("maxinp", "random-opt"):
         policy = make_policy(kind, es, seed=2)
-        run_rounds(policy, es, 0, 2, 12, Schedule("prop", 0.5))
-        assert policy.history.count(KEYTERM_LEVEL) == 0
+        records = run_rounds(policy, es, 0, 2, 12, Schedule("prop", 0.5))
+        assert sum(len(rec.conversations) for _, rec in records) == 0
+        assert len(policy.history) == 12
 
 
 def test_zero_conversation_conduel_identical_to_maxinp():
@@ -309,12 +310,6 @@ def test_conduel_requires_spanner():
     es = small_envset()
     with pytest.raises(StructuralError):
         DuelPolicy("conduel", es.link, es.keyterm_feats, None, streams.RunStream(0))
-
-
-def test_radius_const_override():
-    es = small_envset()
-    policy = make_policy("conduel", es, radius_const=0.123)
-    assert policy.radius(10, 5.0) == 0.123
 
 
 # ------------------------------------------------------- full-trace oracle

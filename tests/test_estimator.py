@@ -5,8 +5,6 @@ import pytest
 
 from conduel.errors import DomainError, NumericalError, StructuralError
 from conduel.estimator import (
-    ARM_LEVEL,
-    KEYTERM_LEVEL,
     DuelObjective,
     InteractionHistory,
     dueling_radius,
@@ -25,12 +23,11 @@ EDGE_CASES = pytest.mark.parametrize(
 )
 
 
-def history_from(diffs, outcomes, levels=None):
+def history_from(diffs, outcomes):
     diffs = np.asarray(diffs, dtype=float)
     h = InteractionHistory(diffs.shape[1])
-    levels = levels if levels is not None else [ARM_LEVEL] * len(diffs)
-    for d, o, lv in zip(diffs, outcomes, levels):
-        h.append(d, int(o), lv)
+    for d, o in zip(diffs, outcomes):
+        h.append(d, int(o))
     return h
 
 
@@ -42,8 +39,7 @@ def random_history(rng, d=2, n=30):
     diffs = arms[:, 0] - arms[:, 1]
     probs = 1.0 / (1.0 + np.exp(-diffs @ theta_star))
     outcomes = (rng.random(n) < probs).astype(int)
-    levels = [ARM_LEVEL if i % 3 else KEYTERM_LEVEL for i in range(n)]
-    return history_from(diffs, outcomes, levels), theta_star
+    return history_from(diffs, outcomes), theta_star
 
 
 def loglik_direct(diffs, outcomes, theta, lam):
@@ -59,23 +55,21 @@ def loglik_direct(diffs, outcomes, theta, lam):
 def test_history_validates_entries():
     h = InteractionHistory(2)
     with pytest.raises(StructuralError):
-        h.append([3.0, 0.0], 1, ARM_LEVEL)  # norm > 2
+        h.append([3.0, 0.0], 1)  # norm > 2
     with pytest.raises(StructuralError):
-        h.append([1.0, 0.0], 2, ARM_LEVEL)
+        h.append([1.0, 0.0], 2)
     with pytest.raises(StructuralError):
-        h.append([1.0], 1, ARM_LEVEL)
-    with pytest.raises(StructuralError):
-        h.append([1.0, 0.0], 1, 7)
-    h.append([1.0, 0.0], 1, ARM_LEVEL)
-    h.append([0.0, 1.0], 0, KEYTERM_LEVEL)
+        h.append([1.0], 1)
+    h.append([1.0, 0.0], 1)
+    h.append([0.0, 1.0], 0)
     assert len(h) == 2
-    assert h.count(ARM_LEVEL) == 1 and h.count(KEYTERM_LEVEL) == 1
+    np.testing.assert_array_equal(h.outcomes, [1.0, 0.0])
 
 
 def test_history_buffers_grow():
     h = InteractionHistory(3, capacity=2)
     for i in range(200):
-        h.append(np.eye(3)[i % 3], i % 2, ARM_LEVEL)
+        h.append(np.eye(3)[i % 3], i % 2)
     assert len(h) == 200
     np.testing.assert_array_equal(h.diffs[0], [1.0, 0.0, 0.0])
     np.testing.assert_array_equal(h.diffs[199], [0.0, 1.0, 0.0])
@@ -225,8 +219,18 @@ def test_jacobian_and_jvp_match_mean_map_differences():
     obj = DuelObjective(h, 1.0, SIG)
     theta, v = rng.normal(size=3), rng.normal(size=3)
     num = (obj.mean_map(theta + 1e-6 * v) - obj.mean_map(theta - 1e-6 * v)) / 2e-6
-    np.testing.assert_allclose(obj.jacobian(theta) @ v, num, atol=1e-6)
-    np.testing.assert_allclose(obj.jvp(theta, v), obj.jacobian(theta) @ v, atol=1e-12)
+    np.testing.assert_allclose(obj.information(theta) @ v, num, atol=1e-6)
+    np.testing.assert_allclose(obj.jvp(theta, v), obj.information(theta) @ v, atol=1e-12)
+
+
+def test_value_and_pass_matches_value_and_utilities():
+    rng = np.random.default_rng(14)
+    h, _ = random_history(rng, d=3, n=20)
+    obj = DuelObjective(h, 1.0, SIG)
+    theta = rng.normal(size=3)
+    value, z = obj.value_and_pass(theta)
+    assert value == obj.value(theta)
+    np.testing.assert_array_equal(z, h.diffs @ theta)
 
 
 # ---------------------------------------------------------------- mle_fit
@@ -305,6 +309,67 @@ def test_mle_fit_nonconvergence_raises():
         mle_fit(h, 1.0, SIG, tol=1e-14, max_iters=1)
 
 
+def reference_newton_fit(history, lam, link, theta0=None):
+    """The dueling Newton loop evaluating each accepted step twice: once in
+    the line search and again after the step is taken."""
+    theta = np.zeros(history.dim) if theta0 is None else np.array(theta0, dtype=float)
+    obj = DuelObjective(history, lam, link)
+    for _ in range(100):
+        f0, z = obj.value_and_pass(theta)
+        grad = obj.score(theta, z)
+        if np.linalg.norm(grad) <= 1e-8:
+            return theta
+        step = np.linalg.solve(obj.information(theta, z), grad)
+        slack = 1e-13 * (1.0 + abs(f0))
+        scale = 1.0
+        while scale > 2.0 ** -40:
+            if obj.value_and_pass(theta + scale * step)[0] >= f0 - slack:
+                break
+            scale *= 0.5
+        theta = theta + scale * step
+    raise AssertionError("reference fit did not converge")
+
+
+def test_fit_matches_reference_newton_loop(monkeypatch):
+    plain = DuelObjective.value_and_pass
+    points, penalty = [], [0.0]
+
+    def recorded(self, theta):
+        points.append(np.array(theta))
+        value, z = plain(self, theta)
+        return (value - penalty[0] if np.any(theta) else value), z
+
+    monkeypatch.setattr(DuelObjective, "value_and_pass", recorded)
+
+    def evaluated(h, start):
+        points.clear()
+        theta = mle_fit(h, 1.0, SIG, theta0=start).theta_raw
+        seen = list(points)
+        points.clear()
+        return theta, seen, reference_newton_fit(h, 1.0, SIG, start), list(points)
+
+    rng = np.random.default_rng(15)
+    cases = [
+        (random_history(rng, d=3, n=50)[0], start, 0.0)
+        # a far start makes the line search halve its first steps
+        for start in (None, 0.1 * rng.normal(size=3), 20.0 * rng.normal(size=3))
+        for _ in range(3)
+    ]
+    # a value 1e9 lower everywhere but at the start rejects every trial of
+    # the first step, which then takes the smallest step
+    cases.append((random_history(rng, d=3, n=50)[0], None, 1e9))
+    for h, start, penalty[0] in cases:
+        theta, seen, ref_theta, ref_seen = evaluated(h, start)
+        np.testing.assert_array_equal(theta, ref_theta)
+        # the same points in the same order, each evaluated once
+        ref_once = [
+            x for i, x in enumerate(ref_seen) if i == 0 or not np.array_equal(x, ref_seen[i - 1])
+        ]
+        assert len(seen) == len(ref_once) < len(ref_seen)
+        for x, y in zip(seen, ref_once):
+            np.testing.assert_array_equal(x, y)
+
+
 # ---------------------------------------------------------------- projection
 
 
@@ -312,14 +377,14 @@ def test_projection_feasible_start_returned_unchanged():
     h = InteractionHistory(2)
     design = DesignMatrix(2, 1.0)
     t = np.array([0.6, 0.8])
-    np.testing.assert_array_equal(project_theta(t, h, 1.0, SIG, design), t)
+    np.testing.assert_array_equal(project_theta(t, DuelObjective(h, 1.0, SIG), design), t)
 
 
 def test_projection_empty_history_is_radial_shrink():
     h = InteractionHistory(3)
     design = DesignMatrix(3, 1.0 / SIG.kappa1)
     raw = np.array([1.2, -0.9, 0.3])
-    got = project_theta(raw, h, 1.0, SIG, design)
+    got = project_theta(raw, DuelObjective(h, 1.0, SIG), design)
     np.testing.assert_allclose(got, raw / np.linalg.norm(raw), atol=1e-12)
 
 
@@ -330,7 +395,8 @@ def test_projection_empty_history_any_metric_is_radial_shrink(link, d, reg):
     # feasible point in the M^-1 norm is the radial shrink
     raw = np.linspace(-1.5, 2.0, d) + 0.25
     assert np.linalg.norm(raw) > 1.0
-    got = project_theta(raw, InteractionHistory(d), 0.8, link, DesignMatrix(d, reg))
+    obj = DuelObjective(InteractionHistory(d), 0.8, link)
+    got = project_theta(raw, obj, DesignMatrix(d, reg))
     np.testing.assert_allclose(got, raw / np.linalg.norm(raw), atol=1e-12)
 
 
@@ -342,7 +408,7 @@ def test_projection_matches_angular_grid():
     for row in h.diffs:
         design.update(row)
     raw = np.array([1.3, 1.1])
-    got = project_theta(raw, h, lam, SIG, design)
+    got = project_theta(raw, DuelObjective(h, lam, SIG), design)
     assert np.linalg.norm(got) <= 1.0 + 1e-12
 
     minv = np.linalg.inv(design.m)
@@ -370,7 +436,7 @@ def test_projection_output_always_feasible():
         raw = rng.normal(size=3) * 2.0
         if np.linalg.norm(raw) <= 1.0:
             raw *= 3.0
-        got = project_theta(raw, h, 1.0, SIG, design)
+        got = project_theta(raw, DuelObjective(h, 1.0, SIG), design)
         assert np.linalg.norm(got) <= 1.0 + 1e-9
 
 

@@ -96,7 +96,7 @@ def test_mnl_run_records_revenue_regret():
 
 def test_conversations_beat_uniform_random_pairs():
     # the uniform-random-pair baseline: candidate set forced to the whole
-    # pool by a huge fixed radius, both arms drawn at random
+    # pool by a huge radius, both arms drawn at random
     es = small_envset(seed=6, n_users=5, n_arms=20, dim=2)
     seeds = list(range(5))
     sched = Schedule("linear", 10)
@@ -105,7 +105,7 @@ def test_conversations_beat_uniform_random_pairs():
         es, "conduel", 300, seeds, duel_config=DuelConfig(radius_scale=0.05), workers=2, **kw
     )
     uniform = run_experiment(
-        es, "random-opt", 300, seeds, duel_config=DuelConfig(radius_const=1e6), workers=2, **kw
+        es, "random-opt", 300, seeds, duel_config=DuelConfig(radius_scale=1e6), workers=2, **kw
     )
     assert conduel.final_mean() < uniform.final_mean()
 

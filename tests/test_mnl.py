@@ -8,7 +8,6 @@ from scipy.optimize import minimize
 from conduel import rng as streams
 from conduel.env import Schedule, SimulatedUser, SyntheticConfig, gen_synthetic
 from conduel.errors import DomainError, NumericalError, StructuralError
-from conduel.estimator import ARM_LEVEL, KEYTERM_LEVEL
 from conduel.glm import DesignMatrix
 from conduel.mnl import (
     OUTSIDE,
@@ -64,7 +63,7 @@ def sample_history(rng, d=2, n=40, q=3):
             if u < acc:
                 chosen = j
                 break
-        h.append(offered, chosen, ARM_LEVEL if i % 2 else KEYTERM_LEVEL)
+        h.append(offered, chosen)
     return h, theta_star
 
 
@@ -122,7 +121,7 @@ def test_likelihood_and_score_empty():
 def test_single_observation_hand_values():
     h = ChoiceHistory(2, width=2)
     x = np.array([0.6, 0.8])
-    h.append(x[None, :], 0, ARM_LEVEL)
+    h.append(x[None, :], 0)
     # theta = 0: choice probability 1/2, gradient x/2
     obj = MnlObjective(h)
     assert obj.value(np.zeros(2)) == pytest.approx(math.log(0.5))
@@ -156,7 +155,7 @@ def test_information_matches_score_differences():
 def test_outside_option_contributes_outside_probability():
     h = ChoiceHistory(2, width=2)
     offered = np.array([[1.0, 0.0], [0.0, 1.0]])
-    h.append(offered, OUTSIDE, ARM_LEVEL)
+    h.append(offered, OUTSIDE)
     p, p0 = mnl_probs(np.array([0.3, -0.4]), offered)
     assert MnlObjective(h).value(np.array([0.3, -0.4])) == pytest.approx(math.log(p0))
 
@@ -172,8 +171,8 @@ def test_fit_empty_history_returns_start():
 def test_fit_symmetric_choices_zero_utility():
     h = ChoiceHistory(2, width=1)
     x = np.array([0.6, 0.8])
-    h.append(x[None, :], 0, ARM_LEVEL)
-    h.append(x[None, :], OUTSIDE, ARM_LEVEL)
+    h.append(x[None, :], 0)
+    h.append(x[None, :], OUTSIDE)
     theta = mnl_mle_fit(h)
     assert abs(x @ theta) <= 1e-7
 
@@ -224,27 +223,26 @@ def reference_newton_fit(history, theta0=None):
     in the line search and again after the step is taken."""
     theta = np.zeros(history.dim) if theta0 is None else np.array(theta0, dtype=float)
     obj = MnlObjective(history)
-    f0, p = obj.value_and_probs(theta)
+    f0, p = obj.value_and_pass(theta)
     grad = obj.score(theta, p)
-    ridge = 1e-8 * np.eye(history.dim)
     for _ in range(100):
         if np.linalg.norm(grad) <= 1e-8:
             return theta
-        step = np.linalg.solve(obj.information(theta, p) + ridge, grad)
+        step = np.linalg.solve(obj.information(theta, p), grad)
         slack = 1e-13 * (1.0 + abs(f0))
         scale = 1.0
         while scale > 2.0 ** -40:
-            if obj.value_and_probs(theta + scale * step)[0] >= f0 - slack:
+            if obj.value_and_pass(theta + scale * step)[0] >= f0 - slack:
                 break
             scale *= 0.5
         theta = theta + scale * step
-        f0, p = obj.value_and_probs(theta)
+        f0, p = obj.value_and_pass(theta)
         grad = obj.score(theta, p)
     raise AssertionError("reference fit did not converge")
 
 
 def test_fit_matches_reference_newton_loop(monkeypatch):
-    plain = MnlObjective.value_and_probs
+    plain = MnlObjective.value_and_pass
     points, penalty = [], [0.0]
 
     def recorded(self, theta):
@@ -252,7 +250,7 @@ def test_fit_matches_reference_newton_loop(monkeypatch):
         value, probs = plain(self, theta)
         return (value - penalty[0] if np.any(theta) else value), probs
 
-    monkeypatch.setattr(MnlObjective, "value_and_probs", recorded)
+    monkeypatch.setattr(MnlObjective, "value_and_pass", recorded)
 
     def evaluated(fit, h, start):
         points.clear()
@@ -411,19 +409,18 @@ def test_expected_revenue_examples():
 def test_choice_history_validates():
     h = ChoiceHistory(2, width=2)
     with pytest.raises(StructuralError):
-        h.append(np.zeros((3, 2)), 0, ARM_LEVEL)  # too wide
+        h.append(np.zeros((3, 2)), 0)  # too wide
     with pytest.raises(StructuralError):
-        h.append(np.zeros((1, 2)), 1, ARM_LEVEL)  # chosen out of range
-    with pytest.raises(StructuralError):
-        h.append(np.zeros((1, 2)), 0, 5)
-    h.append(np.ones((1, 2)), OUTSIDE, KEYTERM_LEVEL)
-    assert h.count(KEYTERM_LEVEL) == 1
+        h.append(np.zeros((1, 2)), 1)  # chosen out of range
+    h.append(np.ones((1, 2)), OUTSIDE)
+    assert len(h) == 1
+    np.testing.assert_array_equal(h.chosen, [OUTSIDE])
 
 
 def test_choice_history_grows():
     h = ChoiceHistory(2, width=3, capacity=2)
     for i in range(100):
-        h.append(np.ones((1 + i % 3, 2)), OUTSIDE, ARM_LEVEL)
+        h.append(np.ones((1 + i % 3, 2)), OUTSIDE)
     assert len(h) == 100
     assert h.mask[-1].sum() == 1 + 99 % 3
 
@@ -460,9 +457,9 @@ def run_rounds(policy, es, user, seed, horizon, schedule, pool_size=10):
 def test_plain_mnl_kind_skips_conversations():
     es = small_envset()
     policy = make_policy("ucb-mnl", es, seed=0, q=3, t0=10)
-    run_rounds(policy, es, 0, 0, 25, Schedule("prop", 0.5))
-    assert policy.history.count(KEYTERM_LEVEL) == 0
-    assert policy.history.count(ARM_LEVEL) == 25
+    records = run_rounds(policy, es, 0, 0, 25, Schedule("prop", 0.5))
+    assert sum(len(rec.conversations) for _, rec in records) == 0
+    assert len(policy.history) == 25
 
 
 def test_design_update_counting():
