@@ -13,7 +13,6 @@ from .dueling import (
     select_keyterm_pair,
 )
 from .env import (
-    Environment,
     EnvironmentSet,
     Schedule,
     SimulatedUser,
@@ -21,8 +20,6 @@ from .env import (
     dueling_regret,
     gen_synthetic,
     mnl_regret,
-    sample_choice_feedback,
-    sample_duel_feedback,
 )
 from .errors import (
     ConduelError,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -78,7 +79,10 @@ def _coerce(key: str, value: str):
         if field.type in ("int",):
             return int(value)
         if field.type in ("float",):
-            return float(value)
+            number = float(value)
+            if not math.isfinite(number):
+                raise ConfigError(f"{key} must be finite, got {value!r}")
+            return number
         return value
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {value!r}") from exc
@@ -273,8 +277,8 @@ def _run_algorithms(cfg: RunConfig, envset, out_dir, schedule: Schedule) -> dict
 
 def cmd_run(args) -> int:
     cfg = load_config(args)
-    envset = _load_envset(cfg)
     schedule = Schedule.parse(cfg.schedule)
+    envset = _load_envset(cfg)
     summary = _run_algorithms(cfg, envset, cfg.out, schedule)
     summary_path = os.path.join(cfg.out, "summary.json")
     with open(summary_path, "w", encoding="utf-8") as fh:
@@ -286,7 +290,10 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args)
-    values = [int(v) for v in args.values.split(",")] if args.values else None
+    try:
+        values = [int(v) for v in args.values.split(",")] if args.values else None
+    except ValueError as exc:
+        raise ConfigError(f"bad sweep values {args.values!r}") from exc
     summary = {}
     if args.axis == "frequency":
         envset = _load_envset(cfg)
@@ -299,12 +306,13 @@ def cmd_sweep(args) -> int:
     elif args.axis == "dimension":
         if cfg.env:
             raise ConfigError("dimension sweep regenerates synthetic environments; remove env=")
+        schedule = Schedule.parse(cfg.schedule)
         for d in values or DIMENSION_VALUES:
             cell = f"dim_{d}"
             cell_cfg = dataclasses.replace(cfg, d=int(d))
             envset = _load_envset(cell_cfg)
             out_dir = os.path.join(cfg.out, cell)
-            summary[cell] = _run_algorithms(cell_cfg, envset, out_dir, Schedule.parse(cfg.schedule))
+            summary[cell] = _run_algorithms(cell_cfg, envset, out_dir, schedule)
     else:
         raise ConfigError(f"unknown sweep axis {args.axis!r}")
     if not summary:

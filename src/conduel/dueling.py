@@ -199,8 +199,7 @@ class DuelPolicy:
         self.stream = stream
         self.config = config or DuelConfig()
         self.d = self.keyterm_feats.shape[1]
-        self.design = DesignMatrix(self.d, self.config.lam / link.kappa1)
-        self.history = InteractionHistory(self.d)
+        self.history = InteractionHistory(self.d, self.config.lam / link.kappa1)
         zero = np.zeros(self.d)
         self.estimate = ThetaEstimate(zero, zero.copy(), False, 0)
         self.converses = kind in CONVERSATIONAL_KINDS
@@ -221,29 +220,25 @@ class DuelPolicy:
             rng_fb = self.stream.at(t, streams.KEYTERM_FEEDBACK)
             for _ in range(n_conversations):
                 k1, k2 = select_keyterm_pair(
-                    self.kind, rng_sel, self.spanner, self.keyterm_feats, self.design
+                    self.kind, rng_sel, self.spanner, self.keyterm_feats, self.history.design
                 )
                 diff = self.keyterm_feats[k1] - self.keyterm_feats[k2]
                 won = oracle.duel(self.keyterm_feats[k1], self.keyterm_feats[k2], rng_fb)
                 self.history.append(diff, won)
-                self.design.update(diff)
                 conversations.append((k1, k2, won))
 
-        self.estimate = mle_fit(
-            self.history, cfg.lam, self.link, theta0=self.estimate.theta_raw, design=self.design
-        )
+        self.estimate = mle_fit(self.history, cfg.lam, self.link, theta0=self.estimate.theta_raw)
         # policies without a conversation module have no key-term observations,
         # so their radius counts arm rounds only
         alpha = self.radius(t, b_of_t if self.converses else 0.0)
-        candidates = build_candidate_set(pool_feats, self.estimate.theta_proj, self.design, alpha)
+        design = self.history.design
+        candidates = build_candidate_set(pool_feats, self.estimate.theta_proj, design, alpha)
         mode = "random" if self.kind == "random-opt" else cfg.pair_mode
         i, j = select_arm_pair(
-            mode, candidates, pool_feats, self.design, self.stream.at(t, streams.ARM_SELECT)
+            mode, candidates, pool_feats, design, self.stream.at(t, streams.ARM_SELECT)
         )
         won = oracle.duel(pool_feats[i], pool_feats[j], self.stream.at(t, streams.ARM_FEEDBACK))
-        diff = pool_feats[i] - pool_feats[j]
-        self.history.append(diff, won)
-        self.design.update(diff)
+        self.history.append(pool_feats[i] - pool_feats[j], won)
         return RoundRecord(
             pair=(i, j),
             pair_ids=(int(pool_ids[i]), int(pool_ids[j])),

@@ -2,7 +2,7 @@
 regret accounting.
 
 An environment set is one arm/key-term universe shared by many simulated
-users; each user is a hidden unit preference vector.  Feedback oracles draw
+users; each user is a hidden unit preference vector.  ``SimulatedUser`` draws
 duel outcomes and choice-model picks from the true model, and regret is
 measured against the per-round pool optimum.
 """
@@ -20,36 +20,14 @@ from .mnl import expected_revenue, mnl_probs, optimal_assortment
 from .rng import env_rng
 
 __all__ = [
-    "Environment",
     "EnvironmentSet",
     "SyntheticConfig",
     "Schedule",
     "SimulatedUser",
     "gen_synthetic",
-    "sample_duel_feedback",
-    "sample_choice_feedback",
     "dueling_regret",
     "mnl_regret",
 ]
-
-
-@dataclass(frozen=True)
-class Environment:
-    """One user's view of the universe: a hidden preference plus shared data."""
-
-    theta_star: np.ndarray
-    arms: np.ndarray  # N x d, unit rows
-    keyterm_feats: np.ndarray  # K x d, weight-averaged (not renormalized)
-    graph: WeightGraph
-    link: LinkFunction
-
-    @property
-    def n_arms(self) -> int:
-        return self.arms.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.arms.shape[1]
 
 
 @dataclass
@@ -79,12 +57,10 @@ class EnvironmentSet:
     def dim(self) -> int:
         return self.arms.shape[1]
 
-    def user(self, index: int) -> Environment:
+    def user(self, index: int) -> SimulatedUser:
         if not 0 <= index < self.n_users:
             raise StructuralError(f"user index {index} out of range")
-        return Environment(
-            self.theta_stars[index], self.arms, self.keyterm_feats, self.graph, self.link
-        )
+        return SimulatedUser(self.theta_stars[index], self.link)
 
     def validate(self) -> None:
         if not np.allclose(np.linalg.norm(self.theta_stars, axis=1), 1.0, atol=1e-9):
@@ -184,8 +160,8 @@ class Schedule:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ConfigError(f"unknown schedule kind {self.kind!r}")
-        if self.param < 0:
-            raise ConfigError("schedule parameter must be nonnegative")
+        if not math.isfinite(self.param) or self.param < 0:
+            raise ConfigError("schedule parameter must be finite and nonnegative")
         if self.kind == "prop" and self.param >= 1.0:
             raise ConfigError("proportional budget must satisfy b < 1")
 
@@ -223,60 +199,53 @@ class Schedule:
         return cls(name, param)
 
 
-def sample_duel_feedback(env: Environment, x_first, x_second, rng) -> int:
-    """1 when the first presented item wins the duel."""
-    p = env.link.mu(float((np.asarray(x_first) - np.asarray(x_second)) @ env.theta_star))
-    return int(rng.random() < p)
-
-
-def sample_choice_feedback(env: Environment, offered, rng) -> int:
-    """Index of the chosen offered item, or -1 for the outside option."""
-    probs, p0 = mnl_probs(env.theta_star, offered)
-    u = float(rng.random())
-    acc = 0.0
-    for i, p in enumerate(probs):
-        acc += float(p)
-        if u < acc:
-            return i
-    return -1
-
-
 class SimulatedUser:
-    """Feedback oracle bound to one environment."""
+    """One user's hidden preference and the feedback oracles it answers."""
 
-    __slots__ = ("env",)
+    __slots__ = ("theta_star", "link")
 
-    def __init__(self, env: Environment):
-        self.env = env
+    def __init__(self, theta_star: np.ndarray, link: LinkFunction):
+        self.theta_star = theta_star
+        self.link = link
 
     def duel(self, x_first, x_second, rng) -> int:
-        return sample_duel_feedback(self.env, x_first, x_second, rng)
+        """1 when the first presented item wins the duel."""
+        p = self.link.mu(float((np.asarray(x_first) - np.asarray(x_second)) @ self.theta_star))
+        return int(rng.random() < p)
 
     def click(self, x, rng) -> int:
         # adapted absolute-feedback reward used by the linear baselines
-        p = get_link("sigmoid").mu(float(np.asarray(x) @ self.env.theta_star))
+        p = get_link("sigmoid").mu(float(np.asarray(x) @ self.theta_star))
         return int(rng.random() < p)
 
     def choice(self, offered, rng) -> int:
-        return sample_choice_feedback(self.env, offered, rng)
+        """Index of the chosen offered item, or -1 for the outside option."""
+        probs, _ = mnl_probs(self.theta_star, offered)
+        u = float(rng.random())
+        acc = 0.0
+        for i, p in enumerate(probs):
+            acc += float(p)
+            if u < acc:
+                return i
+        return -1
 
 
-def dueling_regret(env: Environment, pool_feats, first: int, second: int) -> float:
+def dueling_regret(theta_star, pool_feats, first: int, second: int) -> float:
     """Pool-best utility minus the offered pair's average utility."""
-    util = np.asarray(pool_feats) @ env.theta_star
+    util = np.asarray(pool_feats) @ theta_star
     return float(util.max() - 0.5 * (util[first] + util[second]))
 
 
-def mnl_regret(env: Environment, pool_feats, offered_positions, q: int) -> float:
+def mnl_regret(theta_star, pool_feats, offered_positions, q: int) -> float:
     """Revenue gap to the exact optimal assortment under the true model.
 
     Revenues equal true utilities.  Nonnegative up to floating-point rounding,
     since the optimizer is exact over all sets of at most q items.
     """
-    util = np.asarray(pool_feats) @ env.theta_star
+    util = np.asarray(pool_feats) @ theta_star
     best = optimal_assortment(util, util, q)
     offered_positions = np.asarray(offered_positions, dtype=int)
     got = expected_revenue(
-        np.asarray(pool_feats)[offered_positions], env.theta_star, util[offered_positions]
+        np.asarray(pool_feats)[offered_positions], theta_star, util[offered_positions]
     )
-    return float(expected_revenue(np.asarray(pool_feats)[best], env.theta_star, util[best]) - got)
+    return float(expected_revenue(np.asarray(pool_feats)[best], theta_star, util[best]) - got)

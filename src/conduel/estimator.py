@@ -40,18 +40,25 @@ _MAX_DIFF_NORM = 2.0 + 1e-9
 _TOL = 1e-8
 _MAX_ITERS = 100
 
+# Projection stopping rule: the relative decrease of F below which it stops,
+# and the cap on gradient steps.
+_PROJECT_REL_TOL = 1e-10
+_PROJECT_MAX_ITERS = 500
+
 
 class InteractionHistory:
-    """Append-only store of dueling observations.
+    """Append-only store of dueling observations and their design matrix.
 
     Keeps difference vectors and outcomes in growing buffers so fits can
-    read contiguous array views without copying.
+    read contiguous array views without copying, and ``design``, the
+    ``ridge * I`` plus the sum of d d^T over every stored difference.
     """
 
-    __slots__ = ("dim", "_diffs", "_outcomes", "n")
+    __slots__ = ("dim", "design", "_diffs", "_outcomes", "n")
 
-    def __init__(self, dim: int, capacity: int = 64):
+    def __init__(self, dim: int, ridge: float, capacity: int = 64):
         self.dim = int(dim)
+        self.design = DesignMatrix(self.dim, ridge)
         self._diffs = np.empty((capacity, self.dim))
         self._outcomes = np.empty(capacity)
         self.n = 0
@@ -71,6 +78,7 @@ class InteractionHistory:
         self._diffs[self.n] = diff
         self._outcomes[self.n] = outcome
         self.n += 1
+        self.design.update(diff)
 
     @property
     def diffs(self) -> np.ndarray:
@@ -201,39 +209,28 @@ def mle_fit(
     tol: float = _TOL,
     max_iters: int = _MAX_ITERS,
     theta0=None,
-    design: DesignMatrix | None = None,
 ) -> ThetaEstimate:
     """Newton fit of the regularized MLE, with projection onto the unit ball.
 
     ``theta0`` warm-starts the solve (the objective is strictly concave, so
-    the solution does not depend on it).  ``design`` supplies the norm used
-    by the projection step; when omitted a fresh lam/kappa1-regularized
-    matrix built from the history is used.
+    the solution does not depend on it).  The projection measures in the
+    history's own design matrix.
     """
     obj = DuelObjective(history, lam, link)
     theta, iters = _newton(obj, history.dim, theta0, tol, max_iters, "MLE")
     if float(np.linalg.norm(theta)) > 1.0:
-        if design is None:
-            design = DesignMatrix(history.dim, lam / link.kappa1)
-            for row in history.diffs:
-                design.update(row)
-        return ThetaEstimate(theta, project_theta(theta, obj, design), True, iters)
+        return ThetaEstimate(theta, project_theta(theta, obj, history.design), True, iters)
     return ThetaEstimate(theta, theta.copy(), False, iters)
 
 
-def project_theta(
-    theta_raw,
-    obj: DuelObjective,
-    design: DesignMatrix,
-    rel_tol: float = 1e-10,
-    max_iters: int = 500,
-) -> np.ndarray:
+def project_theta(theta_raw, obj: DuelObjective, design: DesignMatrix) -> np.ndarray:
     """Pull an out-of-ball estimate back to the unit ball.
 
     Minimizes F(theta) = ||g(theta) - g(theta_raw)||^2_{M^-1}, with g the
     mean-value map of ``obj``, by projected gradient descent from the
     radially shrunk start, with backtracking and a relative-decrease stop.
-    Returns the best iterate seen; the result is always feasible.
+    A step is taken only when F strictly falls, so the last iterate is the
+    best one seen; the result is always feasible.
     """
     theta_raw = np.asarray(theta_raw, dtype=float)
     raw_norm = float(np.linalg.norm(theta_raw))
@@ -251,12 +248,11 @@ def project_theta(
 
     theta = theta_raw / raw_norm
     f_cur, w, z = residual(theta)
-    best_theta, best_f = theta.copy(), f_cur
     step = 1.0
     prev_theta = None
     prev_grad = None
     floor = 1e-24  # below any scale the confidence radius can distinguish
-    for _ in range(max_iters):
+    for _ in range(_PROJECT_MAX_ITERS):
         if f_cur <= floor:
             break
         grad = 2.0 * obj.jvp(theta, w, z)  # grad F = 2 J(th) M^-1 r
@@ -283,12 +279,10 @@ def project_theta(
             break
         rel = (f_cur - f_new) / max(f_cur, 1e-300)
         theta, f_cur, w, z = cand, f_new, w_new, z_new
-        if f_cur < best_f:
-            best_theta, best_f = theta.copy(), f_cur
-        if rel < rel_tol:
+        if rel < _PROJECT_REL_TOL:
             break
         step = scale * 2.0
-    return best_theta
+    return theta
 
 
 def dueling_radius(

@@ -274,13 +274,3 @@ class DesignMatrix:
         rows = np.asarray(rows, dtype=float)
         vals = np.einsum("ij,jk,ik->i", rows, self.m_inv, rows)
         return np.clip(vals, 0.0, None)
-
-    def copy(self) -> "DesignMatrix":
-        out = DesignMatrix.__new__(DesignMatrix)
-        out.dim = self.dim
-        out.regularizer = self.regularizer
-        out.m = self.m.copy()
-        out.m_inv = self.m_inv.copy()
-        out._since_refactor = self._since_refactor
-        return out
-

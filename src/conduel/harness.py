@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rng as streams
 from .dueling import DUEL_KINDS, DuelConfig, RCONUCB_KINDS, make_duel_policy
-from .env import EnvironmentSet, Schedule, SimulatedUser, dueling_regret, mnl_regret
+from .env import EnvironmentSet, Schedule, dueling_regret, mnl_regret
 from .errors import ConfigError, NumericalError
 from .mnl import MNL_KINDS, MnlConfig, MnlPolicy
 from .spanner import Spanner, build_spanner
@@ -90,9 +90,9 @@ def _play_cell(
     duel_config: DuelConfig,
     mnl_config: MnlConfig,
 ) -> np.ndarray:
-    env = envset.user(user)
+    oracle = envset.user(user)
+    theta_star = oracle.theta_star
     stream = streams.RunStream(seed)
-    oracle = SimulatedUser(env)
     is_mnl = algorithm in MNL_KINDS
     if is_mnl:
         policy = MnlPolicy(algorithm, envset.keyterm_feats, spanner, stream, mnl_config)
@@ -110,12 +110,12 @@ def _play_cell(
         b_t = schedule.b(t)
         try:
             if is_mnl:
-                revenues = pool_feats @ env.theta_star
+                revenues = pool_feats @ theta_star
                 rec = policy.play_round(pool, pool_feats, oracle, t, q_t, b_t, revenues)
-                r = mnl_regret(env, pool_feats, rec.assortment, mnl_config.q)
+                r = mnl_regret(theta_star, pool_feats, rec.assortment, mnl_config.q)
             else:
                 rec = policy.play_round(pool, pool_feats, oracle, t, q_t, b_t)
-                r = dueling_regret(env, pool_feats, rec.pair[0], rec.pair[1])
+                r = dueling_regret(theta_star, pool_feats, rec.pair[0], rec.pair[1])
         except Exception as exc:
             raise NumericalError(
                 f"run failed at algorithm={algorithm} user={user} seed={seed} round={t}: {exc}"

@@ -61,17 +61,22 @@ class MnlConfig:
 
 
 class ChoiceHistory:
-    """Append-only store of choice observations in padded buffers."""
+    """Append-only store of choice observations and their design matrix.
 
-    __slots__ = ("dim", "width", "_feats", "_mask", "_chosen", "n")
+    Offers sit in padded buffers; ``design`` is ``ridge * I`` plus the sum
+    of x x^T over every offered feature.
+    """
 
-    def __init__(self, dim: int, width: int, capacity: int = 64):
+    __slots__ = ("dim", "width", "design", "_feats", "_mask", "_chosen", "n")
+
+    def __init__(self, dim: int, width: int, ridge: float, capacity: int = 64):
         if width < 1:
             raise StructuralError("offer width must be at least 1")
         self.dim = int(dim)
         self.width = int(width)
-        self._feats = np.zeros((capacity, self.width, self.dim))
-        self._mask = np.zeros((capacity, self.width), dtype=bool)
+        self.design = DesignMatrix(self.dim, ridge)
+        self._feats = np.empty((capacity, self.width, self.dim))
+        self._mask = np.empty((capacity, self.width), dtype=bool)
         self._chosen = np.empty(capacity, dtype=np.int64)
         self.n = 0
 
@@ -86,18 +91,18 @@ class ChoiceHistory:
             raise StructuralError("chosen index out of range")
         if self.n == len(self._chosen):
             grow = max(2 * self.n, 64)
-            feats = np.zeros((grow, self.width, self.dim))
-            feats[: self.n] = self._feats[: self.n]
-            mask = np.zeros((grow, self.width), dtype=bool)
-            mask[: self.n] = self._mask[: self.n]
-            self._feats, self._mask = feats, mask
+            self._feats = np.resize(self._feats, (grow, self.width, self.dim))
+            self._mask = np.resize(self._mask, (grow, self.width))
             self._chosen = np.resize(self._chosen, grow)
+        # every slot of row n is written, so nothing reads a stale buffer entry
         self._feats[self.n, :m] = offered
         self._feats[self.n, m:] = 0.0
         self._mask[self.n, :m] = True
         self._mask[self.n, m:] = False
         self._chosen[self.n] = chosen
         self.n += 1
+        for row in offered:
+            self.design.update(row)
 
     @property
     def feats(self):
@@ -301,8 +306,7 @@ class MnlPolicy:
         self.stream = stream
         self.config = config or MnlConfig()
         self.d = self.keyterm_feats.shape[1]
-        self.design = DesignMatrix(self.d, _DESIGN_REG)
-        self.history = ChoiceHistory(self.d, width=self.config.q)
+        self.history = ChoiceHistory(self.d, self.config.q, _DESIGN_REG)
         self.theta = np.zeros(self.d)
         self.converses = kind != "ucb-mnl"
         self._curvature_checked = False
@@ -322,7 +326,7 @@ class MnlPolicy:
             return rng_sel.integers(self.keyterm_feats.shape[0], size=q)
         # conmnl-ucb: the q key-terms with the largest optimistic utility
         alpha = self.radius(t, b_of_t)
-        u = ucb_utilities(self.theta, self.design, alpha, self.keyterm_feats)
+        u = ucb_utilities(self.theta, self.history.design, alpha, self.keyterm_feats)
         return np.sort(np.argsort(-u, kind="stable")[:q])
 
     def play_round(
@@ -338,8 +342,6 @@ class MnlPolicy:
                 offered = self.keyterm_feats[kt]
                 chosen = oracle.choice(offered, rng_fb)
                 self.history.append(offered, chosen)
-                for row in offered:
-                    self.design.update(row)
                 conversations.append((kt, chosen))
 
         n_pool = len(pool_ids)
@@ -348,7 +350,7 @@ class MnlPolicy:
             sel = np.sort(rng_a.choice(n_pool, size=min(cfg.q, n_pool), replace=False))
         else:
             if not self._curvature_checked:
-                smallest = float(np.linalg.eigvalsh(self.design.m)[0])
+                smallest = float(np.linalg.eigvalsh(self.history.design.m)[0])
                 if smallest <= _DESIGN_REG + 1e-9:
                     raise NumericalError(
                         "initialization phase left the design matrix singular; "
@@ -357,15 +359,13 @@ class MnlPolicy:
                 self._curvature_checked = True
             self.theta = mnl_mle_fit(self.history, theta0=self.theta)
             alpha = self.radius(t, b_of_t)
-            z = ucb_utilities(self.theta, self.design, alpha, pool_feats)
+            z = ucb_utilities(self.theta, self.history.design, alpha, pool_feats)
             sel = optimal_assortment(z, revenues, cfg.q)
 
         if sel.size:
             offered = pool_feats[sel]
             chosen = oracle.choice(offered, self.stream.at(t, streams.CHOICE_FEEDBACK))
             self.history.append(offered, chosen)
-            for row in offered:
-                self.design.update(row)
             chosen_id = int(pool_ids[sel[chosen]]) if chosen >= 0 else OUTSIDE
         else:
             chosen = OUTSIDE

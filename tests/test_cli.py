@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 
 from conduel.cli import main, parse_seed_spec
@@ -139,6 +138,27 @@ def test_unknown_pair_mode_rejected_before_environment(tmp_path, capsys):
     )
     assert code == 1
     assert "unknown pair mode 'sideways'" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "--schedule", "linear:nan"),
+        ("run", "--schedule", "log:inf"),
+        ("sweep", "--axis", "frequency", "--values", "abc"),
+        ("run", "--radius-scale", "nan"),
+        ("run", "--mnl-radius-scale", "nan"),
+    ],
+    ids=["linear-nan", "log-inf", "sweep-values-abc", "radius-scale-nan", "mnl-radius-scale-nan"],
+)
+def test_bad_number_rejected_before_environment(tmp_path, capsys, argv):
+    # as above, a missing environment file tells whether the value was
+    # checked before any environment was read
+    code, _, err = run_cli(
+        capsys, *argv, "--env", str(tmp_path / "none.json"), "--out", str(tmp_path)
+    )
+    assert code == 1
+    assert "configuration error" in err
 
 
 @pytest.mark.parametrize(

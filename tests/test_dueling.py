@@ -9,13 +9,12 @@ from conduel import rng as streams
 from conduel.dueling import (
     DuelConfig,
     DuelPolicy,
-    RconucbPolicy,
     build_candidate_set,
     make_duel_policy,
     select_arm_pair,
     select_keyterm_pair,
 )
-from conduel.env import Schedule, SimulatedUser, SyntheticConfig, gen_synthetic
+from conduel.env import Schedule, SyntheticConfig, gen_synthetic
 from conduel.errors import DomainError, StructuralError
 from conduel.glm import DesignMatrix, get_link
 from conduel.spanner import build_spanner
@@ -210,7 +209,7 @@ def test_full_maxinp_argmax_invariant_under_metric_scaling():
     rng = np.random.default_rng(9)
     pool = rng.normal(size=(6, 3))
     dm = random_spd_design(rng, 3)
-    scaled = dm.copy()
+    scaled = DesignMatrix(3, 1.0)
     scaled.m = dm.m * 3.7
     scaled.refactor()
     p1 = select_arm_pair("full_maxinp", np.arange(6), pool, dm, rng)
@@ -252,8 +251,7 @@ def make_policy(kind, es, seed=0, **cfg_kwargs):
 
 
 def run_rounds(policy, es, user, seed, horizon, schedule, pool_size=8):
-    env = es.user(user)
-    oracle = SimulatedUser(env)
+    oracle = es.user(user)
     stream = streams.RunStream(seed)
     records = []
     for t in range(1, horizon + 1):

@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from conduel.env import (
-    Environment,
     Schedule,
     SimulatedUser,
     SyntheticConfig,
     dueling_regret,
     gen_synthetic,
     mnl_regret,
-    sample_choice_feedback,
-    sample_duel_feedback,
 )
 from conduel.errors import ConfigError, DomainError, StructuralError
 from conduel.glm import duel_prob
@@ -64,8 +61,10 @@ def test_gen_synthetic_validates_sizes():
 def test_user_view():
     cfg = SyntheticConfig(n_users=3, n_keyterms=10, n_arms=15, dim=3)
     es = gen_synthetic(cfg, seed=1)
-    env = es.user(2)
-    np.testing.assert_array_equal(env.theta_star, es.theta_stars[2])
+    user = es.user(2)
+    assert isinstance(user, SimulatedUser)
+    np.testing.assert_array_equal(user.theta_star, es.theta_stars[2])
+    assert user.link is es.link
     with pytest.raises(StructuralError):
         es.user(3)
 
@@ -132,15 +131,17 @@ def test_schedule_label_round_trips():
 
 
 def tiny_env(dim=3, n_arms=12, seed=0):
+    """The arms of a one-user universe and that user."""
     cfg = SyntheticConfig(n_users=1, n_keyterms=8, n_arms=n_arms, dim=dim)
-    return gen_synthetic(cfg, seed).user(0)
+    es = gen_synthetic(cfg, seed)
+    return es.arms, es.user(0)
 
 
 def test_duel_feedback_fair_coin_for_identical_items():
-    env = tiny_env()
+    arms, user = tiny_env()
     rng = np.random.default_rng(0)
-    x = env.arms[0]
-    wins = sum(sample_duel_feedback(env, x, x, rng) for _ in range(10_000))
+    x = arms[0]
+    wins = sum(user.duel(x, x, rng) for _ in range(10_000))
     rate = wins / 10_000
     sigma = 0.5 / math.sqrt(10_000)
     assert abs(rate - 0.5) <= 3 * sigma
@@ -149,49 +150,49 @@ def test_duel_feedback_fair_coin_for_identical_items():
 def test_clamped_link_saturates():
     cfg = SyntheticConfig(n_users=1, n_keyterms=8, n_arms=12, dim=3, link="clamped_linear")
     es = gen_synthetic(cfg, seed=1)
-    env = Environment(es.theta_stars[0], es.arms, es.keyterm_feats, es.graph, es.link)
+    user = SimulatedUser(es.theta_stars[0], es.link)
     rng = np.random.default_rng(1)
-    theta = env.theta_star
+    theta = user.theta_star
     # construct a pair at the clamp boundary: difference along theta with gap 1
     x1 = theta
     x2 = -theta
-    assert all(sample_duel_feedback(env, x1, x2, rng) == 1 for _ in range(200))
+    assert all(user.duel(x1, x2, rng) == 1 for _ in range(200))
 
 
 def test_duel_feedback_calibrated_against_model():
-    env = tiny_env(seed=2)
+    arms, user = tiny_env(seed=2)
     rng = np.random.default_rng(3)
-    x, y = env.arms[1], env.arms[5]
-    p = duel_prob(env.link, env.theta_star, x, y)
+    x, y = arms[1], arms[5]
+    p = duel_prob(user.link, user.theta_star, x, y)
     n = 10_000
-    wins = sum(sample_duel_feedback(env, x, y, rng) for _ in range(n))
+    wins = sum(user.duel(x, y, rng) for _ in range(n))
     sigma = math.sqrt(p * (1 - p) / n)
     assert abs(wins / n - p) <= 3 * sigma + 1e-12
 
 
 def test_choice_feedback_uniform_when_orthogonal():
-    env = tiny_env(dim=4, seed=3)
+    _, user = tiny_env(dim=4, seed=3)
     rng = np.random.default_rng(4)
-    basis = np.linalg.svd(env.theta_star[None])[2][1:]
+    basis = np.linalg.svd(user.theta_star[None])[2][1:]
     offered = basis[:3]  # orthogonal to the preference
     counts = np.zeros(4)
     n = 8000
     for _ in range(n):
-        c = sample_choice_feedback(env, offered, rng)
+        c = user.choice(offered, rng)
         counts[c if c >= 0 else 3] += 1
     sigma = math.sqrt(0.25 * 0.75 * n)
     assert np.all(np.abs(counts - n / 4) <= 4 * sigma)
 
 
 def test_choice_feedback_matches_model_frequencies():
-    env = tiny_env(seed=5)
+    arms, user = tiny_env(seed=5)
     rng = np.random.default_rng(6)
-    offered = env.arms[[0, 3, 7]]
-    p, p0 = mnl_probs(env.theta_star, offered)
+    offered = arms[[0, 3, 7]]
+    p, p0 = mnl_probs(user.theta_star, offered)
     n = 10_000
     counts = np.zeros(4)
     for _ in range(n):
-        c = sample_choice_feedback(env, offered, rng)
+        c = user.choice(offered, rng)
         counts[c if c >= 0 else 3] += 1
     for freq, prob in zip(counts / n, list(p) + [p0]):
         sigma = math.sqrt(prob * (1 - prob) / n)
@@ -199,14 +200,13 @@ def test_choice_feedback_matches_model_frequencies():
 
 
 def test_simulated_user_click_is_calibrated():
-    env = tiny_env(seed=7)
-    oracle = SimulatedUser(env)
+    arms, user = tiny_env(seed=7)
     rng = np.random.default_rng(8)
-    x = env.arms[2]
-    z = float(x @ env.theta_star)
+    x = arms[2]
+    z = float(x @ user.theta_star)
     p = 1.0 / (1.0 + math.exp(-z))
     n = 10_000
-    clicks = sum(oracle.click(x, rng) for _ in range(n))
+    clicks = sum(user.click(x, rng) for _ in range(n))
     sigma = math.sqrt(p * (1 - p) / n)
     assert abs(clicks / n - p) <= 3 * sigma
 
@@ -215,34 +215,36 @@ def test_simulated_user_click_is_calibrated():
 
 
 def test_dueling_regret_examples():
-    env = tiny_env(seed=9)
-    pool = env.arms[:6]
-    util = pool @ env.theta_star
+    arms, user = tiny_env(seed=9)
+    theta = user.theta_star
+    pool = arms[:6]
+    util = pool @ theta
     best = int(np.argmax(util))
-    assert dueling_regret(env, pool, best, best) == pytest.approx(0.0)
+    assert dueling_regret(theta, pool, best, best) == pytest.approx(0.0)
     other = (best + 1) % 6
-    assert dueling_regret(env, pool, best, other) == pytest.approx(
+    assert dueling_regret(theta, pool, best, other) == pytest.approx(
         0.5 * (util[best] - util[other])
     )
     rng = np.random.default_rng(10)
     i, j = rng.integers(6, size=2)
-    assert dueling_regret(env, pool, int(i), int(j)) == pytest.approx(
+    assert dueling_regret(theta, pool, int(i), int(j)) == pytest.approx(
         util.max() - 0.5 * (util[i] + util[j])
     )
 
 
 def test_mnl_regret_examples():
-    env = tiny_env(seed=11)
-    pool = env.arms[:8]
-    util = pool @ env.theta_star
+    arms, user = tiny_env(seed=11)
+    theta = user.theta_star
+    pool = arms[:8]
+    util = pool @ theta
     best = optimal_assortment(util, util, 3)
-    assert mnl_regret(env, pool, best, 3) == pytest.approx(0.0, abs=1e-12)
-    assert mnl_regret(env, pool, np.array([], dtype=int), 3) == pytest.approx(
-        expected_revenue(pool[best], env.theta_star, util[best])
+    assert mnl_regret(theta, pool, best, 3) == pytest.approx(0.0, abs=1e-12)
+    assert mnl_regret(theta, pool, np.array([], dtype=int), 3) == pytest.approx(
+        expected_revenue(pool[best], theta, util[best])
     )
     some = np.array([0, 1], dtype=int)
-    direct = expected_revenue(pool[best], env.theta_star, util[best]) - expected_revenue(
-        pool[some], env.theta_star, util[some]
+    direct = expected_revenue(pool[best], theta, util[best]) - expected_revenue(
+        pool[some], theta, util[some]
     )
-    assert mnl_regret(env, pool, some, 3) == pytest.approx(direct)
-    assert mnl_regret(env, pool, some, 3) >= -1e-12
+    assert mnl_regret(theta, pool, some, 3) == pytest.approx(direct)
+    assert mnl_regret(theta, pool, some, 3) >= -1e-12

@@ -23,9 +23,13 @@ EDGE_CASES = pytest.mark.parametrize(
 )
 
 
+# the design ridge a policy gives its history at lam = 1
+RIDGE = 1.0 / SIG.kappa1
+
+
 def history_from(diffs, outcomes):
     diffs = np.asarray(diffs, dtype=float)
-    h = InteractionHistory(diffs.shape[1])
+    h = InteractionHistory(diffs.shape[1], RIDGE)
     for d, o in zip(diffs, outcomes):
         h.append(d, int(o))
     return h
@@ -53,7 +57,7 @@ def loglik_direct(diffs, outcomes, theta, lam):
 
 
 def test_history_validates_entries():
-    h = InteractionHistory(2)
+    h = InteractionHistory(2, RIDGE)
     with pytest.raises(StructuralError):
         h.append([3.0, 0.0], 1)  # norm > 2
     with pytest.raises(StructuralError):
@@ -67,7 +71,7 @@ def test_history_validates_entries():
 
 
 def test_history_buffers_grow():
-    h = InteractionHistory(3, capacity=2)
+    h = InteractionHistory(3, RIDGE, capacity=2)
     for i in range(200):
         h.append(np.eye(3)[i % 3], i % 2)
     assert len(h) == 200
@@ -75,11 +79,24 @@ def test_history_buffers_grow():
     np.testing.assert_array_equal(h.diffs[199], [0.0, 1.0, 0.0])
 
 
+def test_history_design_tracks_stored_differences():
+    # 600 appends cross two refactorizations and several buffer growths
+    rng = np.random.default_rng(13)
+    h = InteractionHistory(4, RIDGE)
+    for i in range(600):
+        arms = rng.normal(size=(2, 4))
+        arms /= np.linalg.norm(arms, axis=1, keepdims=True)
+        h.append(arms[0] - arms[1], i % 2)
+    m = h.design.m
+    np.testing.assert_allclose(m, RIDGE * np.eye(4) + h.diffs.T @ h.diffs, rtol=1e-12, atol=1e-9)
+    assert np.max(np.abs(m @ h.design.m_inv - np.eye(4))) < 1e-6
+
+
 # ---------------------------------------------------------------- likelihood
 
 
 def test_log_likelihood_empty_is_zero():
-    h = InteractionHistory(3)
+    h = InteractionHistory(3, RIDGE)
     assert DuelObjective(h, 1.0, SIG).value(np.zeros(3)) == 0.0
 
 
@@ -100,7 +117,7 @@ def test_log_likelihood_concave_midpoint():
 
 
 def test_log_likelihood_rejects_bad_lam():
-    h = InteractionHistory(2)
+    h = InteractionHistory(2, RIDGE)
     with pytest.raises(DomainError):
         DuelObjective(h, 0.0, SIG)
 
@@ -120,7 +137,7 @@ def test_value_matches_direct_evaluation():
 
 
 def test_score_empty_is_ridge_pull():
-    h = InteractionHistory(2)
+    h = InteractionHistory(2, RIDGE)
     theta = np.array([0.4, -0.2])
     np.testing.assert_allclose(DuelObjective(h, 2.0, SIG).score(theta), -2.0 * theta)
 
@@ -166,7 +183,7 @@ def test_score_zero_at_fit_edge_cases(link, d):
 
 
 def test_mean_map_empty_and_fit_identity():
-    h = InteractionHistory(2)
+    h = InteractionHistory(2, RIDGE)
     theta = np.array([1.0, -1.0])
     np.testing.assert_allclose(DuelObjective(h, 1.5, SIG).mean_map(theta), 1.5 * theta)
 
@@ -237,7 +254,7 @@ def test_value_and_pass_matches_value_and_utilities():
 
 
 def test_mle_fit_empty_history_returns_zero():
-    h = InteractionHistory(4)
+    h = InteractionHistory(4, RIDGE)
     est = mle_fit(h, 1.0, SIG)
     np.testing.assert_array_equal(est.theta_raw, np.zeros(4))
     assert not est.projected and est.newton_iters == 0
@@ -374,14 +391,14 @@ def test_fit_matches_reference_newton_loop(monkeypatch):
 
 
 def test_projection_feasible_start_returned_unchanged():
-    h = InteractionHistory(2)
+    h = InteractionHistory(2, RIDGE)
     design = DesignMatrix(2, 1.0)
     t = np.array([0.6, 0.8])
     np.testing.assert_array_equal(project_theta(t, DuelObjective(h, 1.0, SIG), design), t)
 
 
 def test_projection_empty_history_is_radial_shrink():
-    h = InteractionHistory(3)
+    h = InteractionHistory(3, RIDGE)
     design = DesignMatrix(3, 1.0 / SIG.kappa1)
     raw = np.array([1.2, -0.9, 0.3])
     got = project_theta(raw, DuelObjective(h, 1.0, SIG), design)
@@ -395,7 +412,7 @@ def test_projection_empty_history_any_metric_is_radial_shrink(link, d, reg):
     # feasible point in the M^-1 norm is the radial shrink
     raw = np.linspace(-1.5, 2.0, d) + 0.25
     assert np.linalg.norm(raw) > 1.0
-    obj = DuelObjective(InteractionHistory(d), 0.8, link)
+    obj = DuelObjective(InteractionHistory(d, RIDGE), 0.8, link)
     got = project_theta(raw, obj, DesignMatrix(d, reg))
     np.testing.assert_allclose(got, raw / np.linalg.norm(raw), atol=1e-12)
 
@@ -404,9 +421,7 @@ def test_projection_matches_angular_grid():
     rng = np.random.default_rng(10)
     h, _ = random_history(rng, d=2, n=10)
     lam = 1.0
-    design = DesignMatrix(2, lam / SIG.kappa1)
-    for row in h.diffs:
-        design.update(row)
+    design = h.design
     raw = np.array([1.3, 1.1])
     got = project_theta(raw, DuelObjective(h, lam, SIG), design)
     assert np.linalg.norm(got) <= 1.0 + 1e-12
@@ -430,13 +445,10 @@ def test_projection_output_always_feasible():
     rng = np.random.default_rng(11)
     for _ in range(10):
         h, _ = random_history(rng, d=3, n=12)
-        design = DesignMatrix(3, 1.0 / SIG.kappa1)
-        for row in h.diffs:
-            design.update(row)
         raw = rng.normal(size=3) * 2.0
         if np.linalg.norm(raw) <= 1.0:
             raw *= 3.0
-        got = project_theta(raw, DuelObjective(h, 1.0, SIG), design)
+        got = project_theta(raw, DuelObjective(h, 1.0, SIG), h.design)
         assert np.linalg.norm(got) <= 1.0 + 1e-9
 
 

@@ -263,10 +263,3 @@ def test_inv_quad_rows_matches_scalar():
     for i in range(7):
         assert abs(math.sqrt(vals[i]) - dm.mahalanobis(rows[i])) < 1e-10
 
-
-def test_design_matrix_copy_is_independent():
-    dm = DesignMatrix(2, 1.0)
-    cp = dm.copy()
-    cp.update(np.array([1.0, 1.0]))
-    np.testing.assert_allclose(dm.m, np.eye(2))
-    np.testing.assert_allclose(cp.m, [[2.0, 1.0], [1.0, 2.0]])

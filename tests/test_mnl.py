@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import minimize
 
 from conduel import rng as streams
-from conduel.env import Schedule, SimulatedUser, SyntheticConfig, gen_synthetic
+from conduel.env import Schedule, SyntheticConfig, gen_synthetic
 from conduel.errors import DomainError, NumericalError, StructuralError
 from conduel.glm import DesignMatrix
 from conduel.mnl import (
@@ -50,7 +50,7 @@ def brute_force_assortment(z, revenues, q):
 def sample_history(rng, d=2, n=40, q=3):
     theta_star = rng.normal(size=d)
     theta_star /= np.linalg.norm(theta_star)
-    h = ChoiceHistory(d, width=q)
+    h = ChoiceHistory(d, width=q, ridge=1.0)
     for i in range(n):
         m = int(rng.integers(1, q + 1))
         offered = rng.normal(size=(m, d))
@@ -113,13 +113,13 @@ def test_probs_empty_offer_rejected():
 
 
 def test_likelihood_and_score_empty():
-    obj = MnlObjective(ChoiceHistory(3, width=2))
+    obj = MnlObjective(ChoiceHistory(3, width=2, ridge=1.0))
     assert obj.value(np.zeros(3)) == 0.0
     np.testing.assert_array_equal(obj.score(np.zeros(3)), np.zeros(3))
 
 
 def test_single_observation_hand_values():
-    h = ChoiceHistory(2, width=2)
+    h = ChoiceHistory(2, width=2, ridge=1.0)
     x = np.array([0.6, 0.8])
     h.append(x[None, :], 0)
     # theta = 0: choice probability 1/2, gradient x/2
@@ -153,7 +153,7 @@ def test_information_matches_score_differences():
 
 
 def test_outside_option_contributes_outside_probability():
-    h = ChoiceHistory(2, width=2)
+    h = ChoiceHistory(2, width=2, ridge=1.0)
     offered = np.array([[1.0, 0.0], [0.0, 1.0]])
     h.append(offered, OUTSIDE)
     p, p0 = mnl_probs(np.array([0.3, -0.4]), offered)
@@ -164,12 +164,12 @@ def test_outside_option_contributes_outside_probability():
 
 
 def test_fit_empty_history_returns_start():
-    h = ChoiceHistory(3, width=2)
+    h = ChoiceHistory(3, width=2, ridge=1.0)
     np.testing.assert_array_equal(mnl_mle_fit(h), np.zeros(3))
 
 
 def test_fit_symmetric_choices_zero_utility():
-    h = ChoiceHistory(2, width=1)
+    h = ChoiceHistory(2, width=1, ridge=1.0)
     x = np.array([0.6, 0.8])
     h.append(x[None, :], 0)
     h.append(x[None, :], OUTSIDE)
@@ -407,7 +407,7 @@ def test_expected_revenue_examples():
 
 
 def test_choice_history_validates():
-    h = ChoiceHistory(2, width=2)
+    h = ChoiceHistory(2, width=2, ridge=1.0)
     with pytest.raises(StructuralError):
         h.append(np.zeros((3, 2)), 0)  # too wide
     with pytest.raises(StructuralError):
@@ -418,11 +418,28 @@ def test_choice_history_validates():
 
 
 def test_choice_history_grows():
-    h = ChoiceHistory(2, width=3, capacity=2)
+    h = ChoiceHistory(2, width=3, ridge=1.0, capacity=2)
     for i in range(100):
         h.append(np.ones((1 + i % 3, 2)), OUTSIDE)
     assert len(h) == 100
     assert h.mask[-1].sum() == 1 + 99 % 3
+
+
+def test_choice_history_design_tracks_offered_rows():
+    # 600 offers of 1..3 rows cross several refactorizations and growths
+    rng = np.random.default_rng(14)
+    h = ChoiceHistory(3, width=3, ridge=0.5)
+    for i in range(600):
+        m = 1 + i % 3
+        offered = rng.normal(size=(m, 3))
+        offered /= np.linalg.norm(offered, axis=1, keepdims=True)
+        h.append(offered, int(rng.integers(-1, m)))
+    rows = h.feats[h.mask]
+    assert rows.shape == (1200, 3)
+    assert np.all(h.feats[~h.mask] == 0.0)
+    m = h.design.m
+    np.testing.assert_allclose(m, 0.5 * np.eye(3) + rows.T @ rows, rtol=1e-12, atol=1e-9)
+    assert np.max(np.abs(m @ h.design.m_inv - np.eye(3))) < 1e-6
 
 
 # ---------------------------------------------------------------- policy rounds
@@ -439,8 +456,7 @@ def make_policy(kind, es, seed, **kwargs):
 
 
 def run_rounds(policy, es, user, seed, horizon, schedule, pool_size=10):
-    env = es.user(user)
-    oracle = SimulatedUser(env)
+    oracle = es.user(user)
     stream = streams.RunStream(seed)
     records = []
     for t in range(1, horizon + 1):
@@ -448,7 +464,7 @@ def run_rounds(policy, es, user, seed, horizon, schedule, pool_size=10):
         feats = es.arms[pool]
         rec = policy.play_round(
             pool, feats, oracle, t, schedule.conversations(t), schedule.b(t),
-            revenues=feats @ env.theta_star,
+            revenues=feats @ oracle.theta_star,
         )
         records.append((pool, rec))
     return records
@@ -519,7 +535,7 @@ def test_keyterm_selection_modes():
     assert set(ids.tolist()) <= members
     policy = make_policy("conmnl-ucb", es, seed=6, q=3, t0=10)
     alpha = policy.radius(11, 2.0)
-    u = ucb_utilities(policy.theta, policy.design, alpha, es.keyterm_feats)
+    u = ucb_utilities(policy.theta, policy.history.design, alpha, es.keyterm_feats)
     expect = np.sort(np.argsort(-u, kind="stable")[:3])
     got = policy._select_keyterms(11, 2.0, streams.substream(6, 11, streams.KEYTERM_SELECT))
     np.testing.assert_array_equal(got, expect)
@@ -631,8 +647,7 @@ def test_optimistic_utility_sandwich_on_trace():
     es = small_envset(seed=2)
     policy = make_policy("conmnl", es, seed=5, q=3, t0=15, kappa2=0.05, radius_scale=1.0)
     sched = Schedule("prop", 0.2)
-    env = es.user(0)
-    oracle = SimulatedUser(env)
+    oracle = es.user(0)
     stream = streams.RunStream(5)
     hold = 0
     total = 0
@@ -641,16 +656,16 @@ def test_optimistic_utility_sandwich_on_trace():
         feats = es.arms[pool]
         if t > 15:
             alpha = policy.radius(t, sched.b(t))
-            z = ucb_utilities(policy.theta, policy.design, alpha, feats)
-            truth = feats @ env.theta_star
+            z = ucb_utilities(policy.theta, policy.history.design, alpha, feats)
+            truth = feats @ oracle.theta_star
             gap = z - truth
-            cap = 2 * alpha * np.sqrt(policy.design.inv_quad_rows(feats))
+            cap = 2 * alpha * np.sqrt(policy.history.design.inv_quad_rows(feats))
             total += 1
             if np.all(gap >= -1e-9) and np.all(gap <= cap + 1e-9):
                 hold += 1
         policy.play_round(
             pool, feats, oracle, t, sched.conversations(t), sched.b(t),
-            revenues=feats @ env.theta_star,
+            revenues=feats @ oracle.theta_star,
         )
     assert hold / total >= 0.95
 
