@@ -37,14 +37,7 @@ from .estimator import (
     mle_fit,
     project_theta,
 )
-from .glm import (
-    DesignMatrix,
-    LinkFunction,
-    WeightGraph,
-    duel_prob,
-    get_link,
-    keyterm_feature,
-)
+from .glm import DesignMatrix, LinkFunction, WeightGraph, get_link
 from .harness import ALL_KINDS, RegretTrace, run_experiment
 from .mnl import (
     MNL_KINDS,
@@ -59,6 +52,6 @@ from .mnl import (
     optimal_assortment,
     ucb_utilities,
 )
-from .spanner import Spanner, build_spanner, spanner_coefficients
+from .spanner import Spanner, build_spanner
 
 __version__ = "0.1.0"

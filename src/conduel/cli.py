@@ -21,7 +21,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .dueling import DEFAULT_RADIUS_SCALE, PAIR_MODES, DuelConfig
+from .dueling import DEFAULT_RADIUS_SCALE, DuelConfig
 from .env import Schedule, SyntheticConfig, gen_synthetic
 from .envfile import export_environment, import_environment
 from .errors import ConduelError, ConfigError
@@ -118,8 +118,6 @@ def load_config(args) -> RunConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             setattr(cfg, key, _coerce(key, flag))
-    if cfg.pair_mode not in PAIR_MODES:
-        raise ConfigError(f"unknown pair mode {cfg.pair_mode!r}; known: {', '.join(PAIR_MODES)}")
     if not cfg.out:
         cfg.out = os.environ.get("CONDUEL_OUT", ".")
     return cfg
@@ -150,24 +148,6 @@ def _algorithms(cfg: RunConfig) -> list:
         if a not in ALL_KINDS:
             raise ConfigError(f"unknown algorithm {a!r}; known: {', '.join(ALL_KINDS)}")
     return algos
-
-
-def _duel_config(cfg: RunConfig) -> DuelConfig:
-    return DuelConfig(
-        lam=cfg.lam,
-        delta=cfg.delta,
-        radius_scale=cfg.radius_scale,
-        pair_mode=cfg.pair_mode,
-    )
-
-
-def _mnl_config(cfg: RunConfig) -> MnlConfig:
-    return MnlConfig(
-        q=cfg.q,
-        t0=cfg.t0,
-        kappa2=cfg.kappa2,
-        radius_scale=cfg.mnl_radius_scale,
-    )
 
 
 def _load_envset(cfg: RunConfig):
@@ -237,11 +217,19 @@ def cmd_prep(args) -> int:
     return 0
 
 
-def _run_algorithms(cfg: RunConfig, envset, out_dir, schedule: Schedule) -> dict:
+def _policy_configs(cfg: RunConfig) -> tuple:
+    """The dueling and choice-model configs; building them checks every setting."""
+    duel = DuelConfig(
+        lam=cfg.lam, delta=cfg.delta, radius_scale=cfg.radius_scale, pair_mode=cfg.pair_mode
+    )
+    mnl = MnlConfig(q=cfg.q, t0=cfg.t0, kappa2=cfg.kappa2, radius_scale=cfg.mnl_radius_scale)
+    return duel, mnl
+
+
+def _run_algorithms(cfg: RunConfig, envset, out_dir, schedule: Schedule, configs) -> dict:
     algos = _algorithms(cfg)
     seeds = parse_seed_spec(cfg.seeds)
-    duel_cfg = _duel_config(cfg)
-    mnl_cfg = _mnl_config(cfg)
+    duel_cfg, mnl_cfg = configs
     os.makedirs(out_dir, exist_ok=True)
     spanner = build_spanner(envset.keyterm_feats)
     summary = {}
@@ -278,8 +266,9 @@ def _run_algorithms(cfg: RunConfig, envset, out_dir, schedule: Schedule) -> dict
 def cmd_run(args) -> int:
     cfg = load_config(args)
     schedule = Schedule.parse(cfg.schedule)
+    configs = _policy_configs(cfg)
     envset = _load_envset(cfg)
-    summary = _run_algorithms(cfg, envset, cfg.out, schedule)
+    summary = _run_algorithms(cfg, envset, cfg.out, schedule, configs)
     summary_path = os.path.join(cfg.out, "summary.json")
     with open(summary_path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -294,6 +283,7 @@ def cmd_sweep(args) -> int:
         values = [int(v) for v in args.values.split(",")] if args.values else None
     except ValueError as exc:
         raise ConfigError(f"bad sweep values {args.values!r}") from exc
+    configs = _policy_configs(cfg)
     summary = {}
     if args.axis == "frequency":
         envset = _load_envset(cfg)
@@ -302,7 +292,7 @@ def cmd_sweep(args) -> int:
                 cell = f"freq_{fam}_{n}"
                 schedule = Schedule(fam, float(n))
                 out_dir = os.path.join(cfg.out, cell)
-                summary[cell] = _run_algorithms(cfg, envset, out_dir, schedule)
+                summary[cell] = _run_algorithms(cfg, envset, out_dir, schedule, configs)
     elif args.axis == "dimension":
         if cfg.env:
             raise ConfigError("dimension sweep regenerates synthetic environments; remove env=")
@@ -312,7 +302,7 @@ def cmd_sweep(args) -> int:
             cell_cfg = dataclasses.replace(cfg, d=int(d))
             envset = _load_envset(cell_cfg)
             out_dir = os.path.join(cfg.out, cell)
-            summary[cell] = _run_algorithms(cell_cfg, envset, out_dir, schedule)
+            summary[cell] = _run_algorithms(cell_cfg, envset, out_dir, schedule, configs)
     else:
         raise ConfigError(f"unknown sweep axis {args.axis!r}")
     if not summary:

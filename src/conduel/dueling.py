@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as streams
-from .errors import DomainError, StructuralError
+from .errors import ConfigError, DomainError, StructuralError
 from .estimator import InteractionHistory, ThetaEstimate, dueling_radius, mle_fit
 from .glm import DesignMatrix, LinkFunction
 from .spanner import Spanner
@@ -63,6 +63,17 @@ class DuelConfig:
     delta: float = 0.1
     radius_scale: float = DEFAULT_RADIUS_SCALE
     pair_mode: str = "sampled_first"  # one of PAIR_MODES
+
+    def __post_init__(self):
+        if not self.lam > 0.0:
+            raise ConfigError(f"lam must be positive, got {self.lam!r}")
+        if not 0.0 < self.delta < 1.0:
+            raise ConfigError(f"delta must lie in (0, 1), got {self.delta!r}")
+        if not self.radius_scale >= 0.0:
+            raise ConfigError(f"radius_scale must be nonnegative, got {self.radius_scale!r}")
+        if self.pair_mode not in PAIR_MODES:
+            known = ", ".join(PAIR_MODES)
+            raise ConfigError(f"unknown pair mode {self.pair_mode!r}; known: {known}")
 
 
 @dataclass
@@ -124,9 +135,10 @@ def _max_info_pair(feats: np.ndarray, design: DesignMatrix, block: int = 512):
 def build_candidate_set(pool_feats, theta_proj, design: DesignMatrix, alpha: float) -> np.ndarray:
     """Positions of arms whose optimistic estimate beats every pool member.
 
-    Keeps a iff (x_a - x_a')^T theta + alpha ||x_a - x_a'||_{M^-1} > 0 for all
-    other a' (strict; self-comparison excluded).  Numerically empty output
-    falls back to the whole pool.
+    Keeps a iff (x_a - x_a')^T theta + alpha ||x_a - x_a'||_{M^-1} > 0 for
+    every a' whose features differ from x_a (strict).  An arm ties with itself
+    and with its twins, arms of identical features, so twins never eliminate
+    each other.  Numerically empty output falls back to the whole pool.
     """
     if alpha < 0.0:
         raise DomainError("alpha must be nonnegative")
@@ -136,7 +148,15 @@ def build_candidate_set(pool_feats, theta_proj, design: DesignMatrix, alpha: flo
     diag = np.diag(gram).copy()
     dist = np.sqrt(np.clip(diag[:, None] + diag[None, :] - 2.0 * gram, 0.0, None))
     ucb = util[:, None] - util[None, :] + alpha * dist
-    np.fill_diagonal(ucb, np.inf)
+    # Twins are masked rather than tested with ">= 0": round-off in the gram
+    # matrix can leave a twin pair's entry slightly negative.  Twins share
+    # their first coordinate, so a pool without a repeated one has no twins
+    # and needs only the diagonal (the full mask costs several times more).
+    first = np.sort(pool_feats[:, 0])
+    if np.any(first[1:] == first[:-1]):
+        ucb[(pool_feats[:, None] == pool_feats[None]).all(axis=2)] = np.inf
+    else:
+        np.fill_diagonal(ucb, np.inf)
     keep = np.nonzero(ucb.min(axis=1) > 0.0)[0]
     if keep.size == 0:
         return np.arange(pool_feats.shape[0])

@@ -188,8 +188,7 @@ class Schedule:
     @classmethod
     def parse(cls, text: str) -> "Schedule":
         name, _, value = text.partition(":")
-        aliases = {"linear_floor": "linear", "log_floor": "log", "proportional": "prop"}
-        name = aliases.get(name.strip().lower(), name.strip().lower())
+        name = name.strip().lower()
         if not value:
             raise ConfigError(f"schedule {text!r} needs a parameter, e.g. linear:10")
         try:

@@ -6,7 +6,7 @@ only implementation: the strictly concave
 
     sum_s [ o_s * d_s^T theta - m(d_s^T theta) ] - (lam / 2) ||theta||^2,
 
-with m the antiderivative of the link, together with its score, the
+with m the primitive of the link (``link.anti``), together with its score, the
 regularized mean-value map g and the Jacobian of g.  ``_newton`` is the one
 damped-Newton solver; it fits this objective and the choice-model
 likelihood of ``mnl`` alike.  When the fit leaves the unit ball it is pulled
@@ -56,11 +56,11 @@ class InteractionHistory:
 
     __slots__ = ("dim", "design", "_diffs", "_outcomes", "n")
 
-    def __init__(self, dim: int, ridge: float, capacity: int = 64):
+    def __init__(self, dim: int, ridge: float):
         self.dim = int(dim)
         self.design = DesignMatrix(self.dim, ridge)
-        self._diffs = np.empty((capacity, self.dim))
-        self._outcomes = np.empty(capacity)
+        self._diffs = np.empty((64, self.dim))
+        self._outcomes = np.empty(64)
         self.n = 0
 
     def append(self, diff, outcome: int) -> None:
@@ -112,7 +112,7 @@ class DuelObjective:
     history's dimension.
     """
 
-    __slots__ = ("diffs", "outcomes", "lam", "_mu", "_slope", "_anti", "_ridge")
+    __slots__ = ("diffs", "outcomes", "lam", "link", "_ridge")
 
     def __init__(self, history: InteractionHistory, lam: float, link: LinkFunction):
         if lam <= 0.0:
@@ -120,14 +120,14 @@ class DuelObjective:
         self.diffs = history.diffs
         self.outcomes = history.outcomes
         self.lam = lam
-        self._mu, self._slope, self._anti = link.raw_funcs()
+        self.link = link
         self._ridge = lam * np.eye(history.dim)
 
     def value(self, theta, z=None) -> float:
         if z is None:
             z = self.diffs @ theta
         reg = 0.5 * self.lam * float(theta @ theta)
-        return float(self.outcomes @ z - self._anti(z).sum()) - reg
+        return float(self.outcomes @ z - self.link.anti(z).sum()) - reg
 
     def value_and_pass(self, theta):
         """The value and the utility pass z, which the other methods reuse."""
@@ -138,24 +138,24 @@ class DuelObjective:
         """Gradient of the value; zero exactly at the MLE."""
         if z is None:
             z = self.diffs @ theta
-        return self.diffs.T @ (self.outcomes - self._mu(z)) - self.lam * theta
+        return self.diffs.T @ (self.outcomes - self.link.mu(z)) - self.lam * theta
 
     def mean_map(self, theta, z=None) -> np.ndarray:
         if z is None:
             z = self.diffs @ theta
-        return self.diffs.T @ self._mu(z) + self.lam * theta
+        return self.diffs.T @ self.link.mu(z) + self.lam * theta
 
     def information(self, theta, z=None) -> np.ndarray:
         if z is None:
             z = self.diffs @ theta
-        w = self._slope(z)
+        w = self.link.slope(z)
         return self.diffs.T @ (w[:, None] * self.diffs) + self._ridge
 
     def jvp(self, theta, v, z=None) -> np.ndarray:
         """J(theta) v without forming J."""
         if z is None:
             z = self.diffs @ theta
-        return self.diffs.T @ (self._slope(z) * (self.diffs @ v)) + self.lam * v
+        return self.diffs.T @ (self.link.slope(z) * (self.diffs @ v)) + self.lam * v
 
 
 def _newton(obj, dim: int, theta0, tol: float, max_iters: int, what: str) -> tuple:
@@ -286,29 +286,21 @@ def project_theta(theta_raw, obj: DuelObjective, design: DesignMatrix) -> np.nda
 
 
 def dueling_radius(
-    t: int,
-    b_of_t: float,
-    d: int,
-    lam: float,
-    kappa1: float,
-    noise_level: float = 0.5,
-    delta: float = 0.1,
-    theta_norm_bound: float = 1.0,
+    t: int, b_of_t: float, d: int, lam: float, kappa1: float, delta: float = 0.1
 ) -> float:
     """Confidence radius for pairwise estimates after round t.
 
     (2 / kappa1) * (R sqrt(d log((1 + 4 kappa1 (t + b(t)) / (d lam)) / delta))
-                    + sqrt(lam kappa1) * ||theta||-bound)
-    with R the sub-Gaussian level of the feedback noise (1/2 for coin flips).
+                    + sqrt(lam kappa1) * S)
+    with R = 1/2, the sub-Gaussian level of a coin-flip outcome, and S = 1,
+    the norm bound on theta (preference vectors are unit norm).
     """
-    if min(t, d, lam, kappa1, noise_level) <= 0:
-        raise DomainError("t, d, lam, kappa1, and noise level must be positive")
+    if min(t, d, lam, kappa1) <= 0:
+        raise DomainError("t, d, lam and kappa1 must be positive")
     if not 0.0 < delta < 1.0:
         raise DomainError("delta must lie in (0, 1)")
     if b_of_t < 0.0:
         raise DomainError("b(t) must be nonnegative")
     # t, d, lam, kappa1 > 0, b >= 0 and delta < 1 put the argument above 1
     inner = d * math.log((1.0 + 4.0 * kappa1 * (t + b_of_t) / (d * lam)) / delta)
-    return (2.0 / kappa1) * (
-        noise_level * math.sqrt(inner) + math.sqrt(lam * kappa1) * theta_norm_bound
-    )
+    return (2.0 / kappa1) * (0.5 * math.sqrt(inner) + math.sqrt(lam * kappa1))

@@ -1,5 +1,5 @@
-"""Link functions, key-term feature aggregation, duel probabilities, and the
-incrementally maintained design matrix.
+"""Link functions, key-term feature aggregation, and the incrementally
+maintained design matrix.
 
 These are the pieces every policy shares.  Arm features are unit vectors, so
 utility differences live in [-2, 2]; the link maps a difference to a win
@@ -20,9 +20,7 @@ from .errors import DomainError, StructuralError
 __all__ = [
     "LinkFunction",
     "get_link",
-    "duel_prob",
     "WeightGraph",
-    "keyterm_feature",
     "DesignMatrix",
 ]
 
@@ -40,47 +38,28 @@ class LinkFunction:
     clamped-linear slope is exactly zero outside (-1, 1), so its kappa1 is
     reported as the interior slope 0.5 and is valid only while |z| < 1.
 
-    The public methods validate their input and return a float for a scalar;
-    ``raw_funcs`` hands the same functions to hot loops without either step.
+    ``mu``, ``slope`` (mu', with the interior 0.5 at the clamp boundary) and
+    ``anti`` (a primitive m with m' = mu, used by the log-likelihood) are
+    vectorized and unvalidated: their inputs are utilities of unit-norm rows,
+    which ``EnvironmentSet.validate`` checked, under a finite estimate.
+    sigmoid: m(z) = log(1 + e^z), every function stable for large |z|;
+    clamped_linear: m(-1) = 0, quadratic on [-1, 1], slope one beyond.
     """
 
-    __slots__ = ("kind", "kappa1")
+    __slots__ = ("kind", "kappa1", "mu", "slope", "anti")
 
     def __init__(self, kind: str):
         if kind == "sigmoid":
             s2 = 1.0 / (1.0 + math.exp(-2.0))
             self.kappa1 = s2 * (1.0 - s2)
+            self.mu, self.slope, self.anti = _sig, _sig_slope, _sig_anti
         elif kind == "clamped_linear":
             # Slope on the clamp region is 0; 0.5 is the interior value.
             self.kappa1 = 0.5
+            self.mu, self.slope, self.anti = _clamp, _clamp_slope, _clamp_anti
         else:
             raise DomainError(f"unknown link kind: {kind!r}")
         self.kind = kind
-
-    def mu(self, z):
-        """Win probability mu(z); stable for large |z|."""
-        return _checked(self.raw_funcs()[0], z)
-
-    def mu_prime(self, z):
-        """Slope mu'(z) >= 0.  Clamp boundary points report the interior 0.5."""
-        return _checked(self.raw_funcs()[1], z)
-
-    def antiderivative(self, z):
-        """A primitive m with m' = mu, used by the log-likelihood.
-
-        sigmoid: m(z) = log(1 + e^z).  clamped_linear: m(-1) = 0, quadratic
-        on [-1, 1], slope one beyond.
-        """
-        return _checked(self.raw_funcs()[2], z)
-
-    def raw_funcs(self):
-        """Unvalidated vectorized (mu, slope, antiderivative) for hot loops.
-
-        Callers guarantee finite float arrays.
-        """
-        if self.kind == "sigmoid":
-            return _sig, _sig_slope, _sig_anti
-        return _clamp, _clamp_slope, _clamp_anti
 
 
 def _sig(z):
@@ -119,27 +98,6 @@ def get_link(kind: str) -> LinkFunction:
     return _LINKS[kind]
 
 
-def _checked(func, z):
-    """``func`` on finite input only; a scalar input gives a float back."""
-    z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z)):
-        raise DomainError("link input must be finite")
-    out = func(z)
-    return out if np.ndim(out) else float(out)
-
-
-def duel_prob(link: LinkFunction, theta: np.ndarray, x_i: np.ndarray, x_j: np.ndarray) -> float:
-    """Probability that the arm with feature ``x_i`` beats ``x_j``."""
-    theta = np.asarray(theta, dtype=float)
-    x_i = np.asarray(x_i, dtype=float)
-    x_j = np.asarray(x_j, dtype=float)
-    if x_i.shape != x_j.shape or x_i.shape != theta.shape:
-        raise DomainError(
-            f"dimension mismatch: theta {theta.shape}, x_i {x_i.shape}, x_j {x_j.shape}"
-        )
-    return float(link.mu(float((x_i - x_j) @ theta)))
-
-
 @dataclass
 class WeightGraph:
     """Sparse arm/key-term bipartite weights.
@@ -170,13 +128,6 @@ class WeightGraph:
             raise StructuralError("weights must be nonnegative")
         return cls(n_arms, n_keyterms, arm, key, w)
 
-    @classmethod
-    def from_dense(cls, w_matrix) -> "WeightGraph":
-        w_matrix = np.asarray(w_matrix, dtype=float)
-        a, k = np.nonzero(w_matrix)
-        triples = zip(a.tolist(), k.tolist(), w_matrix[a, k].tolist())
-        return cls.from_triples(w_matrix.shape[0], w_matrix.shape[1], triples)
-
     def row_sums(self) -> np.ndarray:
         out = np.zeros(self.n_arms)
         np.add.at(out, self.arm_idx, self.weight)
@@ -187,10 +138,10 @@ class WeightGraph:
         np.add.at(out, self.key_idx, self.weight)
         return out
 
-    def validate(self, tol: float = 1e-9) -> None:
-        """Check every arm's weights sum to one within ``tol``."""
+    def validate(self) -> None:
+        """Check every arm's weights sum to one within 1e-9."""
         rs = self.row_sums()
-        bad = np.nonzero(np.abs(rs - 1.0) > tol)[0]
+        bad = np.nonzero(np.abs(rs - 1.0) > 1e-9)[0]
         if bad.size:
             raise StructuralError(
                 f"weight rows must sum to 1: arm {bad[0]} sums to {rs[bad[0]]!r}"
@@ -206,19 +157,6 @@ class WeightGraph:
         if empty.size:
             raise StructuralError(f"key-term {empty[0]} has no related arm")
         return sums / tot[:, None]
-
-
-def keyterm_feature(graph: WeightGraph, arm_features, k: int) -> np.ndarray:
-    """Feature of key-term ``k``: sum_a w[a,k] x_a / sum_a w[a,k].
-
-    The result is intentionally not renormalized.
-    """
-    arm_features = np.asarray(arm_features, dtype=float)
-    sel = graph.key_idx == k
-    if not np.any(sel) or graph.weight[sel].sum() <= 0.0:
-        raise StructuralError(f"key-term {k} has no related arm")
-    w = graph.weight[sel]
-    return (w[:, None] * arm_features[graph.arm_idx[sel]]).sum(axis=0) / w.sum()
 
 
 class DesignMatrix:
@@ -263,11 +201,6 @@ class DesignMatrix:
         self.m_inv = np.linalg.inv(self.m)
         self.m_inv = 0.5 * (self.m_inv + self.m_inv.T)
         self._since_refactor = 0
-
-    def mahalanobis(self, v: np.ndarray) -> float:
-        """sqrt(v^T M^-1 v)."""
-        v = np.asarray(v, dtype=float)
-        return math.sqrt(max(float(v @ self.m_inv @ v), 0.0))
 
     def inv_quad_rows(self, rows: np.ndarray) -> np.ndarray:
         """Row-wise v^T M^-1 v for a stack of vectors (clipped at 0)."""

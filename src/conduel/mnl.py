@@ -20,7 +20,7 @@ import numpy as np
 
 from . import rng as streams
 from .dueling import RoundRecord
-from .errors import DomainError, NumericalError, StructuralError
+from .errors import ConfigError, DomainError, NumericalError, StructuralError
 from .estimator import _MAX_ITERS, _TOL, _newton
 from .glm import DesignMatrix
 from .spanner import Spanner
@@ -59,6 +59,16 @@ class MnlConfig:
     kappa2: float = 0.005
     radius_scale: float = DEFAULT_MNL_RADIUS_SCALE
 
+    def __post_init__(self):
+        if not self.q >= 1:
+            raise ConfigError(f"q must be at least 1, got {self.q!r}")
+        if not self.t0 >= 0:
+            raise ConfigError(f"t0 must be nonnegative, got {self.t0!r}")
+        if not self.kappa2 > 0.0:
+            raise ConfigError(f"kappa2 must be positive, got {self.kappa2!r}")
+        if not self.radius_scale >= 0.0:
+            raise ConfigError(f"radius_scale must be nonnegative, got {self.radius_scale!r}")
+
 
 class ChoiceHistory:
     """Append-only store of choice observations and their design matrix.
@@ -69,15 +79,15 @@ class ChoiceHistory:
 
     __slots__ = ("dim", "width", "design", "_feats", "_mask", "_chosen", "n")
 
-    def __init__(self, dim: int, width: int, ridge: float, capacity: int = 64):
+    def __init__(self, dim: int, width: int, ridge: float):
         if width < 1:
             raise StructuralError("offer width must be at least 1")
         self.dim = int(dim)
         self.width = int(width)
         self.design = DesignMatrix(self.dim, ridge)
-        self._feats = np.empty((capacity, self.width, self.dim))
-        self._mask = np.empty((capacity, self.width), dtype=bool)
-        self._chosen = np.empty(capacity, dtype=np.int64)
+        self._feats = np.empty((64, self.width, self.dim))
+        self._mask = np.empty((64, self.width), dtype=bool)
+        self._chosen = np.empty(64, dtype=np.int64)
         self.n = 0
 
     def append(self, offered, chosen: int) -> None:
@@ -309,7 +319,7 @@ class MnlPolicy:
         self.history = ChoiceHistory(self.d, self.config.q, _DESIGN_REG)
         self.theta = np.zeros(self.d)
         self.converses = kind != "ucb-mnl"
-        self._curvature_checked = False
+        self._curvature_verified = False
         if self.converses and spanner is None:
             raise StructuralError("conversational choice policies require a spanner")
 
@@ -349,14 +359,14 @@ class MnlPolicy:
             rng_a = self.stream.at(t, streams.ASSORTMENT_RANDOM)
             sel = np.sort(rng_a.choice(n_pool, size=min(cfg.q, n_pool), replace=False))
         else:
-            if not self._curvature_checked:
+            if not self._curvature_verified:
                 smallest = float(np.linalg.eigvalsh(self.history.design.m)[0])
                 if smallest <= _DESIGN_REG + 1e-9:
                     raise NumericalError(
                         "initialization phase left the design matrix singular; "
                         "increase t0 or the assortment size"
                     )
-                self._curvature_checked = True
+                self._curvature_verified = True
             self.theta = mnl_mle_fit(self.history, theta0=self.theta)
             alpha = self.radius(t, b_of_t)
             z = ucb_utilities(self.theta, self.history.design, alpha, pool_feats)

@@ -12,27 +12,27 @@ would grow |det| by more than a factor of C, until no swap applies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, StructuralError
 
-__all__ = ["Spanner", "build_spanner", "spanner_coefficients"]
+__all__ = ["Spanner", "build_spanner"]
+
+# The approximation factor C, and the pivot size relative to the first pivot
+# below which the features are declared rank-deficient.
+_APPROX_FACTOR = 2.0
+_RANK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class Spanner:
     member_ids: tuple  # d key-term ids
     basis: np.ndarray  # d x d, column i is the feature of member_ids[i]
-    approx_factor: float = field(default=2.0)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
 
 
-def _pivoted_basis(features: np.ndarray, rank_tol: float) -> list:
+def _pivoted_basis(features: np.ndarray) -> list:
     """Select d independent rows by modified Gram-Schmidt with pivoting.
 
     Pivot: largest residual norm, ties to the lowest id.  Raises if the set
@@ -49,7 +49,7 @@ def _pivoted_basis(features: np.ndarray, rank_tol: float) -> list:
         pivot = norms[k]
         if first_pivot is None:
             first_pivot = pivot
-        if pivot <= rank_tol * max(first_pivot, 1.0):
+        if pivot <= _RANK_TOL * max(first_pivot, 1.0):
             raise StructuralError(
                 f"key-term features span only rank {step} of {d} dimensions"
             )
@@ -59,8 +59,10 @@ def _pivoted_basis(features: np.ndarray, rank_tol: float) -> list:
     return chosen
 
 
-def build_spanner(keyterm_features, approx_factor: float = 2.0, rank_tol: float = 1e-9) -> Spanner:
-    """C-approximate barycentric spanner of the rows of ``keyterm_features``.
+def build_spanner(keyterm_features) -> Spanner:
+    """C-approximate barycentric spanner of the rows of ``keyterm_features``,
+    with C = 2: every row is a combination of the members with coefficients
+    in [-2, 2].
 
     Deterministic: candidates are scanned in id order and the lowest-id
     improving swap is taken first.  Terminates because each swap multiplies
@@ -72,10 +74,8 @@ def build_spanner(keyterm_features, approx_factor: float = 2.0, rank_tol: float 
     n, d = features.shape
     if n < d:
         raise StructuralError(f"need at least {d} key-terms, got {n}")
-    if approx_factor <= 1.0:
-        raise StructuralError("approximation factor must exceed 1")
 
-    members = _pivoted_basis(features, rank_tol)
+    members = _pivoted_basis(features)
     basis = features[members].T
 
     # Swap loop: coefficient of key-term k in slot i is (basis^-1 x_k)_i, and
@@ -83,23 +83,12 @@ def build_spanner(keyterm_features, approx_factor: float = 2.0, rank_tol: float 
     max_swaps = 64 * d * max(int(np.log2(n + 1)), 1) + 256
     for _ in range(max_swaps):
         coef = np.linalg.solve(basis, features.T)  # d x n
-        over = np.abs(coef).T > approx_factor  # n x d, scan ids first
+        over = np.abs(coef).T > _APPROX_FACTOR  # n x d, scan ids first
         hits = np.argwhere(over)
         if hits.size == 0:
-            return Spanner(tuple(int(m) for m in members), basis, float(approx_factor))
+            return Spanner(tuple(int(m) for m in members), basis)
         k, slot = int(hits[0, 0]), int(hits[0, 1])
         members[slot] = k
         basis = features[members].T
     raise NumericalError("spanner swap loop failed to terminate")
 
-
-def spanner_coefficients(spanner: Spanner, x) -> np.ndarray:
-    """Solve basis @ c = x for the representation coefficients."""
-    x = np.asarray(x, dtype=float)
-    try:
-        c = np.linalg.solve(spanner.basis, x)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"spanner basis solve failed: {exc}") from exc
-    if not np.all(np.isfinite(c)):
-        raise NumericalError("spanner coefficients are not finite")
-    return c

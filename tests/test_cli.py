@@ -148,8 +148,21 @@ def test_unknown_pair_mode_rejected_before_environment(tmp_path, capsys):
         ("sweep", "--axis", "frequency", "--values", "abc"),
         ("run", "--radius-scale", "nan"),
         ("run", "--mnl-radius-scale", "nan"),
+        ("run", "--radius-scale", "-1"),
+        ("run", "--delta", "2"),
+        ("run", "--lam", "0"),
+        ("run", "--algorithms", "conmnl", "--kappa2", "-1"),
+        ("run", "--algorithms", "conmnl", "--mnl-radius-scale", "-1"),
+        ("run", "--algorithms", "conmnl", "--q", "0"),
+        ("run", "--algorithms", "conmnl", "--t0", "-5"),
+        ("run", "--q", "0"),
+        ("sweep", "--axis", "frequency", "--lam", "-1"),
     ],
-    ids=["linear-nan", "log-inf", "sweep-values-abc", "radius-scale-nan", "mnl-radius-scale-nan"],
+    ids=[
+        "linear-nan", "log-inf", "sweep-values-abc", "radius-scale-nan", "mnl-radius-scale-nan",
+        "radius-scale-neg", "delta-2", "lam-0", "kappa2-neg", "mnl-radius-scale-neg", "q-0",
+        "t0-neg", "conduel-q-0", "sweep-lam-neg",
+    ],
 )
 def test_bad_number_rejected_before_environment(tmp_path, capsys, argv):
     # as above, a missing environment file tells whether the value was

@@ -29,6 +29,11 @@ def small_envset(seed=0, n_users=2, n_keyterms=25, n_arms=30, dim=3):
     return gen_synthetic(cfg, seed)
 
 
+def m_inv_norm(dm, v):
+    """||v||_{M^-1} by a direct solve against the design matrix."""
+    return math.sqrt(v @ np.linalg.solve(dm.m, v))
+
+
 def random_spd_design(rng, d, n_updates=8):
     dm = DesignMatrix(d, 1.0)
     for _ in range(n_updates):
@@ -69,9 +74,9 @@ def test_maxinp_pair_matches_bruteforce_under_random_metric():
     dm = random_spd_design(rng, 3)
     got = select_keyterm_pair("conduel-maxinp", rng, None, feats, dm)
     dists = {
-        (i, j): dm.mahalanobis(feats[i] - feats[j]) for i in range(5) for j in range(5) if i != j
+        (i, j): m_inv_norm(dm, feats[i] - feats[j]) for i in range(5) for j in range(5) if i != j
     }
-    assert dm.mahalanobis(feats[got[0]] - feats[got[1]]) == pytest.approx(max(dists.values()))
+    assert m_inv_norm(dm, feats[got[0]] - feats[got[1]]) == pytest.approx(max(dists.values()))
 
 
 def test_maxinp_pair_blocked_scan_matches_direct():
@@ -113,25 +118,44 @@ def test_candidate_set_zero_alpha_is_greedy_argmax():
 
 def test_candidate_set_matches_double_loop():
     rng = np.random.default_rng(5)
-    pool = rng.normal(size=(6, 2))
-    pool /= np.linalg.norm(pool, axis=1, keepdims=True)
+    base = rng.normal(size=(6, 2))
+    base /= np.linalg.norm(base, axis=1, keepdims=True)
     theta = rng.normal(size=2)
     dm = random_spd_design(rng, 2)
     alpha = 0.3
-    got = set(build_candidate_set(pool, theta, dm, alpha).tolist())
-    expect = set()
-    for a in range(6):
-        ok = True
-        for b in range(6):
-            if a == b:
-                continue
-            diff = pool[a] - pool[b]
-            if not (diff @ theta + alpha * dm.mahalanobis(diff) > 0.0):
-                ok = False
-                break
-        if ok:
-            expect.add(a)
-    assert got == expect
+    # the second pool holds a copy of the greedy best arm
+    for pool in (base, np.vstack([base, base[np.argmax(base @ theta)]])):
+        n = len(pool)
+        got = set(build_candidate_set(pool, theta, dm, alpha).tolist())
+        expect = set()
+        for a in range(n):
+            ok = True
+            for b in range(n):
+                if np.array_equal(pool[a], pool[b]):  # itself or its twin
+                    continue
+                diff = pool[a] - pool[b]
+                if not (diff @ theta + alpha * m_inv_norm(dm, diff) > 0.0):
+                    ok = False
+                    break
+            if ok:
+                expect.add(a)
+        assert got == expect
+    assert {int(np.argmax(base @ theta)), 6} <= got
+
+
+def test_candidate_set_keeps_both_copies_of_a_duplicated_best_arm():
+    rng = np.random.default_rng(6)
+    pool = rng.normal(size=(8, 3))
+    pool /= np.linalg.norm(pool, axis=1, keepdims=True)
+    theta = rng.normal(size=3)
+    best = int(np.argmax(pool @ theta))
+    pool = np.vstack([pool, pool[best]])
+    got = build_candidate_set(pool, theta, random_spd_design(rng, 3), alpha=0.0)
+    assert got.tolist() == [best, 8]
+    # an arm that shares only its first coordinate with the best is no twin
+    pool = np.array([[0.6, 0.8], [0.6, -0.8], [0.6, 0.8]])
+    got = build_candidate_set(pool, np.array([0.0, 1.0]), DesignMatrix(2, 1.0), alpha=0.0)
+    assert got.tolist() == [0, 2]
 
 
 def test_candidate_set_negative_alpha_rejected():
@@ -171,7 +195,7 @@ def test_best_arm_survives_with_calibrated_radius():
         for a, b in combinations(range(10), 2):
             diff = pool[a] - pool[b]
             dev = abs(diff @ (theta_hat - theta_star))
-            alpha = max(alpha, dev / max(dm.mahalanobis(diff), 1e-12))
+            alpha = max(alpha, dev / max(m_inv_norm(dm, diff), 1e-12))
         best = int(np.argmax(pool @ theta_star))
         cand = build_candidate_set(pool, theta_hat, dm, alpha * (1 + 1e-9))
         assert best in cand
@@ -200,9 +224,9 @@ def test_full_maxinp_matches_enumeration():
     dm = random_spd_design(rng, 3)
     i, j = select_arm_pair("full_maxinp", np.arange(8), pool, dm, rng)
     best = max(
-        (dm.mahalanobis(pool[a] - pool[b]) for a, b in combinations(range(8), 2))
+        (m_inv_norm(dm, pool[a] - pool[b]) for a, b in combinations(range(8), 2))
     )
-    assert dm.mahalanobis(pool[i] - pool[j]) == pytest.approx(best)
+    assert m_inv_norm(dm, pool[i] - pool[j]) == pytest.approx(best)
 
 
 def test_full_maxinp_argmax_invariant_under_metric_scaling():
@@ -222,7 +246,7 @@ def test_sampled_first_second_arm_is_most_uncertain():
     pool = rng.normal(size=(7, 3))
     dm = random_spd_design(rng, 3)
     first, second = select_arm_pair("sampled_first", np.arange(7), pool, dm, rng)
-    dists = [dm.mahalanobis(pool[k] - pool[first]) for k in range(7)]
+    dists = [m_inv_norm(dm, pool[k] - pool[first]) for k in range(7)]
     assert dists[second] == pytest.approx(max(dists))
 
 

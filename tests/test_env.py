@@ -12,7 +12,6 @@ from conduel.env import (
     mnl_regret,
 )
 from conduel.errors import ConfigError, DomainError, StructuralError
-from conduel.glm import duel_prob
 from conduel.mnl import expected_revenue, mnl_probs, optimal_assortment
 
 
@@ -108,12 +107,12 @@ def test_budget_never_exceeds_round():
 def test_schedule_parsing_and_validation():
     s = Schedule.parse("linear:10")
     assert s.kind == "linear" and s.param == 10.0
-    assert Schedule.parse("LINEAR_FLOOR:3").kind == "linear"
-    assert Schedule.parse("proportional:0.2").kind == "prop"
+    assert Schedule.parse("LOG:3").kind == "log"
     with pytest.raises(ConfigError):
         Schedule.parse("linear")
-    with pytest.raises(ConfigError):
-        Schedule.parse("cubic:2")
+    for text in ("cubic:2", "linear_floor:3", "proportional:0.2"):
+        with pytest.raises(ConfigError):
+            Schedule.parse(text)
     with pytest.raises(ConfigError):
         Schedule.parse("prop:1.5")
     with pytest.raises(ConfigError):
@@ -163,7 +162,7 @@ def test_duel_feedback_calibrated_against_model():
     arms, user = tiny_env(seed=2)
     rng = np.random.default_rng(3)
     x, y = arms[1], arms[5]
-    p = duel_prob(user.link, user.theta_star, x, y)
+    p = float(user.link.mu((x - y) @ user.theta_star))
     n = 10_000
     wins = sum(user.duel(x, y, rng) for _ in range(n))
     sigma = math.sqrt(p * (1 - p) / n)

@@ -71,7 +71,7 @@ def test_history_validates_entries():
 
 
 def test_history_buffers_grow():
-    h = InteractionHistory(3, RIDGE, capacity=2)
+    h = InteractionHistory(3, RIDGE)
     for i in range(200):
         h.append(np.eye(3)[i % 3], i % 2)
     assert len(h) == 200

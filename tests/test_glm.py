@@ -6,14 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp
 
+from conduel.env import SimulatedUser
 from conduel.errors import DomainError, StructuralError
-from conduel.glm import (
-    DesignMatrix,
-    WeightGraph,
-    duel_prob,
-    get_link,
-    keyterm_feature,
-)
+from conduel.glm import DesignMatrix, WeightGraph, get_link
 
 mp.dps = 50
 
@@ -41,22 +36,14 @@ def test_link_eval_stable_for_large_inputs():
 
 
 def test_link_deriv_examples():
-    assert SIG.mu_prime(0.0) == 0.25
+    assert SIG.slope(0.0) == 0.25
     s2 = 1 / (1 + mp.e ** -2)
     oracle = float(s2 * (1 - s2))
-    assert abs(SIG.mu_prime(2.0) - oracle) < 1e-12
-    assert CLAMP.mu_prime(2.0) == 0.0
+    assert abs(SIG.slope(2.0) - oracle) < 1e-12
+    assert CLAMP.slope(2.0) == 0.0
     # boundary tie-break: inside-limit value
-    assert CLAMP.mu_prime(1.0) == 0.5
-    assert CLAMP.mu_prime(-1.0) == 0.5
-
-
-def test_nonfinite_input_rejected():
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(DomainError):
-            SIG.mu(bad)
-        with pytest.raises(DomainError):
-            CLAMP.mu_prime(bad)
+    assert CLAMP.slope(1.0) == 0.5
+    assert CLAMP.slope(-1.0) == 0.5
 
 
 def test_unknown_link_kind_rejected():
@@ -70,7 +57,7 @@ def test_link_range_and_symmetry(z):
         p = link.mu(z)
         assert 0.0 <= p <= 1.0
         assert abs(p + link.mu(-z) - 1.0) <= 1e-12
-        assert link.mu_prime(z) >= 0.0
+        assert link.slope(z) >= 0.0
 
 
 @given(finite_z, finite_z)
@@ -82,7 +69,7 @@ def test_link_monotone(a, b):
 
 @given(st.floats(min_value=-2.0, max_value=2.0))
 def test_sigmoid_slope_floor_on_duel_range(z):
-    assert SIG.mu_prime(z) >= SIG.kappa1 - 1e-15
+    assert SIG.slope(z) >= SIG.kappa1 - 1e-15
 
 
 def test_kappa1_constants():
@@ -91,8 +78,8 @@ def test_kappa1_constants():
     assert CLAMP.kappa1 == 0.5
     # slope ceilings: 1/4 at the sigmoid's centre, 1/2 inside the clamp
     z = np.linspace(-50.0, 50.0, 100_001)
-    assert SIG.mu_prime(z).max() <= 0.25
-    assert CLAMP.mu_prime(z).max() <= 0.5
+    assert SIG.slope(z).max() <= 0.25
+    assert CLAMP.slope(z).max() <= 0.5
 
 
 def test_antiderivative_matches_slope():
@@ -100,18 +87,40 @@ def test_antiderivative_matches_slope():
     for link in (SIG, CLAMP):
         z = rng.uniform(-1.8, 1.8, size=64)
         h = 1e-6
-        num = (link.antiderivative(z + h) - link.antiderivative(z - h)) / (2 * h)
+        num = (link.anti(z + h) - link.anti(z - h)) / (2 * h)
         assert np.allclose(num, link.mu(z), atol=1e-6)
 
 
 # ---------------------------------------------------------------- duel_prob
 
 
+class _Draw:
+    """Stands in for a generator whose every uniform draw is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def _win_probability(user, x, y):
+    """The duel's win probability for ``x``: the draw below which it wins."""
+    lo, hi = 0.0, 1.0
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if user.duel(x, y, _Draw(mid)):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def test_duel_prob_examples():
-    theta = np.array([1.0, 0.0])
-    assert duel_prob(SIG, theta, np.array([0.6, 0.8]), np.array([0.6, 0.8])) == 0.5
+    user = SimulatedUser(np.array([1.0, 0.0]), SIG)
+    assert _win_probability(user, np.array([0.6, 0.8]), np.array([0.6, 0.8])) == 0.5
     oracle = float(1 / (1 + mp.e ** -1))
-    got = duel_prob(SIG, theta, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    got = _win_probability(user, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     assert abs(got - oracle) < 1e-12
 
 
@@ -123,44 +132,46 @@ def test_duel_prob_antisymmetry():
         x /= np.linalg.norm(x)
         y /= np.linalg.norm(y)
         for link in (SIG, CLAMP):
-            assert abs(duel_prob(link, theta, x, y) + duel_prob(link, theta, y, x) - 1.0) < 1e-12
-
-
-def test_duel_prob_dimension_mismatch():
-    with pytest.raises(DomainError):
-        duel_prob(SIG, np.ones(3), np.ones(3), np.ones(2))
+            user = SimulatedUser(theta, link)
+            p_xy, p_yx = _win_probability(user, x, y), _win_probability(user, y, x)
+            assert abs(p_xy + p_yx - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------- weight graph
 
 
+def dense_graph(w):
+    """The weight graph whose nonzero entries are those of the dense ``w``."""
+    w = np.asarray(w, dtype=float)
+    a, k = np.nonzero(w)
+    return WeightGraph.from_triples(*w.shape, zip(a.tolist(), k.tolist(), w[a, k].tolist()))
+
+
 def test_keyterm_feature_single_arm():
     x = np.array([[0.6, 0.8], [1.0, 0.0]])
-    g = WeightGraph.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    np.testing.assert_array_equal(keyterm_feature(g, x, 0), x[1])
-    np.testing.assert_array_equal(keyterm_feature(g, x, 1), x[0])
+    feats = dense_graph([[0.0, 1.0], [1.0, 0.0]]).keyterm_features(x)
+    np.testing.assert_array_equal(feats[0], x[1])
+    np.testing.assert_array_equal(feats[1], x[0])
 
 
 def test_keyterm_feature_equal_weights_average():
     x = np.array([[1.0, 0.0], [0.0, 1.0]])
-    g = WeightGraph.from_dense(np.array([[0.5], [0.5]]))
-    np.testing.assert_allclose(keyterm_feature(g, x, 0), [0.5, 0.5])
+    g = dense_graph([[0.5], [0.5]])
+    np.testing.assert_allclose(g.keyterm_features(x)[0], [0.5, 0.5])
 
 
 def test_keyterm_feature_weighted_mean_oracle():
     x = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
     w = np.array([[0.5], [0.3], [0.2]])
-    g = WeightGraph.from_dense(w)
+    g = dense_graph(w)
     # direct summation oracle
     expect = (0.5 * x[0] + 0.3 * x[1] + 0.2 * x[2]) / 1.0
-    np.testing.assert_allclose(keyterm_feature(g, x, 0), expect, atol=1e-15)
+    np.testing.assert_allclose(g.keyterm_features(x)[0], expect, atol=1e-15)
 
 
 def test_keyterm_without_arms_rejected():
     g = WeightGraph.from_triples(2, 2, [(0, 0, 1.0)])
-    with pytest.raises(StructuralError):
-        keyterm_feature(g, np.eye(2), 1)
-    with pytest.raises(StructuralError):
+    with pytest.raises(StructuralError, match="key-term 1 has no related arm"):
         g.keyterm_features(np.eye(2))
 
 
@@ -168,17 +179,17 @@ def test_keyterm_feature_column_rescale_invariance():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(5, 3))
     w = rng.uniform(0.1, 1.0, size=(5, 2))
-    g1 = WeightGraph.from_dense(w)
+    g1 = dense_graph(w)
     w2 = w.copy()
     w2[:, 0] *= 17.0
-    g2 = WeightGraph.from_dense(w2)
-    np.testing.assert_allclose(keyterm_feature(g1, x, 0), keyterm_feature(g2, x, 0), atol=1e-12)
+    g2 = dense_graph(w2)
+    np.testing.assert_allclose(g1.keyterm_features(x)[0], g2.keyterm_features(x)[0], atol=1e-12)
 
 
 def test_weight_graph_validation():
-    g = WeightGraph.from_dense(np.array([[0.5, 0.5], [1.0, 0.0]]))
+    g = dense_graph([[0.5, 0.5], [1.0, 0.0]])
     g.validate()
-    bad = WeightGraph.from_dense(np.array([[0.5, 0.4]]))
+    bad = dense_graph([[0.5, 0.4]])
     with pytest.raises(StructuralError):
         bad.validate()
     with pytest.raises(StructuralError):
@@ -191,10 +202,9 @@ def test_keyterm_features_vectorized_matches_single():
     w = rng.uniform(0.0, 1.0, size=(6, 4))
     w[w < 0.3] = 0.0
     w[0, :] = [1.0, 0.5, 0.2, 0.1]  # every key-term related somewhere
-    g = WeightGraph.from_dense(w)
-    allf = g.keyterm_features(x)
-    for k in range(4):
-        np.testing.assert_allclose(allf[k], keyterm_feature(g, x, k), atol=1e-12)
+    allf = dense_graph(w).keyterm_features(x)
+    # the dense formula: column-normalized weights times the arm features
+    np.testing.assert_allclose(allf, w.T @ x / w.sum(axis=0)[:, None], atol=1e-12)
 
 
 # ---------------------------------------------------------------- design matrix
@@ -234,12 +244,12 @@ def test_refactorization_bounds_drift():
 
 def test_mahalanobis_examples_and_solve_oracle():
     m = DesignMatrix(2, 1.0)
-    assert m.mahalanobis(np.array([1.0, 0.0])) == 1.0
+    assert m.inv_quad_rows(np.array([[1.0, 0.0]]))[0] == 1.0
 
     m4 = DesignMatrix(2, 1.0)
     m4.m = np.diag([4.0, 1.0])
     m4.refactor()
-    assert abs(m4.mahalanobis(np.array([2.0, 0.0])) - 1.0) < 1e-12
+    assert abs(math.sqrt(m4.inv_quad_rows(np.array([[2.0, 0.0]]))[0]) - 1.0) < 1e-12
 
     rng = np.random.default_rng(2)
     for _ in range(20):
@@ -250,7 +260,7 @@ def test_mahalanobis_examples_and_solve_oracle():
         dm.refactor()
         v = rng.normal(size=5)
         oracle = math.sqrt(v @ np.linalg.solve(spd, v))
-        assert abs(dm.mahalanobis(v) - oracle) < 1e-9
+        assert abs(math.sqrt(dm.inv_quad_rows(v[None])[0]) - oracle) < 1e-9
 
 
 def test_inv_quad_rows_matches_scalar():
@@ -261,5 +271,6 @@ def test_inv_quad_rows_matches_scalar():
     rows = rng.normal(size=(7, 3))
     vals = dm.inv_quad_rows(rows)
     for i in range(7):
-        assert abs(math.sqrt(vals[i]) - dm.mahalanobis(rows[i])) < 1e-10
+        oracle = math.sqrt(rows[i] @ np.linalg.solve(dm.m, rows[i]))
+        assert abs(math.sqrt(vals[i]) - oracle) < 1e-10
 

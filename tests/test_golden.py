@@ -1,10 +1,12 @@
-"""Golden regret traces: one policy per family on a small fixed config.
+"""Golden regret traces: every policy on a small fixed config, and the
+dueling policies under the clamped-linear link and the full_maxinp pair mode.
 
 Each digest is the SHA-256 of ``RegretTrace.inst`` as float64 bytes, so a
 pure refactor must leave it unchanged.  A change that moves a trace on
 purpose updates the digest here and records why in ``CHANGES.md``.  The
 digests hold for the float arithmetic of the numpy build the suite was
-pinned with; a platform whose exp or BLAS rounds differently changes them.
+pinned with (numpy 2.4.6, which the CI workflow installs on Python 3.11); a
+platform whose exp or BLAS rounds differently changes them.
 """
 
 import hashlib
@@ -12,6 +14,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from conduel.dueling import DuelConfig
 from conduel.env import Schedule, SyntheticConfig, gen_synthetic
 from conduel.harness import run_experiment
 
@@ -24,20 +27,47 @@ GOLDEN = {
     "conmnl-ucb": "3ee74b9859139f70a79c3b02f33e1b541b90e7d9fb7662aa42d28826c0d3d626",
     "conmnl-random": "3ee74b9859139f70a79c3b02f33e1b541b90e7d9fb7662aa42d28826c0d3d626",
     "ucb-mnl": "124ad858182c68ed576d2995a8af738d9b86c0a971b2f5610bfeabb038242a1e",
+    "conduel-random": "967f7defa05dc715654424e6b62a69894af3732d6885c194f37d18a93ef1a885",
+    "conduel-maxinp": "433e737109db1d7de20a9224bf537c5e568a462856a567de2ac8e995bb457f75",
+    "maxinp": "9a6c40eec963175dc0d948e3279d540bd3c8513a30a38805f59db1bca596f923",
+    "random-opt": "b12ec8c062a245cdd278cb3651c409e2a36319e6296cec06f46a7bd93f485d26",
+    "rconucb-posneg": "2823b9fb36049f562a10f833593655fa6c256a13ed734ce91e9938a70fa7c73f",
 }
+
+# (algorithm, link, pair mode) on the same universe and run settings
+GOLDEN_VARIANTS = {
+    ("conduel", "clamped_linear", "sampled_first"):
+        "7c07bea61804e92c80524101bd7f490cfde50c70acef3eff96ad6d74cf0e1de5",
+    ("maxinp", "clamped_linear", "sampled_first"):
+        "d67165ae9c39981467a415ebbd2eccb5d9d21dd5a4589fc03d19ce1e9cda63e0",
+    ("conduel", "sigmoid", "full_maxinp"):
+        "0e10ae5bb088774583d52733dab848602c99d13ec6be9f14f74112331a734a1d",
+}
+
+UNIVERSE = dict(n_users=2, n_keyterms=30, n_arms=60, dim=4, max_arms_per_keyterm=4)
+
+
+def trace_digest(envset, algorithm, duel_config=None):
+    trace = run_experiment(
+        envset, algorithm, 150, [0, 1], Schedule("linear", 5), pool_size=10, users=2,
+        duel_config=duel_config,
+    )
+    assert trace.inst.dtype == np.float64 and trace.inst.shape == (4, 150)
+    return hashlib.sha256(np.ascontiguousarray(trace.inst).tobytes()).hexdigest()
 
 
 @pytest.fixture(scope="module")
 def envset():
-    cfg = SyntheticConfig(n_users=2, n_keyterms=30, n_arms=60, dim=4, max_arms_per_keyterm=4)
-    return gen_synthetic(cfg, 7)
+    return gen_synthetic(SyntheticConfig(**UNIVERSE), 7)
 
 
 @pytest.mark.parametrize("algorithm", sorted(GOLDEN))
 def test_golden_trace_digest(envset, algorithm):
-    trace = run_experiment(
-        envset, algorithm, 150, [0, 1], Schedule("linear", 5), pool_size=10, users=2
-    )
-    assert trace.inst.dtype == np.float64 and trace.inst.shape == (4, 150)
-    digest = hashlib.sha256(np.ascontiguousarray(trace.inst).tobytes()).hexdigest()
-    assert digest == GOLDEN[algorithm]
+    assert trace_digest(envset, algorithm) == GOLDEN[algorithm]
+
+
+@pytest.mark.parametrize("algorithm, link, pair_mode", sorted(GOLDEN_VARIANTS))
+def test_golden_variant_trace_digest(algorithm, link, pair_mode):
+    envset = gen_synthetic(SyntheticConfig(**UNIVERSE, link=link), 7)
+    digest = trace_digest(envset, algorithm, DuelConfig(pair_mode=pair_mode))
+    assert digest == GOLDEN_VARIANTS[(algorithm, link, pair_mode)]

@@ -4,7 +4,7 @@ import pytest
 from conduel.dueling import DuelConfig
 from conduel.env import Schedule, SyntheticConfig, gen_synthetic
 from conduel.errors import ConfigError, NumericalError
-from conduel.harness import RegretTrace, regret_kind_of, run_experiment
+from conduel.harness import ALL_KINDS, RegretTrace, regret_kind_of, run_experiment
 from conduel.mnl import MnlConfig
 from conduel.spanner import build_spanner
 
@@ -108,6 +108,26 @@ def test_conversations_beat_uniform_random_pairs():
         es, "random-opt", 300, seeds, duel_config=DuelConfig(radius_scale=1e6), workers=2, **kw
     )
     assert conduel.final_mean() < uniform.final_mean()
+
+
+def test_one_dimensional_dueling_policies_learn():
+    # in d=1 every pool of more than two arms holds arms of identical
+    # features; they must not eliminate each other from the candidate set
+    cfg = SyntheticConfig(n_users=4, n_keyterms=5, n_arms=8, dim=1, max_arms_per_keyterm=3)
+    es = gen_synthetic(cfg, 3)
+    for algo in ("conduel", "maxinp"):
+        tr = run_experiment(es, algo, 400, [0, 1], Schedule("linear", 5), pool_size=50, users=4)
+        assert tr.final_mean() < 0.1 * 400, algo
+
+
+def test_edge_case_universe_runs_every_algorithm():
+    # as many key-terms as dimensions, and a pool larger than the arm set
+    cfg = SyntheticConfig(n_users=2, n_keyterms=4, n_arms=12, dim=4, max_arms_per_keyterm=3)
+    es = gen_synthetic(cfg, 1)
+    for algo in ALL_KINDS:
+        tr = run_experiment(es, algo, 60, [0], Schedule("linear", 10), pool_size=20, users=2)
+        assert tr.inst.shape == (2, 60)
+        assert np.all(np.isfinite(tr.inst)) and np.all(tr.inst >= 0.0), algo
 
 
 def test_bad_arguments_rejected():

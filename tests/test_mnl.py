@@ -418,7 +418,7 @@ def test_choice_history_validates():
 
 
 def test_choice_history_grows():
-    h = ChoiceHistory(2, width=3, ridge=1.0, capacity=2)
+    h = ChoiceHistory(2, width=3, ridge=1.0)
     for i in range(100):
         h.append(np.ones((1 + i % 3, 2)), OUTSIDE)
     assert len(h) == 100

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conduel.errors import StructuralError
-from conduel.spanner import build_spanner, spanner_coefficients
+from conduel.spanner import build_spanner
 
 
 def unit_rows(a):
@@ -21,9 +21,9 @@ def test_standard_basis_with_duplicates():
 
 def test_coefficient_bound_small_instance():
     feats = unit_rows([[1.0, 0.0], [0.0, 1.0], [3.0, 3.0]])
-    s = build_spanner(feats, approx_factor=2.0)
+    s = build_spanner(feats)
     for x in feats:
-        c = spanner_coefficients(s, x)
+        c = np.linalg.solve(s.basis, x)
         assert np.all(np.abs(c) <= 2.0 + 1e-6)
 
 
@@ -33,7 +33,7 @@ def test_determinant_near_maximal_by_enumeration():
     for trial in range(5):
         k = int(rng.integers(6, 12))
         feats = unit_rows(rng.normal(size=(k, 3)))
-        s = build_spanner(feats, approx_factor=2.0)
+        s = build_spanner(feats)
         got = abs(np.linalg.det(s.basis))
         best = max(
             abs(np.linalg.det(feats[list(idx)].T)) for idx in combinations(range(k), 3)
@@ -52,22 +52,17 @@ def test_too_few_keyterms_rejected():
         build_spanner(np.eye(3)[:2])
 
 
-def test_approx_factor_validated():
-    with pytest.raises(StructuralError):
-        build_spanner(np.eye(2), approx_factor=1.0)
-
-
 def test_coefficients_of_members_are_indicators():
     rng = np.random.default_rng(1)
     feats = unit_rows(rng.normal(size=(9, 4)))
     s = build_spanner(feats)
     for slot, kid in enumerate(s.member_ids):
-        c = spanner_coefficients(s, feats[kid])
+        c = np.linalg.solve(s.basis, feats[kid])
         expect = np.zeros(4)
         expect[slot] = 1.0
         np.testing.assert_allclose(c, expect, atol=1e-9)
     # linearity: sum of two members
-    c = spanner_coefficients(s, feats[s.member_ids[0]] + feats[s.member_ids[1]])
+    c = np.linalg.solve(s.basis, feats[s.member_ids[0]] + feats[s.member_ids[1]])
     expect = np.zeros(4)
     expect[[0, 1]] = 1.0
     np.testing.assert_allclose(c, expect, atol=1e-9)
@@ -76,9 +71,9 @@ def test_coefficients_of_members_are_indicators():
 def test_random_keyterm_coefficients_bounded():
     rng = np.random.default_rng(2)
     feats = unit_rows(rng.normal(size=(40, 5)))
-    s = build_spanner(feats, approx_factor=2.0)
+    s = build_spanner(feats)
     for x in feats:
-        assert np.all(np.abs(spanner_coefficients(s, x)) <= 2.0 + 1e-6)
+        assert np.all(np.abs(np.linalg.solve(s.basis, x)) <= 2.0 + 1e-6)
 
 
 def test_invariant_under_appended_convex_combinations():
