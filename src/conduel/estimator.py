@@ -10,8 +10,9 @@ with m the primitive of the link (``link.anti``), together with its score, the
 regularized mean-value map g and the Jacobian of g.  ``_newton`` is the one
 damped-Newton solver; it fits this objective and the choice-model
 likelihood of ``mnl`` alike.  When the fit leaves the unit ball it is pulled
-back by minimizing || g(theta) - g(theta_hat) ||_{M^-1} over the ball,
-using the same object's g and Jacobian-vector product.
+back by minimizing || g(theta) - g(theta_hat) ||_{M^-1} over the ball, a
+Gauss-Newton solve on the unit sphere built from the same object's g and
+Jacobian.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ _TOL = 1e-8
 _MAX_ITERS = 100
 
 # Projection stopping rule: the relative decrease of F below which it stops,
-# and the cap on gradient steps.
-_PROJECT_REL_TOL = 1e-10
+# and the cap on Gauss-Newton steps.
+_PROJECT_REL_TOL = 1e-9
 _PROJECT_MAX_ITERS = 500
 
 
@@ -106,7 +107,7 @@ class DuelObjective:
     Serves the value, the score, the mean-value map
     g(theta) = sum mu(d^T theta) d + lam theta, its Jacobian
     J(theta) = sum mu'(d^T theta) d d^T + lam I (minus the Hessian of the
-    value, hence ``information``), and the product J(theta) v.  Each method
+    value, hence ``information``).  Each method
     takes the utility pass ``z = diffs @ theta`` when the caller already has
     it.  Inputs are not validated: callers pass finite float arrays of the
     history's dimension.
@@ -150,12 +151,6 @@ class DuelObjective:
             z = self.diffs @ theta
         w = self.link.slope(z)
         return self.diffs.T @ (w[:, None] * self.diffs) + self._ridge
-
-    def jvp(self, theta, v, z=None) -> np.ndarray:
-        """J(theta) v without forming J."""
-        if z is None:
-            z = self.diffs @ theta
-        return self.diffs.T @ (self.link.slope(z) * (self.diffs @ v)) + self.lam * v
 
 
 def _newton(obj, dim: int, theta0, tol: float, max_iters: int, what: str) -> tuple:
@@ -226,11 +221,20 @@ def mle_fit(
 def project_theta(theta_raw, obj: DuelObjective, design: DesignMatrix) -> np.ndarray:
     """Pull an out-of-ball estimate back to the unit ball.
 
-    Minimizes F(theta) = ||g(theta) - g(theta_raw)||^2_{M^-1}, with g the
-    mean-value map of ``obj``, by projected gradient descent from the
-    radially shrunk start, with backtracking and a relative-decrease stop.
-    A step is taken only when F strictly falls, so the last iterate is the
-    best one seen; the result is always feasible.
+    Minimizes F(theta) = ||g(theta) - g(theta_raw)||^2_{M^-1} over the ball,
+    with g the mean-value map of ``obj``.  The minimum lies on the sphere:
+    grad F = 2 J M^-1 r, with r = g(theta) - g(theta_raw) and J the
+    Jacobian of g, which is SPD for lam > 0, so the gradient vanishes only
+    where r = 0, at theta_raw itself, outside the ball.  So the solve is
+    Gauss-Newton on ||theta|| = 1 from the radially shrunk start.  Each
+    iteration takes one ``information`` pass for J, forms H = J M^-1 J and
+    the half-gradient q = J M^-1 r, takes the multiplier
+    nu = max(-theta^T q, 0) of the sphere constraint, and solves the
+    bordered system [[H + nu I, theta], [theta^T, 0]] for a tangent step.
+    The stepped point is renormalized and accepted only when F strictly
+    falls, the step halving otherwise, so the last iterate is the best one
+    seen.  Stops on a relative decrease below the tolerance, on F at the
+    floor, on no accepted step, or at the iteration cap.
     """
     theta_raw = np.asarray(theta_raw, dtype=float)
     raw_norm = float(np.linalg.norm(theta_raw))
@@ -240,36 +244,38 @@ def project_theta(theta_raw, obj: DuelObjective, design: DesignMatrix) -> np.nda
     g_target = obj.mean_map(theta_raw)
 
     def residual(th):
-        # F(th), the M^-1 residual, and the utility pass for the gradient
+        # F(th), the M^-1 residual, and the utility pass for the Jacobian
         z = obj.diffs @ th
         r = obj.mean_map(th, z) - g_target
         w = m_inv @ r
         return float(r @ w), w, z
 
+    dim = theta_raw.shape[0]
+    # the bordered system; H + nu I is written in place through views
+    kkt = np.zeros((dim + 1, dim + 1))
+    rhs = np.zeros(dim + 1)
+    gn_block = kkt[:dim, :dim]
+    gn_diag = kkt.reshape(-1)[: dim * (dim + 2) : dim + 2]
     theta = theta_raw / raw_norm
     f_cur, w, z = residual(theta)
-    step = 1.0
-    prev_theta = None
-    prev_grad = None
     floor = 1e-24  # below any scale the confidence radius can distinguish
     for _ in range(_PROJECT_MAX_ITERS):
         if f_cur <= floor:
             break
-        grad = 2.0 * obj.jvp(theta, w, z)  # grad F = 2 J(th) M^-1 r
-        if prev_grad is not None:
-            dth = theta - prev_theta
-            dgr = grad - prev_grad
-            curv = float(dth @ dgr)
-            if curv > 0.0:  # Barzilai-Borwein trial step, safeguarded below
-                step = min(max(float(dth @ dth) / curv, 1e-12), 1e12)
-        prev_theta, prev_grad = theta, grad
+        jac = obj.information(theta, z)
+        half_grad = jac @ w
+        nu = max(-float(theta @ half_grad), 0.0)
+        np.matmul(jac, m_inv @ jac, out=gn_block)
+        gn_diag += nu
+        kkt[:dim, dim] = theta
+        kkt[dim, :dim] = theta
+        rhs[:dim] = -half_grad
+        step = np.linalg.solve(kkt, rhs)[:dim]
         moved = False
-        scale = step
+        scale = 1.0
         for _halving in range(30):
-            cand = theta - scale * grad
-            nrm = math.sqrt(float(cand @ cand))
-            if nrm > 1.0:
-                cand = cand / nrm
+            cand = theta + scale * step
+            cand = cand / math.sqrt(float(cand @ cand))
             f_new, w_new, z_new = residual(cand)
             if f_new < f_cur:
                 moved = True
@@ -277,11 +283,10 @@ def project_theta(theta_raw, obj: DuelObjective, design: DesignMatrix) -> np.nda
             scale *= 0.5
         if not moved:
             break
-        rel = (f_cur - f_new) / max(f_cur, 1e-300)
+        rel = (f_cur - f_new) / f_cur
         theta, f_cur, w, z = cand, f_new, w_new, z_new
         if rel < _PROJECT_REL_TOL:
             break
-        step = scale * 2.0
     return theta
 
 

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from conduel import estimator
+from conduel.env import Schedule, SyntheticConfig, gen_synthetic
 from conduel.errors import DomainError, NumericalError, StructuralError
 from conduel.estimator import (
     DuelObjective,
@@ -12,6 +14,7 @@ from conduel.estimator import (
     project_theta,
 )
 from conduel.glm import DesignMatrix, get_link
+from conduel.harness import run_experiment
 
 SIG = get_link("sigmoid")
 CLAMP = get_link("clamped_linear")
@@ -230,14 +233,14 @@ def test_mean_map_strong_monotonicity_edge_cases(link, d):
     check_mean_map_strong_monotonicity(link, d, 0.5 if link is CLAMP else 1.0)
 
 
-def test_jacobian_and_jvp_match_mean_map_differences():
+def test_information_matches_mean_map_differences():
+    # the information is the Jacobian of the mean-value map g
     rng = np.random.default_rng(13)
     h, _ = random_history(rng, d=3, n=20)
     obj = DuelObjective(h, 1.0, SIG)
     theta, v = rng.normal(size=3), rng.normal(size=3)
     num = (obj.mean_map(theta + 1e-6 * v) - obj.mean_map(theta - 1e-6 * v)) / 2e-6
     np.testing.assert_allclose(obj.information(theta) @ v, num, atol=1e-6)
-    np.testing.assert_allclose(obj.jvp(theta, v), obj.information(theta) @ v, atol=1e-12)
 
 
 def test_value_and_pass_matches_value_and_utilities():
@@ -417,6 +420,31 @@ def test_projection_empty_history_any_metric_is_radial_shrink(link, d, reg):
     np.testing.assert_allclose(got, raw / np.linalg.norm(raw), atol=1e-12)
 
 
+def projection_objective(diffs, lam, mu, m, raw):
+    """F(theta) = ||g(theta) - g(raw)||^2_{M^-1}, for one theta or rows of
+    thetas, written out apart from the library."""
+    m_inv = np.linalg.inv(m)
+
+    def g(th):
+        return mu(th @ diffs.T) @ diffs + lam * th
+
+    target = g(raw)
+
+    def objective(th):
+        r = g(th) - target
+        return np.einsum("...i,ij,...j->...", r, m_inv, r)
+
+    return objective
+
+
+def sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def clamped(z):
+    return np.clip(0.5 * (1.0 + z), 0.0, 1.0)
+
+
 def test_projection_matches_angular_grid():
     rng = np.random.default_rng(10)
     h, _ = random_history(rng, d=2, n=10)
@@ -425,19 +453,9 @@ def test_projection_matches_angular_grid():
     raw = np.array([1.3, 1.1])
     got = project_theta(raw, DuelObjective(h, lam, SIG), design)
     assert np.linalg.norm(got) <= 1.0 + 1e-12
-
-    minv = np.linalg.inv(design.m)
-
-    def objective(th):
-        z_r = h.diffs @ raw
-        z_t = h.diffs @ th
-        g_t = h.diffs.T @ (1 / (1 + np.exp(-z_t))) + lam * th
-        g_r = h.diffs.T @ (1 / (1 + np.exp(-z_r))) + lam * raw
-        r = g_t - g_r
-        return float(r @ minv @ r)
-
+    objective = projection_objective(h.diffs, lam, sigmoid, design.m, raw)
     angles = np.linspace(0.0, 2.0 * np.pi, 10_000, endpoint=False)
-    grid_best = min(objective(np.array([np.cos(a), np.sin(a)])) for a in angles)
+    grid_best = objective(np.column_stack([np.cos(angles), np.sin(angles)])).min()
     assert abs(objective(got) - grid_best) <= 1e-6
 
 
@@ -450,6 +468,101 @@ def test_projection_output_always_feasible():
             raw *= 3.0
         got = project_theta(raw, DuelObjective(h, 1.0, SIG), h.design)
         assert np.linalg.norm(got) <= 1.0 + 1e-9
+
+
+def test_projection_kkt_on_conduel_histories(monkeypatch):
+    # First-order conditions for min F over the ball, on the histories a
+    # conduel run feeds its fits: theta on the sphere, the half-gradient
+    # q = J M^-1 r equal to -nu theta with a multiplier nu >= 0.  J and r
+    # are formed here, not taken from the solver.  The tangential part of q
+    # may be 1e-4 of ||q|| (measured: at most 1.3e-5 under the earlier
+    # gradient solver, 1.5e-6 under Gauss-Newton).
+    calls = []
+    solve = estimator.project_theta
+
+    def record(theta_raw, obj, design):
+        got = solve(theta_raw, obj, design)
+        calls.append((obj.diffs.copy(), obj.lam, design.m.copy(), np.array(theta_raw), got))
+        return got
+
+    monkeypatch.setattr(estimator, "project_theta", record)
+    cfg = SyntheticConfig(n_users=2, n_keyterms=20, n_arms=40, dim=4, max_arms_per_keyterm=4)
+    run_experiment(gen_synthetic(cfg, 0), "conduel", 200, [0], Schedule("linear", 10),
+                   pool_size=20, users=1)
+    assert len(calls) >= 100
+    for diffs, lam, m, raw, got in calls[::5]:
+        assert abs(np.linalg.norm(got) - 1.0) <= 1e-12
+        s = sigmoid(diffs @ got)
+        jac = diffs.T @ ((s * (1.0 - s))[:, None] * diffs) + lam * np.eye(len(got))
+        r = (s - sigmoid(diffs @ raw)) @ diffs + lam * (got - raw)
+        q = jac @ np.linalg.solve(m, r)
+        nu = -float(got @ q)
+        assert nu >= 0.0
+        assert np.linalg.norm(q + nu * got) <= 1e-4 * np.linalg.norm(q)
+
+
+def fibonacci_sphere(n):
+    i = np.arange(n) + 0.5
+    z = 1.0 - 2.0 * i / n
+    phi = np.pi * (1.0 + 5.0 ** 0.5) * i
+    rho = np.sqrt(1.0 - z * z)
+    return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
+
+
+def test_projection_matches_fibonacci_sphere_grid():
+    # the d=3 analogue of the angular grid: 200k near-uniform points on the
+    # sphere, about 0.008 apart.  The projection may not lose to any of
+    # them beyond round-off, and the best of them lies within 1e-4 of it in
+    # relative F and within 0.02 in theta (1.1e-5 and 0.003 measured).
+    rng = np.random.default_rng(15)
+    lam = 1.0
+    grid = fibonacci_sphere(200_000)
+    for _ in range(3):
+        h, _ = random_history(rng, d=3, n=10)
+        raw = rng.normal(size=3)
+        raw *= rng.uniform(1.2, 3.0) / np.linalg.norm(raw)
+        got = project_theta(raw, DuelObjective(h, lam, SIG), h.design)
+        objective = projection_objective(h.diffs, lam, sigmoid, h.design.m, raw)
+        vals = objective(grid)
+        best = int(np.argmin(vals))
+        assert objective(got) <= vals[best] * (1.0 + 1e-9)
+        assert vals[best] - objective(got) <= 1e-4 * vals[best]
+        assert np.linalg.norm(got - grid[best]) <= 0.02
+
+
+@pytest.mark.parametrize("link", [SIG, CLAMP], ids=["sigmoid", "clamped"])
+def test_projection_one_dimensional_is_sign(link):
+    # the unit ball of R^1 has the boundary {-1, 1}, and F decreases toward
+    # theta_raw, so the projection is the sign of theta_raw
+    rng = np.random.default_rng(16)
+    h, _ = random_history(rng, d=1, n=25)
+    obj = DuelObjective(h, 1.0, link)
+    for raw in (1.7, -2.3, 1.0 + 1e-9, -40.0):
+        got = project_theta(np.array([raw]), obj, h.design)
+        np.testing.assert_array_equal(got, np.array([math.copysign(1.0, raw)]))
+
+
+def test_projection_clamped_link_flat_region():
+    # every difference gives |d^T theta| > 1 near the solution, where the
+    # clamped-linear slope is 0: J = lam I there and F is the quadratic
+    # lam^2 ||theta - theta_raw||^2_{M^-1}.  Both the first-order
+    # conditions and a 10k-point angular grid confirm convergence.
+    diffs = np.array([[1.8, 0.1], [-1.7, 0.3], [1.9, -0.2], [-1.6, -0.4]])
+    h = history_from(diffs, [1, 0, 1, 1])
+    lam = 1.0
+    raw = np.array([2.5, 0.6])
+    assert np.all(np.abs(diffs @ (raw / np.linalg.norm(raw))) > 1.0)
+    got = project_theta(raw, DuelObjective(h, lam, CLAMP), h.design)
+    assert abs(np.linalg.norm(got) - 1.0) <= 1e-12
+    assert np.all(np.abs(diffs @ got) > 1.0)
+    q = lam * lam * np.linalg.solve(h.design.m, got - raw)
+    nu = -float(got @ q)
+    assert nu >= 0.0
+    assert np.linalg.norm(q + nu * got) <= 1e-6 * np.linalg.norm(q)
+    objective = projection_objective(diffs, lam, clamped, h.design.m, raw)
+    angles = np.linspace(0.0, 2.0 * np.pi, 10_000, endpoint=False)
+    grid_best = objective(np.column_stack([np.cos(angles), np.sin(angles)])).min()
+    assert abs(objective(got) - grid_best) <= 1e-6
 
 
 # ---------------------------------------------------------------- radius
