@@ -56,6 +56,13 @@ DEFAULT_RADIUS_SCALE = 0.03
 # (whose norm bound on theta is 1).
 _CLICK_NOISE_LEVEL = 0.5
 
+# Multiply-adds (rows x columns x d) in one block of the key-term pair scan:
+# half of 2^18, the size up to which OpenBLAS keeps a gemm on one thread.
+# A threaded product inside a pool worker wakes a second BLAS thread that
+# spins on the other worker's core.  At d=10 a block holds about 13,000
+# pairs, about 100 KB per temporary.
+_PAIR_BLOCK_MULADDS = 2**17
+
 
 @dataclass
 class DuelConfig:
@@ -110,25 +117,38 @@ def select_keyterm_pair(kind, rng_sel, spanner: Spanner, keyterm_feats, design: 
     raise DomainError(f"policy kind {kind!r} does not converse")
 
 
-def _max_info_pair(feats: np.ndarray, design: DesignMatrix, block: int = 512):
-    """argmax over pairs of ||x_k - x_k'||_{M^-1}; first hit in row-major order."""
-    n = feats.shape[0]
+def _max_info_pair(feats: np.ndarray, design: DesignMatrix):
+    """argmax over pairs k < k' of ||x_k - x_k'||_{M^-1}; first hit in
+    row-major order.
+
+    Scans the upper triangle of the pair matrix in row blocks.  A block
+    starting at row s covers only the columns right of s, and takes as many
+    rows as keep rows x columns x d within ``_PAIR_BLOCK_MULADDS``, so its
+    cross product stays a single-threaded gemm and its temporaries stay in
+    L2.  A block shape can move the last bit of a cross product, so two
+    pairs whose distances agree to within rounding may tie-break
+    differently than under another blocking.
+    """
+    n, d = feats.shape
     proj = feats @ design.m_inv  # n x d
     quad = np.einsum("ij,ij->i", proj, feats)
     best_val, best_pair = -np.inf, (0, min(1, n - 1))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        cross = proj[start:stop] @ feats.T  # rows x n
-        dist2 = quad[start:stop, None] + quad[None, :] - 2.0 * cross
-        # upper triangle only: canonical (low, high) pairs, ties to lowest
-        cols = np.arange(n)[None, :]
-        rows = np.arange(start, stop)[:, None]
-        dist2[cols <= rows] = -np.inf
-        flat = int(np.argmax(dist2))
-        r, c = divmod(flat, n)
+    start = 0
+    while start < n - 1:
+        width = n - 1 - start  # columns start + 1 .. n - 1
+        stop = min(start + max(1, _PAIR_BLOCK_MULADDS // (width * d)), n - 1)
+        cross = proj[start:stop] @ feats[start + 1 :].T
+        cross *= 2.0
+        dist2 = quad[start:stop, None] + quad[None, start + 1 :]
+        dist2 -= cross
+        # entries at or left of the diagonal are self-pairs or repeat a
+        # pair as (high, low)
+        dist2[np.tri(stop - start, width, -1, dtype=bool)] = -np.inf
+        r, c = divmod(int(np.argmax(dist2)), width)
         val = float(dist2[r, c])
         if val > best_val:  # strict: earliest block wins ties
-            best_val, best_pair = val, (start + r, c)
+            best_val, best_pair = val, (start + r, start + 1 + c)
+        start = stop
     return best_pair
 
 

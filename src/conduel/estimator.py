@@ -234,7 +234,8 @@ def project_theta(theta_raw, obj: DuelObjective, design: DesignMatrix) -> np.nda
     The stepped point is renormalized and accepted only when F strictly
     falls, the step halving otherwise, so the last iterate is the best one
     seen.  Stops on a relative decrease below the tolerance, on F at the
-    floor, on no accepted step, or at the iteration cap.
+    floor, on a zero tangent step (always, at d=1), on no accepted step, or
+    at the iteration cap.
     """
     theta_raw = np.asarray(theta_raw, dtype=float)
     raw_norm = float(np.linalg.norm(theta_raw))
@@ -271,6 +272,8 @@ def project_theta(theta_raw, obj: DuelObjective, design: DesignMatrix) -> np.nda
         kkt[dim, :dim] = theta
         rhs[:dim] = -half_grad
         step = np.linalg.solve(kkt, rhs)[:dim]
+        if not step.any():  # at d=1 the tangent space is a point
+            break
         moved = False
         scale = 1.0
         for _halving in range(30):

@@ -79,13 +79,43 @@ def test_maxinp_pair_matches_bruteforce_under_random_metric():
     assert m_inv_norm(dm, feats[got[0]] - feats[got[1]]) == pytest.approx(max(dists.values()))
 
 
-def test_maxinp_pair_blocked_scan_matches_direct():
-    rng = np.random.default_rng(2)
-    feats = rng.normal(size=(40, 4))
-    dm = random_spd_design(rng, 4)
-    from conduel.dueling import _max_info_pair
+def first_max_pair(feats, m_inv):
+    """Row-major first (k, k') with k < k' maximizing ||x_k - x_k'||_{M^-1},
+    one row of difference vectors at a time; a single row pairs with itself."""
+    n = feats.shape[0]
+    best_val, best = -np.inf, (0, min(1, n - 1))
+    for k in range(n - 1):
+        diffs = feats[k] - feats[k + 1 :]
+        vals = np.einsum("ij,jk,ik->i", diffs, m_inv, diffs)
+        c = int(np.argmax(vals))
+        if vals[c] > best_val:
+            best_val, best = vals[c], (k, k + 1 + c)
+    return best
 
-    assert _max_info_pair(feats, dm, block=7) == _max_info_pair(feats, dm, block=4096)
+
+def test_maxinp_pair_blocked_scan_matches_direct():
+    from conduel.dueling import _PAIR_BLOCK_MULADDS, _max_info_pair
+
+    rng = np.random.default_rng(2)
+    # continuous features: a unique maximum, scanned over many blocks at d=10
+    for n, d in [(1, 3), (2, 3), (3, 1), (600, 1), (600, 3), (600, 10)]:
+        feats = rng.normal(size=(n, d))
+        dm = random_spd_design(rng, d)
+        assert _max_info_pair(feats, dm) == first_max_pair(feats, dm.m_inv), (n, d)
+
+    # small-integer features under M^-1 = I: every distance is exact, so many
+    # pairs tie exactly; copies of the two extreme rows straddle the edge
+    # between the first and second block
+    for d in (1, 3):
+        n = 600
+        edge = _PAIR_BLOCK_MULADDS // ((n - 1) * d)  # rows of the first block
+        assert 1 < edge < n // 2
+        feats = rng.integers(-1, 2, size=(n, d)).astype(float)
+        feats[[edge - 1, edge, edge + 3]] = 2.0
+        feats[[edge + 1, n - 7, n - 2]] = -2.0
+        dm = DesignMatrix(d, 1.0)
+        got = _max_info_pair(feats, dm)
+        assert got == first_max_pair(feats, dm.m_inv) == (edge - 1, edge + 1), d
 
 
 def test_empty_keyterm_set_rejected():

@@ -542,6 +542,30 @@ def test_projection_one_dimensional_is_sign(link):
         np.testing.assert_array_equal(got, np.array([math.copysign(1.0, raw)]))
 
 
+class CountingObjective(DuelObjective):
+    __slots__ = ("mean_map_calls",)
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.mean_map_calls = 0
+
+    def mean_map(self, theta, z=None):
+        self.mean_map_calls += 1
+        return super().mean_map(theta, z)
+
+
+@pytest.mark.parametrize("link", [SIG, CLAMP], ids=["sigmoid", "clamped"])
+def test_projection_one_dimensional_stops_at_zero_step(link):
+    # at d=1 the tangent step is exactly zero, so one pass for the target and
+    # one for the radial start are all the solve needs
+    h = history_from([[0.8], [-1.3], [0.4]], [1, 0, 0])
+    for raw in (2.5, -3.0):
+        obj = CountingObjective(h, 1.0, link)
+        got = project_theta(np.array([raw]), obj, h.design)
+        np.testing.assert_array_equal(got, np.array([math.copysign(1.0, raw)]))
+        assert obj.mean_map_calls <= 2
+
+
 def test_projection_clamped_link_flat_region():
     # every difference gives |d^T theta| > 1 near the solution, where the
     # clamped-linear slope is 0: J = lam I there and F is the quadratic

@@ -57,6 +57,19 @@ def test_worker_count_does_not_change_results():
     np.testing.assert_array_equal(serial.inst, parallel.inst)
 
 
+def test_worker_count_does_not_change_maxinp_results():
+    from conduel.dueling import _PAIR_BLOCK_MULADDS
+
+    # 300 key-terms at d=3 span more than one block of the key-term pair scan
+    n_keyterms, dim = 300, 3
+    assert _PAIR_BLOCK_MULADDS // ((n_keyterms - 1) * dim) < n_keyterms - 1
+    es = small_envset(n_keyterms=n_keyterms, n_arms=100, dim=dim)
+    kw = dict(seeds=[0, 1], schedule=Schedule("prop", 0.5), pool_size=6, users=2)
+    serial = run_experiment(es, "conduel-maxinp", 25, workers=1, **kw)
+    parallel = run_experiment(es, "conduel-maxinp", 25, workers=2, **kw)
+    assert serial.inst.tobytes() == parallel.inst.tobytes()
+
+
 def test_trace_aggregates():
     inst = np.array([[1.0, 0.0, 2.0], [3.0, 1.0, 0.0]])
     tr = RegretTrace("conduel", "dueling", [(0, 0), (0, 1)], inst)
