@@ -8,7 +8,6 @@ from .dueling import (
     RconucbPolicy,
     RoundRecord,
     build_candidate_set,
-    make_duel_policy,
     select_arm_pair,
     select_keyterm_pair,
 )

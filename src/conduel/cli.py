@@ -28,7 +28,13 @@ from .errors import ConduelError, ConfigError
 from .harness import ALL_KINDS, regret_kind_of, run_experiment
 from .hetrec import IngestConfig, build_environment, parse_hetrec
 from .mnl import DEFAULT_MNL_RADIUS_SCALE, MnlConfig
-from .report import read_aggregate_csv, render_chart, write_aggregate_csv, write_trace_csv
+from .report import (
+    read_aggregate_csv,
+    render_chart,
+    write_aggregate_csv,
+    write_text,
+    write_trace_csv,
+)
 from .spanner import build_spanner
 
 __all__ = ["RunConfig", "main"]
@@ -172,6 +178,10 @@ def _emit(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
+def _write_summary(path, summary) -> None:
+    write_text(path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
+
+
 def cmd_synth(args) -> int:
     cfg = load_config(args)
     envset = _load_envset(dataclasses.replace(cfg, env=""))
@@ -200,7 +210,7 @@ def cmd_prep(args) -> int:
         dim=cfg.d,
         link=cfg.link,
     )
-    envset = build_environment(raw, ingest, seed=cfg.env_seed)
+    envset = build_environment(raw, ingest)
     os.makedirs(os.path.dirname(os.path.abspath(args.out_file)), exist_ok=True)
     digest = export_environment(envset, args.out_file)
     _emit(
@@ -269,10 +279,7 @@ def cmd_run(args) -> int:
     configs = _policy_configs(cfg)
     envset = _load_envset(cfg)
     summary = _run_algorithms(cfg, envset, cfg.out, schedule, configs)
-    summary_path = os.path.join(cfg.out, "summary.json")
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_summary(os.path.join(cfg.out, "summary.json"), summary)
     _emit(summary)
     return 0
 
@@ -293,7 +300,7 @@ def cmd_sweep(args) -> int:
                 schedule = Schedule(fam, float(n))
                 out_dir = os.path.join(cfg.out, cell)
                 summary[cell] = _run_algorithms(cfg, envset, out_dir, schedule, configs)
-    elif args.axis == "dimension":
+    else:  # dimension: argparse admits only the two axes
         if cfg.env:
             raise ConfigError("dimension sweep regenerates synthetic environments; remove env=")
         schedule = Schedule.parse(cfg.schedule)
@@ -303,15 +310,7 @@ def cmd_sweep(args) -> int:
             envset = _load_envset(cell_cfg)
             out_dir = os.path.join(cfg.out, cell)
             summary[cell] = _run_algorithms(cell_cfg, envset, out_dir, schedule, configs)
-    else:
-        raise ConfigError(f"unknown sweep axis {args.axis!r}")
-    if not summary:
-        raise ConfigError("sweep produced no cells; check the values list")
-    summary_path = os.path.join(cfg.out, f"sweep_{args.axis}_summary.json")
-    os.makedirs(cfg.out, exist_ok=True)
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_summary(os.path.join(cfg.out, f"sweep_{args.axis}_summary.json"), summary)
     _emit(summary)
     return 0
 

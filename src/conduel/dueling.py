@@ -31,7 +31,6 @@ __all__ = [
     "select_arm_pair",
     "DuelPolicy",
     "RconucbPolicy",
-    "make_duel_policy",
 ]
 
 # GLM policies with a conversation module, without one, and the adapted
@@ -101,8 +100,9 @@ def select_keyterm_pair(kind, rng_sel, spanner: Spanner, keyterm_feats, design: 
     conduel draws two members independently from the spanner (they may
     coincide; a coincident pair is a no-op update).  conduel-random draws
     from the whole key-term set.  conduel-maxinp takes the pair with the
-    largest difference norm under the current inverse design matrix, ties to
-    the lowest id pair.
+    largest computed difference norm under the current inverse design matrix:
+    the first maximum in row-major order.  x_k M^-1 x_j is not bitwise
+    symmetric, so key-terms of identical features may break a tie either way.
     """
     n = keyterm_feats.shape[0]
     if n == 0:
@@ -188,8 +188,10 @@ def select_arm_pair(mode, candidates, pool_feats, design: DesignMatrix, rng_sel)
 
     ``sampled_first``: first arm uniform, second the most uncertain against
     it.  ``full_maxinp``: most uncertain pair overall.  ``random``: both
-    uniform without replacement.  Ties resolve to the lowest position pair; a
-    single candidate duels itself.
+    uniform without replacement.  ``full_maxinp`` takes the first maximum of
+    the computed distances in row-major order; candidates of identical
+    features may break a tie either way, since x_k M^-1 x_j is not bitwise
+    symmetric.  A single candidate duels itself.
     """
     candidates = np.asarray(candidates, dtype=int)
     if candidates.size == 0:
@@ -304,16 +306,13 @@ class RconucbPolicy:
     def __init__(
         self,
         kind: str,
-        link: LinkFunction,
         keyterm_feats: np.ndarray,
-        spanner: Spanner | None,
         stream: streams.RunStream,
         config: DuelConfig | None = None,
     ):
         if kind not in RCONUCB_KINDS:
             raise DomainError(f"unknown linear baseline kind {kind!r}")
         self.kind = kind
-        self.link = link
         self.keyterm_feats = np.asarray(keyterm_feats, dtype=float)
         self.stream = stream
         self.config = config or DuelConfig()
@@ -371,9 +370,3 @@ class RconucbPolicy:
             conversations=conversations,
             n_candidates=len(pool_ids),
         )
-
-
-def make_duel_policy(kind, link, keyterm_feats, spanner, stream, config=None):
-    if kind in RCONUCB_KINDS:
-        return RconucbPolicy(kind, link, keyterm_feats, spanner, stream, config)
-    return DuelPolicy(kind, link, keyterm_feats, spanner, stream, config)

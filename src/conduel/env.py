@@ -228,23 +228,28 @@ class SimulatedUser:
                 return i
         return -1
 
+    def revenues(self, pool_feats) -> np.ndarray:
+        """Per-item revenue of the given features; it equals the true utility."""
+        return np.asarray(pool_feats) @ self.theta_star
 
-def dueling_regret(theta_star, pool_feats, first: int, second: int) -> float:
+
+def dueling_regret(user: SimulatedUser, pool_feats, first: int, second: int) -> float:
     """Pool-best utility minus the offered pair's average utility."""
-    util = np.asarray(pool_feats) @ theta_star
+    util = np.asarray(pool_feats) @ user.theta_star
     return float(util.max() - 0.5 * (util[first] + util[second]))
 
 
-def mnl_regret(theta_star, pool_feats, offered_positions, q: int) -> float:
-    """Revenue gap to the exact optimal assortment under the true model.
+def mnl_regret(user: SimulatedUser, pool_feats, offered_positions, q: int) -> float:
+    """Revenue gap to the exact optimal assortment under the true model, with
+    the user's revenues.
 
-    Revenues equal true utilities.  Nonnegative up to floating-point rounding,
-    since the optimizer is exact over all sets of at most q items.
+    Nonnegative up to floating-point rounding, since the optimizer is exact
+    over all sets of at most q items.
     """
-    util = np.asarray(pool_feats) @ theta_star
-    best = optimal_assortment(util, util, q)
-    offered_positions = np.asarray(offered_positions, dtype=int)
-    got = expected_revenue(
-        np.asarray(pool_feats)[offered_positions], theta_star, util[offered_positions]
-    )
-    return float(expected_revenue(np.asarray(pool_feats)[best], theta_star, util[best]) - got)
+    pool_feats = np.asarray(pool_feats)
+    util = pool_feats @ user.theta_star
+    revenues = user.revenues(pool_feats)
+    best = optimal_assortment(util, revenues, q)
+    offered = np.asarray(offered_positions, dtype=int)
+    got = expected_revenue(pool_feats[offered], user.theta_star, revenues[offered])
+    return float(expected_revenue(pool_feats[best], user.theta_star, revenues[best]) - got)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as streams
-from .dueling import DUEL_KINDS, DuelConfig, RCONUCB_KINDS, make_duel_policy
+from .dueling import DUEL_KINDS, DuelConfig, DuelPolicy, RCONUCB_KINDS, RconucbPolicy
 from .env import EnvironmentSet, Schedule, dueling_regret, mnl_regret
 from .errors import ConfigError, NumericalError
 from .mnl import MNL_KINDS, MnlConfig, MnlPolicy
@@ -82,22 +82,22 @@ def _play_cell(
     envset: EnvironmentSet,
     spanner: Spanner,
     algorithm: str,
-    user: int,
-    seed: int,
     horizon: int,
     schedule: Schedule,
     pool_size: int,
     duel_config: DuelConfig,
     mnl_config: MnlConfig,
+    user: int,
+    seed: int,
 ) -> np.ndarray:
     oracle = envset.user(user)
-    theta_star = oracle.theta_star
     stream = streams.RunStream(seed)
-    is_mnl = algorithm in MNL_KINDS
-    if is_mnl:
+    if algorithm in MNL_KINDS:
         policy = MnlPolicy(algorithm, envset.keyterm_feats, spanner, stream, mnl_config)
+    elif algorithm in RCONUCB_KINDS:
+        policy = RconucbPolicy(algorithm, envset.keyterm_feats, stream, duel_config)
     else:
-        policy = make_duel_policy(
+        policy = DuelPolicy(
             algorithm, envset.link, envset.keyterm_feats, spanner, stream, duel_config
         )
     n_arms = envset.n_arms
@@ -106,16 +106,14 @@ def _play_cell(
     for t in range(1, horizon + 1):
         pool = np.sort(stream.at(t, streams.POOL).choice(n_arms, size=size, replace=False))
         pool_feats = envset.arms[pool]
-        q_t = schedule.conversations(t)
-        b_t = schedule.b(t)
         try:
-            if is_mnl:
-                revenues = pool_feats @ theta_star
-                rec = policy.play_round(pool, pool_feats, oracle, t, q_t, b_t, revenues)
-                r = mnl_regret(theta_star, pool_feats, rec.assortment, mnl_config.q)
+            rec = policy.play_round(
+                pool, pool_feats, oracle, t, schedule.conversations(t), schedule.b(t)
+            )
+            if rec.assortment is None:
+                r = dueling_regret(oracle, pool_feats, rec.pair[0], rec.pair[1])
             else:
-                rec = policy.play_round(pool, pool_feats, oracle, t, q_t, b_t)
-                r = dueling_regret(theta_star, pool_feats, rec.pair[0], rec.pair[1])
+                r = mnl_regret(oracle, pool_feats, rec.assortment, mnl_config.q)
         except Exception as exc:
             raise NumericalError(
                 f"run failed at algorithm={algorithm} user={user} seed={seed} round={t}: {exc}"
@@ -129,20 +127,29 @@ def _play_cell(
     return inst
 
 
-_WORKER_STATE: dict = {}
+# _play_cell's arguments before (user, seed), set once in each pool worker
+_CELL_ARGS: tuple = ()
 
 
-def _worker_init(payload):
-    _WORKER_STATE["payload"] = payload
+def _worker_init(cell_args: tuple) -> None:
+    global _CELL_ARGS
+    _CELL_ARGS = cell_args
 
 
-def _worker_run(cell):
-    user, seed = cell
-    p = _WORKER_STATE["payload"]
-    return _play_cell(
-        p["envset"], p["spanner"], p["algorithm"], user, seed, p["horizon"],
-        p["schedule"], p["pool_size"], p["duel_config"], p["mnl_config"],
-    )
+def _worker_run(cell) -> np.ndarray:
+    return _play_cell(*_CELL_ARGS, *cell)
+
+
+def _cell_rows(cell_args: tuple, cells: list, workers: int):
+    """Each cell's regret row, in cell order, on ``workers`` processes."""
+    if workers == 1:
+        for cell in cells:
+            yield _play_cell(*cell_args, *cell)
+        return
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_worker_init, initargs=(cell_args,)
+    ) as pool:
+        yield from pool.map(_worker_run, cells, chunksize=1)
 
 
 def run_experiment(
@@ -187,35 +194,16 @@ def run_experiment(
         spanner = build_spanner(envset.keyterm_feats)
 
     cells = [(u, s) for u in users for s in seeds]
-    payload = {
-        "envset": envset,
-        "spanner": spanner,
-        "algorithm": algorithm,
-        "horizon": horizon,
-        "schedule": schedule,
-        "pool_size": pool_size,
-        "duel_config": duel_config,
-        "mnl_config": mnl_config,
-    }
+    cell_args = (
+        envset, spanner, algorithm, horizon, schedule, pool_size, duel_config, mnl_config
+    )
     if workers <= 0:
         workers = os.cpu_count() or 1
     rows = []
-    if workers == 1 or len(cells) == 1:
-        _worker_init(payload)
-        for i, cell in enumerate(cells):
-            rows.append(_worker_run(cell))
-            if progress:
-                progress(algorithm, i + 1, len(cells))
-    else:
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(cells)),
-            initializer=_worker_init,
-            initargs=(payload,),
-        ) as pool:
-            for i, row in enumerate(pool.map(_worker_run, cells, chunksize=1)):
-                rows.append(row)
-                if progress:
-                    progress(algorithm, i + 1, len(cells))
+    for row in _cell_rows(cell_args, cells, min(workers, len(cells))):
+        rows.append(row)
+        if progress:
+            progress(algorithm, len(rows), len(cells))
     inst = np.vstack(rows)
     fp = config_fingerprint(
         {

@@ -124,7 +124,7 @@ def _normalize_rows(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_environment(raw: RawInteractions, config: IngestConfig = IngestConfig(), seed: int = 0) -> EnvironmentSet:
+def build_environment(raw: RawInteractions, config: IngestConfig = IngestConfig()) -> EnvironmentSet:
     """Build the simulation universe from parsed interactions.
 
     Selection: the ``n_items`` items with the most distinct tag assignments
@@ -133,10 +133,8 @@ def build_environment(raw: RawInteractions, config: IngestConfig = IngestConfig(
     related tags; the union forms the key-term set with equal per-item
     weights.  Features come from a rank-``dim`` SVD of the binary
     user-by-item feedback matrix; rows are unit-normalized and the matching
-    left factors become the users' hidden preference vectors.
-
-    ``seed`` is recorded in provenance only; the construction has no
-    randomness.
+    left factors become the users' hidden preference vectors.  The
+    construction has no randomness.
     """
     if raw.n_items < config.n_items or raw.n_users < config.n_users:
         raise StructuralError(
@@ -219,7 +217,6 @@ def build_environment(raw: RawInteractions, config: IngestConfig = IngestConfig(
         theta_stars=theta,
         provenance={
             "source": "hetrec",
-            "seed": int(seed),
             "n_raw_records": int(raw.n_raw),
             "n_deduplicated": int(len(raw)),
             "n_keyterms": int(len(tag_list)),

@@ -297,7 +297,8 @@ class MnlPolicy:
     kinds) query q spanner key-terms per conversation, recording outcomes and
     growing the design matrix with every offered feature.  Afterwards each
     round refits the MLE, forms optimistic utilities, and offers the exact
-    revenue-optimal assortment.  The plain kind skips conversations.
+    revenue-optimal assortment under the revenues of the user it offers to.
+    The plain kind skips conversations.
     """
 
     def __init__(
@@ -339,9 +340,7 @@ class MnlPolicy:
         u = ucb_utilities(self.theta, self.history.design, alpha, self.keyterm_feats)
         return np.sort(np.argsort(-u, kind="stable")[:q])
 
-    def play_round(
-        self, pool_ids, pool_feats, oracle, t, n_conversations, b_of_t, revenues
-    ) -> RoundRecord:
+    def play_round(self, pool_ids, pool_feats, oracle, t, n_conversations, b_of_t) -> RoundRecord:
         cfg = self.config
         conversations = []
         if self.converses and n_conversations > 0:
@@ -370,7 +369,7 @@ class MnlPolicy:
             self.theta = mnl_mle_fit(self.history, theta0=self.theta)
             alpha = self.radius(t, b_of_t)
             z = ucb_utilities(self.theta, self.history.design, alpha, pool_feats)
-            sel = optimal_assortment(z, revenues, cfg.q)
+            sel = optimal_assortment(z, oracle.revenues(pool_feats), cfg.q)
 
         if sel.size:
             offered = pool_feats[sel]

@@ -21,7 +21,13 @@ from .envfile import fmt17
 from .errors import DataFormatError
 from .harness import RegretTrace
 
-__all__ = ["write_trace_csv", "write_aggregate_csv", "read_aggregate_csv", "render_chart"]
+__all__ = [
+    "write_text",
+    "write_trace_csv",
+    "write_aggregate_csv",
+    "read_aggregate_csv",
+    "render_chart",
+]
 
 
 def write_trace_csv(path, trace: RegretTrace) -> None:
@@ -33,7 +39,7 @@ def write_trace_csv(path, trace: RegretTrace) -> None:
         cum_row = cum[row]
         for t in range(trace.horizon):
             out.append(f"{t + 1},{label},{fmt17(inst_row[t])},{fmt17(cum_row[t])}")
-    _write(path, "\n".join(out) + "\n")
+    write_text(path, "\n".join(out) + "\n")
 
 
 def write_aggregate_csv(path, trace: RegretTrace) -> None:
@@ -42,10 +48,12 @@ def write_aggregate_csv(path, trace: RegretTrace) -> None:
     out = ["t,mean_cum,stderr_cum"]
     for t in range(trace.horizon):
         out.append(f"{t + 1},{fmt17(mean[t])},{fmt17(err[t])}")
-    _write(path, "\n".join(out) + "\n")
+    write_text(path, "\n".join(out) + "\n")
 
 
-def _write(path, text: str) -> None:
+def write_text(path, text: str) -> None:
+    """Write through a temporary file and ``os.replace``, so an interrupted
+    write never leaves a truncated file at ``path``."""
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -176,4 +184,4 @@ def render_chart(curves, path, absolute_labels=()) -> None:
         _panel(svg, panel, 64.0, float(y), width - 96.0, float(panel_h), title)
         y += panel_h + margin
     svg.append("</svg>")
-    _write(path, "\n".join(svg) + "\n")
+    write_text(path, "\n".join(svg) + "\n")

@@ -195,13 +195,18 @@ def test_missing_dataset_file_fails_with_path(tmp_path, capsys):
     assert "none.dat" in err
 
 
-def test_prep_toy_dataset(tmp_path, capsys):
+def _toy_tags(tmp_path):
     rows = ["userID\titemID\ttagID"]
     for u in range(4):
         for it in range(6):
             rows.append(f"{u}\t{it}\t{100 + (u + it) % 3}")
     tags = tmp_path / "tags.dat"
     tags.write_text("\n".join(rows) + "\n")
+    return tags
+
+
+def test_prep_toy_dataset(tmp_path, capsys):
+    tags = _toy_tags(tmp_path)
     out = tmp_path / "env.json"
     code, stdout, _ = run_cli(
         capsys, "prep", "--tags", str(tags), "--out-file", str(out),
@@ -218,6 +223,20 @@ def test_prep_toy_dataset(tmp_path, capsys):
         "--items", "6", "--top-users", "4", "--tags-per-item", "2", "--d", "2",
     )
     assert json.loads(stdout2)["checksum"] == summary["checksum"]
+
+
+def test_prep_output_does_not_depend_on_env_seed(tmp_path, capsys):
+    # the construction has no randomness, so the seed must not reach the file
+    tags = _toy_tags(tmp_path)
+    outs = [tmp_path / "env1.json", tmp_path / "env2.json"]
+    for env_seed, out in zip(("1", "2"), outs):
+        code, _, _ = run_cli(
+            capsys, "prep", "--tags", str(tags), "--out-file", str(out),
+            "--items", "6", "--top-users", "4", "--tags-per-item", "2", "--d", "2",
+            "--env-seed", env_seed,
+        )
+        assert code == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_sweep_frequency_axis(env_file, tmp_path, capsys):

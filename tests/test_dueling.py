@@ -7,10 +7,11 @@ from scipy.optimize import minimize
 
 from conduel import rng as streams
 from conduel.dueling import (
+    RCONUCB_KINDS,
     DuelConfig,
     DuelPolicy,
+    RconucbPolicy,
     build_candidate_set,
-    make_duel_policy,
     select_arm_pair,
     select_keyterm_pair,
 )
@@ -298,10 +299,11 @@ def test_unknown_mode_rejected():
 
 
 def make_policy(kind, es, seed=0, **cfg_kwargs):
+    stream, config = streams.RunStream(seed), DuelConfig(**cfg_kwargs)
+    if kind in RCONUCB_KINDS:
+        return RconucbPolicy(kind, es.keyterm_feats, stream, config)
     sp = build_spanner(es.keyterm_feats)
-    return make_duel_policy(
-        kind, es.link, es.keyterm_feats, sp, streams.RunStream(seed), DuelConfig(**cfg_kwargs)
-    )
+    return DuelPolicy(kind, es.link, es.keyterm_feats, sp, stream, config)
 
 
 def run_rounds(policy, es, user, seed, horizon, schedule, pool_size=8):

@@ -219,14 +219,14 @@ def test_dueling_regret_examples():
     pool = arms[:6]
     util = pool @ theta
     best = int(np.argmax(util))
-    assert dueling_regret(theta, pool, best, best) == pytest.approx(0.0)
+    assert dueling_regret(user, pool, best, best) == pytest.approx(0.0)
     other = (best + 1) % 6
-    assert dueling_regret(theta, pool, best, other) == pytest.approx(
+    assert dueling_regret(user, pool, best, other) == pytest.approx(
         0.5 * (util[best] - util[other])
     )
     rng = np.random.default_rng(10)
     i, j = rng.integers(6, size=2)
-    assert dueling_regret(theta, pool, int(i), int(j)) == pytest.approx(
+    assert dueling_regret(user, pool, int(i), int(j)) == pytest.approx(
         util.max() - 0.5 * (util[i] + util[j])
     )
 
@@ -237,13 +237,13 @@ def test_mnl_regret_examples():
     pool = arms[:8]
     util = pool @ theta
     best = optimal_assortment(util, util, 3)
-    assert mnl_regret(theta, pool, best, 3) == pytest.approx(0.0, abs=1e-12)
-    assert mnl_regret(theta, pool, np.array([], dtype=int), 3) == pytest.approx(
+    assert mnl_regret(user, pool, best, 3) == pytest.approx(0.0, abs=1e-12)
+    assert mnl_regret(user, pool, np.array([], dtype=int), 3) == pytest.approx(
         expected_revenue(pool[best], theta, util[best])
     )
     some = np.array([0, 1], dtype=int)
     direct = expected_revenue(pool[best], theta, util[best]) - expected_revenue(
         pool[some], theta, util[some]
     )
-    assert mnl_regret(theta, pool, some, 3) == pytest.approx(direct)
-    assert mnl_regret(theta, pool, some, 3) >= -1e-12
+    assert mnl_regret(user, pool, some, 3) == pytest.approx(direct)
+    assert mnl_regret(user, pool, some, 3) >= -1e-12

@@ -49,12 +49,20 @@ def test_identical_seeds_bit_identical():
     assert a.fingerprint == b.fingerprint
 
 
-def test_worker_count_does_not_change_results():
+@pytest.mark.parametrize("algorithm", ["conduel", "conmnl", "rconucb-diff"])
+def test_worker_count_does_not_change_results(algorithm):
+    # one algorithm of each policy family
     es = small_envset()
-    kw = dict(seeds=[0, 1, 2], schedule=Schedule("prop", 0.3), pool_size=6, users=2)
-    serial = run_experiment(es, "conduel", 25, workers=1, **kw)
-    parallel = run_experiment(es, "conduel", 25, workers=2, **kw)
-    np.testing.assert_array_equal(serial.inst, parallel.inst)
+    kw = dict(
+        seeds=[0, 1, 2],
+        schedule=Schedule("prop", 0.3),
+        pool_size=6,
+        users=2,
+        mnl_config=MnlConfig(q=3, t0=10),
+    )
+    serial = run_experiment(es, algorithm, 25, workers=1, **kw)
+    parallel = run_experiment(es, algorithm, 25, workers=2, **kw)
+    assert serial.inst.tobytes() == parallel.inst.tobytes()
 
 
 def test_worker_count_does_not_change_maxinp_results():

@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import minimize
 
 from conduel import rng as streams
-from conduel.env import Schedule, SyntheticConfig, gen_synthetic
+from conduel.env import Schedule, SimulatedUser, SyntheticConfig, gen_synthetic
 from conduel.errors import DomainError, NumericalError, StructuralError
 from conduel.glm import DesignMatrix
 from conduel.mnl import (
@@ -462,10 +462,7 @@ def run_rounds(policy, es, user, seed, horizon, schedule, pool_size=10):
     for t in range(1, horizon + 1):
         pool = np.sort(stream.at(t, streams.POOL).choice(es.n_arms, pool_size, replace=False))
         feats = es.arms[pool]
-        rec = policy.play_round(
-            pool, feats, oracle, t, schedule.conversations(t), schedule.b(t),
-            revenues=feats @ oracle.theta_star,
-        )
+        rec = policy.play_round(pool, feats, oracle, t, schedule.conversations(t), schedule.b(t))
         records.append((pool, rec))
     return records
 
@@ -510,6 +507,26 @@ def _equal_utility_arms(rng, direction, n, level=0.4):
         tangent = w @ basis
         arms.append(level * direction + math.sqrt(1 - level ** 2) * tangent)
     return np.array(arms)
+
+
+def test_policy_reads_revenues_from_its_user_after_initialization():
+    class UnitRevenueUser(SimulatedUser):
+        def revenues(self, pool_feats):
+            calls.append(len(pool_feats))
+            return np.ones(len(pool_feats))
+
+    calls = []
+    es = small_envset()
+    oracle = UnitRevenueUser(es.theta_stars[0], es.link)
+    policy = make_policy("ucb-mnl", es, seed=2, q=3, t0=8)
+    stream = streams.RunStream(2)
+    for t in range(1, 21):
+        pool = np.sort(stream.at(t, streams.POOL).choice(es.n_arms, 10, replace=False))
+        rec = policy.play_round(pool, es.arms[pool], oracle, t, 0, 0.0)
+        assert len(calls) == max(t - 8, 0)
+        # unit revenues make every item pay, so a full-size set is optimal
+        assert len(rec.assortment) == 3
+    assert calls == [10] * 12
 
 
 def test_curvature_guard_triggers_without_initialization():
@@ -663,10 +680,7 @@ def test_optimistic_utility_sandwich_on_trace():
             total += 1
             if np.all(gap >= -1e-9) and np.all(gap <= cap + 1e-9):
                 hold += 1
-        policy.play_round(
-            pool, feats, oracle, t, sched.conversations(t), sched.b(t),
-            revenues=feats @ oracle.theta_star,
-        )
+        policy.play_round(pool, feats, oracle, t, sched.conversations(t), sched.b(t))
     assert hold / total >= 0.95
 
 
