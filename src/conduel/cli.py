@@ -126,6 +126,8 @@ def load_config(args) -> RunConfig:
             setattr(cfg, key, _coerce(key, flag))
     if not cfg.out:
         cfg.out = os.environ.get("CONDUEL_OUT", ".")
+    if cfg.env_seed < 0:
+        raise ConfigError(f"env_seed must be nonnegative, got {cfg.env_seed}")
     return cfg
 
 
@@ -139,11 +141,15 @@ def parse_seed_spec(spec: str) -> list:
             raise ConfigError(f"bad seed range {spec!r}") from exc
         if hi_i <= lo_i:
             raise ConfigError(f"empty seed range {spec!r}")
-        return list(range(lo_i, hi_i))
-    try:
-        return [int(s) for s in spec.split(",") if s.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"bad seed list {spec!r}") from exc
+        seeds = list(range(lo_i, hi_i))
+    else:
+        try:
+            seeds = [int(s) for s in spec.split(",") if s.strip() != ""]
+        except ValueError as exc:
+            raise ConfigError(f"bad seed list {spec!r}") from exc
+    if any(s < 0 for s in seeds):
+        raise ConfigError(f"seeds must be nonnegative, got {spec!r}")
+    return seeds
 
 
 def _algorithms(cfg: RunConfig) -> list:
@@ -227,19 +233,19 @@ def cmd_prep(args) -> int:
     return 0
 
 
-def _policy_configs(cfg: RunConfig) -> tuple:
-    """The dueling and choice-model configs; building them checks every setting."""
+def _run_settings(cfg: RunConfig) -> tuple:
+    """The seeds and the dueling and choice-model configs; building them
+    checks every setting."""
     duel = DuelConfig(
         lam=cfg.lam, delta=cfg.delta, radius_scale=cfg.radius_scale, pair_mode=cfg.pair_mode
     )
     mnl = MnlConfig(q=cfg.q, t0=cfg.t0, kappa2=cfg.kappa2, radius_scale=cfg.mnl_radius_scale)
-    return duel, mnl
+    return parse_seed_spec(cfg.seeds), duel, mnl
 
 
-def _run_algorithms(cfg: RunConfig, envset, out_dir, schedule: Schedule, configs) -> dict:
+def _run_algorithms(cfg: RunConfig, envset, out_dir, schedule: Schedule, settings) -> dict:
     algos = _algorithms(cfg)
-    seeds = parse_seed_spec(cfg.seeds)
-    duel_cfg, mnl_cfg = configs
+    seeds, duel_cfg, mnl_cfg = settings
     os.makedirs(out_dir, exist_ok=True)
     spanner = build_spanner(envset.keyterm_feats)
     summary = {}
@@ -276,9 +282,9 @@ def _run_algorithms(cfg: RunConfig, envset, out_dir, schedule: Schedule, configs
 def cmd_run(args) -> int:
     cfg = load_config(args)
     schedule = Schedule.parse(cfg.schedule)
-    configs = _policy_configs(cfg)
+    settings = _run_settings(cfg)
     envset = _load_envset(cfg)
-    summary = _run_algorithms(cfg, envset, cfg.out, schedule, configs)
+    summary = _run_algorithms(cfg, envset, cfg.out, schedule, settings)
     _write_summary(os.path.join(cfg.out, "summary.json"), summary)
     _emit(summary)
     return 0
@@ -290,7 +296,7 @@ def cmd_sweep(args) -> int:
         values = [int(v) for v in args.values.split(",")] if args.values else None
     except ValueError as exc:
         raise ConfigError(f"bad sweep values {args.values!r}") from exc
-    configs = _policy_configs(cfg)
+    settings = _run_settings(cfg)
     summary = {}
     if args.axis == "frequency":
         envset = _load_envset(cfg)
@@ -299,7 +305,7 @@ def cmd_sweep(args) -> int:
                 cell = f"freq_{fam}_{n}"
                 schedule = Schedule(fam, float(n))
                 out_dir = os.path.join(cfg.out, cell)
-                summary[cell] = _run_algorithms(cfg, envset, out_dir, schedule, configs)
+                summary[cell] = _run_algorithms(cfg, envset, out_dir, schedule, settings)
     else:  # dimension: argparse admits only the two axes
         if cfg.env:
             raise ConfigError("dimension sweep regenerates synthetic environments; remove env=")
@@ -309,7 +315,7 @@ def cmd_sweep(args) -> int:
             cell_cfg = dataclasses.replace(cfg, d=int(d))
             envset = _load_envset(cell_cfg)
             out_dir = os.path.join(cfg.out, cell)
-            summary[cell] = _run_algorithms(cell_cfg, envset, out_dir, schedule, configs)
+            summary[cell] = _run_algorithms(cell_cfg, envset, out_dir, schedule, settings)
     _write_summary(os.path.join(cfg.out, f"sweep_{args.axis}_summary.json"), summary)
     _emit(summary)
     return 0

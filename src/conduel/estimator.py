@@ -107,10 +107,11 @@ class DuelObjective:
     Serves the value, the score, the mean-value map
     g(theta) = sum mu(d^T theta) d + lam theta, its Jacobian
     J(theta) = sum mu'(d^T theta) d d^T + lam I (minus the Hessian of the
-    value, hence ``information``).  Each method
-    takes the utility pass ``z = diffs @ theta`` when the caller already has
-    it.  Inputs are not validated: callers pass finite float arrays of the
-    history's dimension.
+    value, hence ``information``).  Each method takes the pass of
+    ``pass_at(theta)`` when the caller already has it: the utilities
+    ``z = diffs @ theta`` and the link's tail of z, so every evaluated point
+    pays for one exponential.  Inputs are not validated: callers pass
+    finite float arrays of the history's dimension.
     """
 
     __slots__ = ("diffs", "outcomes", "lam", "link", "_ridge")
@@ -124,40 +125,43 @@ class DuelObjective:
         self.link = link
         self._ridge = lam * np.eye(history.dim)
 
-    def value(self, theta, z=None) -> float:
-        if z is None:
-            z = self.diffs @ theta
+    def pass_at(self, theta) -> tuple:
+        """The utilities z = diffs @ theta and the link's tail of z."""
+        z = self.diffs @ theta
+        return z, self.link.tail(z)
+
+    def value(self, theta, p=None) -> float:
+        z, tail = self.pass_at(theta) if p is None else p
         reg = 0.5 * self.lam * float(theta @ theta)
-        return float(self.outcomes @ z - self.link.anti(z).sum()) - reg
+        return float(self.outcomes @ z - self.link.anti(z, tail).sum()) - reg
 
     def value_and_pass(self, theta):
-        """The value and the utility pass z, which the other methods reuse."""
-        z = self.diffs @ theta
-        return self.value(theta, z), z
+        """The value and the pass, which the other methods reuse."""
+        p = self.pass_at(theta)
+        return self.value(theta, p), p
 
-    def score(self, theta, z=None) -> np.ndarray:
+    def score(self, theta, p=None) -> np.ndarray:
         """Gradient of the value; zero exactly at the MLE."""
-        if z is None:
-            z = self.diffs @ theta
-        return self.diffs.T @ (self.outcomes - self.link.mu(z)) - self.lam * theta
+        z, tail = self.pass_at(theta) if p is None else p
+        return self.diffs.T @ (self.outcomes - self.link.mu(z, tail)) - self.lam * theta
 
-    def mean_map(self, theta, z=None) -> np.ndarray:
-        if z is None:
-            z = self.diffs @ theta
-        return self.diffs.T @ self.link.mu(z) + self.lam * theta
+    def mean_map(self, theta, p=None) -> np.ndarray:
+        z, tail = self.pass_at(theta) if p is None else p
+        return self.diffs.T @ self.link.mu(z, tail) + self.lam * theta
 
-    def information(self, theta, z=None) -> np.ndarray:
-        if z is None:
-            z = self.diffs @ theta
-        w = self.link.slope(z)
+    def information(self, theta, p=None) -> np.ndarray:
+        z, tail = self.pass_at(theta) if p is None else p
+        w = self.link.slope(z, tail)
         return self.diffs.T @ (w[:, None] * self.diffs) + self._ridge
 
 
 def _newton(obj, dim: int, theta0, tol: float, max_iters: int, what: str) -> tuple:
-    """Damped Newton ascent on a strictly concave objective; (theta, iterations).
+    """Damped Newton ascent on a strictly concave objective; (theta,
+    iterations, the pass at theta).
 
     ``obj`` serves ``value_and_pass(theta)``, which returns the value and a
-    per-point pass (utilities or choice probabilities), and ``score`` and
+    per-point pass (utilities and their link tail, or choice
+    probabilities), and ``score`` and
     ``information`` (minus the Hessian), which reuse that pass.  Each step
     is the Newton direction, halved until the value falls by no more than
     round-off; the accepted trial's value and pass carry over, so every
@@ -194,7 +198,7 @@ def _newton(obj, dim: int, theta0, tol: float, max_iters: int, what: str) -> tup
         grad = obj.score(theta, aux)
         grad_norm = math.sqrt(float(grad @ grad))
         iters += 1
-    return theta, iters
+    return theta, iters, aux
 
 
 def mle_fit(
@@ -209,16 +213,16 @@ def mle_fit(
 
     ``theta0`` warm-starts the solve (the objective is strictly concave, so
     the solution does not depend on it).  The projection measures in the
-    history's own design matrix.
+    history's own design matrix and reuses the fit's last pass.
     """
     obj = DuelObjective(history, lam, link)
-    theta, iters = _newton(obj, history.dim, theta0, tol, max_iters, "MLE")
+    theta, iters, p = _newton(obj, history.dim, theta0, tol, max_iters, "MLE")
     if float(np.linalg.norm(theta)) > 1.0:
-        return ThetaEstimate(theta, project_theta(theta, obj, history.design), True, iters)
+        return ThetaEstimate(theta, project_theta(theta, obj, history.design, p), True, iters)
     return ThetaEstimate(theta, theta.copy(), False, iters)
 
 
-def project_theta(theta_raw, obj: DuelObjective, design: DesignMatrix) -> np.ndarray:
+def project_theta(theta_raw, obj: DuelObjective, design: DesignMatrix, raw_pass=None) -> np.ndarray:
     """Pull an out-of-ball estimate back to the unit ball.
 
     Minimizes F(theta) = ||g(theta) - g(theta_raw)||^2_{M^-1} over the ball,
@@ -235,21 +239,22 @@ def project_theta(theta_raw, obj: DuelObjective, design: DesignMatrix) -> np.nda
     falls, the step halving otherwise, so the last iterate is the best one
     seen.  Stops on a relative decrease below the tolerance, on F at the
     floor, on a zero tangent step (always, at d=1), on no accepted step, or
-    at the iteration cap.
+    at the iteration cap.  ``raw_pass`` is ``obj.pass_at(theta_raw)`` when
+    the caller has it.
     """
     theta_raw = np.asarray(theta_raw, dtype=float)
     raw_norm = float(np.linalg.norm(theta_raw))
     if raw_norm <= 1.0:
         return theta_raw.copy()
     m_inv = design.m_inv
-    g_target = obj.mean_map(theta_raw)
+    g_target = obj.mean_map(theta_raw, raw_pass)
 
     def residual(th):
-        # F(th), the M^-1 residual, and the utility pass for the Jacobian
-        z = obj.diffs @ th
-        r = obj.mean_map(th, z) - g_target
+        # F(th), the M^-1 residual, and the pass for the Jacobian
+        p = obj.pass_at(th)
+        r = obj.mean_map(th, p) - g_target
         w = m_inv @ r
-        return float(r @ w), w, z
+        return float(r @ w), w, p
 
     dim = theta_raw.shape[0]
     # the bordered system; H + nu I is written in place through views
@@ -258,12 +263,12 @@ def project_theta(theta_raw, obj: DuelObjective, design: DesignMatrix) -> np.nda
     gn_block = kkt[:dim, :dim]
     gn_diag = kkt.reshape(-1)[: dim * (dim + 2) : dim + 2]
     theta = theta_raw / raw_norm
-    f_cur, w, z = residual(theta)
+    f_cur, w, p = residual(theta)
     floor = 1e-24  # below any scale the confidence radius can distinguish
     for _ in range(_PROJECT_MAX_ITERS):
         if f_cur <= floor:
             break
-        jac = obj.information(theta, z)
+        jac = obj.information(theta, p)
         half_grad = jac @ w
         nu = max(-float(theta @ half_grad), 0.0)
         np.matmul(jac, m_inv @ jac, out=gn_block)
@@ -279,7 +284,7 @@ def project_theta(theta_raw, obj: DuelObjective, design: DesignMatrix) -> np.nda
         for _halving in range(30):
             cand = theta + scale * step
             cand = cand / math.sqrt(float(cand @ cand))
-            f_new, w_new, z_new = residual(cand)
+            f_new, w_new, p_new = residual(cand)
             if f_new < f_cur:
                 moved = True
                 break
@@ -287,7 +292,7 @@ def project_theta(theta_raw, obj: DuelObjective, design: DesignMatrix) -> np.nda
         if not moved:
             break
         rel = (f_cur - f_new) / f_cur
-        theta, f_cur, w, z = cand, f_new, w_new, z_new
+        theta, f_cur, w, p = cand, f_new, w_new, p_new
         if rel < _PROJECT_REL_TOL:
             break
     return theta

@@ -44,47 +44,70 @@ class LinkFunction:
     which ``EnvironmentSet.validate`` checked, under a finite estimate.
     sigmoid: m(z) = log(1 + e^z), every function stable for large |z|;
     clamped_linear: m(-1) = 0, quadratic on [-1, 1], slope one beyond.
+    All three are built from ``tail(z)``, exp(-|z|) for the sigmoid and
+    nothing for the clamped-linear link; a caller that evaluates several of
+    them at one z passes the tail it already has, so the exponential is
+    taken once.
     """
 
-    __slots__ = ("kind", "kappa1", "mu", "slope", "anti")
+    __slots__ = ("kind", "kappa1", "tail", "_mu", "_slope", "_anti")
 
     def __init__(self, kind: str):
         if kind == "sigmoid":
             s2 = 1.0 / (1.0 + math.exp(-2.0))
             self.kappa1 = s2 * (1.0 - s2)
-            self.mu, self.slope, self.anti = _sig, _sig_slope, _sig_anti
+            self.tail, self._mu, self._slope, self._anti = (
+                _sig_tail, _sig, _sig_slope, _sig_anti
+            )
         elif kind == "clamped_linear":
             # Slope on the clamp region is 0; 0.5 is the interior value.
             self.kappa1 = 0.5
-            self.mu, self.slope, self.anti = _clamp, _clamp_slope, _clamp_anti
+            self.tail, self._mu, self._slope, self._anti = (
+                _no_tail, _clamp, _clamp_slope, _clamp_anti
+            )
         else:
             raise DomainError(f"unknown link kind: {kind!r}")
         self.kind = kind
 
+    def mu(self, z, tail=None):
+        return self._mu(z, self.tail(z) if tail is None else tail)
 
-def _sig(z):
-    e = np.exp(-np.abs(z))
+    def slope(self, z, tail=None):
+        return self._slope(z, self.tail(z) if tail is None else tail)
+
+    def anti(self, z, tail=None):
+        return self._anti(z, self.tail(z) if tail is None else tail)
+
+
+def _sig_tail(z):
+    return np.exp(-np.abs(z))
+
+
+def _sig(z, e):
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _sig_slope(z):
-    e = np.exp(-np.abs(z))
+def _sig_slope(z, e):
     return e / (1.0 + e) ** 2
 
 
-def _sig_anti(z):
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+def _sig_anti(z, e):
+    return np.maximum(z, 0.0) + np.log1p(e)
 
 
-def _clamp(z):
+def _no_tail(z):
+    return None
+
+
+def _clamp(z, _tail):
     return np.clip(0.5 * (1.0 + z), 0.0, 1.0)
 
 
-def _clamp_slope(z):
+def _clamp_slope(z, _tail):
     return np.where(np.abs(z) <= 1.0, 0.5, 0.0)
 
 
-def _clamp_anti(z):
+def _clamp_anti(z, _tail):
     return np.where(z <= -1.0, 0.0, np.where(z >= 1.0, z, 0.25 * (1.0 + z) ** 2))
 
 

@@ -180,6 +180,8 @@ def run_experiment(
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ConfigError("need at least one seed")
+    if min(seeds) < 0:
+        raise ConfigError(f"seeds must be nonnegative, got {min(seeds)}")
     if users is None:
         users = [0]
     elif isinstance(users, int):

@@ -6,9 +6,13 @@ A choice observation offers up to q features (arms or key-terms); the user
 picks one of them or the outside option.  ``MnlObjective`` is the only
 implementation of the choice log-likelihood, its score and its observed
 information; the fit runs the shared Newton solver of ``estimator`` on it.
-The likelihood is unregularized; identifiability comes from the
-forced-exploration initialization phase, and a vanishing ridge enters the
-information only to condition the Newton solve.
+``ChoiceHistory`` writes each observation's pad offsets, one-hot pick and
+flat pick index once, on append, so an objective is built from views; a
+pass reduces its short rows (``q`` slots) column by column, bit for bit the
+result of numpy's row reductions.  The likelihood is unregularized;
+identifiability comes from the forced-exploration initialization phase,
+and a vanishing ridge enters the information only to condition the Newton
+solve.
 """
 
 from __future__ import annotations
@@ -73,11 +77,15 @@ class MnlConfig:
 class ChoiceHistory:
     """Append-only store of choice observations and their design matrix.
 
-    Offers sit in padded buffers; ``design`` is ``ridge * I`` plus the sum
-    of x x^T over every offered feature.
+    Offers sit in padded buffers.  Each row also stores, once, what the
+    choice log-likelihood reads of it: the pad offsets (0 on offered slots,
+    -inf on padding), the one-hot pick and the pick's index into the
+    flattened (n * width) slots (the row's first slot for the outside
+    option).  ``design`` is ``ridge * I`` plus the sum of x x^T over every
+    offered feature.
     """
 
-    __slots__ = ("dim", "width", "design", "_feats", "_mask", "_chosen", "n")
+    __slots__ = ("dim", "width", "design", "_feats", "_pad", "_one_hot", "_pick", "_chosen", "n")
 
     def __init__(self, dim: int, width: int, ridge: float):
         if width < 1:
@@ -86,7 +94,9 @@ class ChoiceHistory:
         self.width = int(width)
         self.design = DesignMatrix(self.dim, ridge)
         self._feats = np.empty((64, self.width, self.dim))
-        self._mask = np.empty((64, self.width), dtype=bool)
+        self._pad = np.empty((64, self.width))
+        self._one_hot = np.empty((64, self.width))
+        self._pick = np.empty(64, dtype=np.int64)
         self._chosen = np.empty(64, dtype=np.int64)
         self.n = 0
 
@@ -99,17 +109,24 @@ class ChoiceHistory:
             raise StructuralError(f"offer size must be in [1, {self.width}]")
         if not (chosen == OUTSIDE or 0 <= chosen < m):
             raise StructuralError("chosen index out of range")
-        if self.n == len(self._chosen):
-            grow = max(2 * self.n, 64)
+        n = self.n
+        if n == len(self._chosen):
+            grow = max(2 * n, 64)
             self._feats = np.resize(self._feats, (grow, self.width, self.dim))
-            self._mask = np.resize(self._mask, (grow, self.width))
+            self._pad = np.resize(self._pad, (grow, self.width))
+            self._one_hot = np.resize(self._one_hot, (grow, self.width))
+            self._pick = np.resize(self._pick, grow)
             self._chosen = np.resize(self._chosen, grow)
         # every slot of row n is written, so nothing reads a stale buffer entry
-        self._feats[self.n, :m] = offered
-        self._feats[self.n, m:] = 0.0
-        self._mask[self.n, :m] = True
-        self._mask[self.n, m:] = False
-        self._chosen[self.n] = chosen
+        self._feats[n, :m] = offered
+        self._feats[n, m:] = 0.0
+        self._pad[n, :m] = 0.0
+        self._pad[n, m:] = -np.inf
+        self._one_hot[n] = 0.0
+        if chosen != OUTSIDE:
+            self._one_hot[n, chosen] = 1.0
+        self._pick[n] = n * self.width + max(chosen, 0)
+        self._chosen[n] = chosen
         self.n += 1
         for row in offered:
             self.design.update(row)
@@ -119,8 +136,20 @@ class ChoiceHistory:
         return self._feats[: self.n]
 
     @property
+    def pad(self):
+        return self._pad[: self.n]
+
+    @property
     def mask(self):
-        return self._mask[: self.n]
+        return self.pad == 0.0
+
+    @property
+    def one_hot(self):
+        return self._one_hot[: self.n]
+
+    @property
+    def pick(self):
+        return self._pick[: self.n]
 
     @property
     def chosen(self):
@@ -147,41 +176,71 @@ def mnl_probs(theta, offered):
     return e / den, e0 / den
 
 
+def _row_sums(e):
+    """``e.sum(axis=1)`` of a C-contiguous (n, w) array, bit for bit, by column adds.
+
+    Follows numpy's pairwise summation of each contiguous row: sequential
+    below 8 terms, eight strided partial sums up to 128 terms, and halves
+    cut at a multiple of 8 above that.  Column adds skip the per-row
+    reduction set-up that dominates when rows are short.
+    """
+    w = e.shape[1]
+    if w > 128:
+        half = w // 2
+        half -= half % 8
+        return _row_sums(e[:, :half]) + _row_sums(e[:, half:])
+    if w < 8:
+        total = e[:, 0]
+        for j in range(1, w):
+            total = total + e[:, j]
+        return total
+    part = [e[:, j] for j in range(8)]
+    tail = w - w % 8
+    for i in range(8, tail, 8):
+        part = [part[j] + e[:, i + j] for j in range(8)]
+    total = ((part[0] + part[1]) + (part[2] + part[3])) + ((part[4] + part[5]) + (part[6] + part[7]))
+    for j in range(tail, w):
+        total = total + e[:, j]
+    return total
+
+
 class MnlObjective:
     """Choice log-likelihood over one history, built once per fit.
 
-    Holds the flat (n*width, d) feature view, the one-hot picks and the
-    -inf offsets that mask padded slots.  Serves the value, the choice
-    probabilities, the score and the observed information (minus the
-    Hessian of the value, plus a 1e-8 ridge that conditions the Newton
-    solve); the last two take the probabilities when the caller already has
-    them.  Inputs are not validated.
+    Holds views of the history: the flat (n*width, d) features, the pad
+    offsets that mask padded slots with -inf, the one-hot picks and the
+    flat pick indices.  Serves the value, the choice probabilities, the
+    score and the observed information (minus the Hessian of the value,
+    plus a 1e-8 ridge that conditions the Newton solve); the last two take
+    the probabilities when the caller already has them.  Inputs are not
+    validated.
+
+    A pass takes each row's max and sum column by column (exact for the
+    max; the sum in numpy's own order, see ``_row_sums``), since rows hold
+    only ``width`` slots.
     """
 
-    __slots__ = (
-        "feats", "flat", "_pad", "_one_hot", "_rows", "_picked_col", "_has_pick", "_ridge"
-    )
+    __slots__ = ("feats", "flat", "_pad", "_one_hot", "_pick", "_has_pick", "_ridge")
 
     def __init__(self, history: ChoiceHistory):
         n, width = len(history), history.width
         self.feats = history.feats
         self.flat = history.feats.reshape(n * width, history.dim)
-        self._pad = np.where(history.mask, 0.0, -np.inf)
-        chosen = history.chosen
-        self._rows = np.arange(n)
-        self._picked_col = np.maximum(chosen, 0)
-        self._has_pick = chosen >= 0
-        one_hot = np.zeros((n, width))
-        one_hot[self._rows[self._has_pick], chosen[self._has_pick]] = 1.0
-        self._one_hot = one_hot.ravel()
+        self._pad = history.pad
+        self._one_hot = history.one_hot.ravel()
+        self._pick = history.pick
+        self._has_pick = history.chosen >= 0
         self._ridge = 1e-8 * np.eye(history.dim)
 
     def _pass(self, theta):
         z = (self.flat @ theta).reshape(self._pad.shape) + self._pad
-        shift = np.maximum(z.max(axis=1), 0.0)
+        top = z[:, 0]
+        for j in range(1, z.shape[1]):
+            top = np.maximum(top, z[:, j])
+        shift = np.maximum(top, 0.0)
         e = np.exp(z - shift[:, None])
-        den = np.exp(-shift) + e.sum(axis=1)
-        picked = np.where(self._has_pick, z[self._rows, self._picked_col], 0.0)
+        den = np.exp(-shift) + _row_sums(e)
+        picked = np.where(self._has_pick, z.ravel().take(self._pick), 0.0)
         return float(np.sum(picked - shift - np.log(den))), e, den
 
     def value(self, theta) -> float:

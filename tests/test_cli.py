@@ -157,11 +157,18 @@ def test_unknown_pair_mode_rejected_before_environment(tmp_path, capsys):
         ("run", "--algorithms", "conmnl", "--t0", "-5"),
         ("run", "--q", "0"),
         ("sweep", "--axis", "frequency", "--lam", "-1"),
+        ("run", "--seeds=-2:0"),
+        ("run", "--seeds", "3,-1"),
+        ("run", "--seeds=-1:1", "--workers", "2"),
+        ("sweep", "--axis", "frequency", "--seeds=-1:1"),
+        ("run", "--env-seed=-1"),
+        ("sweep", "--axis", "dimension", "--env-seed=-1"),
     ],
     ids=[
         "linear-nan", "log-inf", "sweep-values-abc", "radius-scale-nan", "mnl-radius-scale-nan",
         "radius-scale-neg", "delta-2", "lam-0", "kappa2-neg", "mnl-radius-scale-neg", "q-0",
-        "t0-neg", "conduel-q-0", "sweep-lam-neg",
+        "t0-neg", "conduel-q-0", "sweep-lam-neg", "seed-range-neg", "seed-list-neg",
+        "seed-range-neg-workers", "sweep-seed-range-neg", "env-seed-neg", "sweep-env-seed-neg",
     ],
 )
 def test_bad_number_rejected_before_environment(tmp_path, capsys, argv):
@@ -172,6 +179,14 @@ def test_bad_number_rejected_before_environment(tmp_path, capsys, argv):
     )
     assert code == 1
     assert "configuration error" in err
+
+
+def test_negative_env_seed_rejected_by_synth(tmp_path, capsys):
+    out_file = tmp_path / "env.json"
+    code, _, err = run_cli(capsys, "synth", *SMALL_ENV, "--env-seed=-1", "--out-file", str(out_file))
+    assert code == 1
+    assert "env_seed must be nonnegative" in err
+    assert not out_file.exists()
 
 
 @pytest.mark.parametrize(

@@ -23,6 +23,13 @@ from conduel.spanner import build_spanner
 SIG = get_link("sigmoid")
 
 
+def numpy_stream(seed, t, purpose):
+    # a run's (seed, round, purpose) stream as numpy defines it, so replays
+    # do not take their draws from the module under test
+    ss = np.random.SeedSequence(entropy=(streams._RUN_SALT, seed, t, purpose))
+    return np.random.Generator(np.random.PCG64(ss))
+
+
 def small_envset(seed=0, n_users=2, n_keyterms=25, n_arms=30, dim=3):
     cfg = SyntheticConfig(
         n_users=n_users, n_keyterms=n_keyterms, n_arms=n_arms, dim=dim, max_arms_per_keyterm=4
@@ -427,13 +434,13 @@ def straight_line_conduel(es, user, seed, horizon, schedule, pool_size, cfg):
 
     for t in range(1, horizon + 1):
         pool = np.sort(
-            streams.substream(seed, t, streams.POOL).choice(es.n_arms, pool_size, replace=False)
+            numpy_stream(seed, t, streams.POOL).choice(es.n_arms, pool_size, replace=False)
         )
         feats = es.arms[pool]
         q_t = math.floor(schedule.b(t)) - math.floor(schedule.b(t - 1))
         if q_t > 0:
-            rng_sel = streams.substream(seed, t, streams.KEYTERM_SELECT)
-            rng_fb = streams.substream(seed, t, streams.KEYTERM_FEEDBACK)
+            rng_sel = numpy_stream(seed, t, streams.KEYTERM_SELECT)
+            rng_fb = numpy_stream(seed, t, streams.KEYTERM_FEEDBACK)
             for _ in range(q_t):
                 k1 = members[int(rng_sel.integers(len(members)))]
                 k2 = members[int(rng_sel.integers(len(members)))]
@@ -463,14 +470,14 @@ def straight_line_conduel(es, user, seed, horizon, schedule, pool_size, cfg):
                 cands.append(a)
         if not cands:
             cands = list(range(pool_size))
-        rng_arm = streams.substream(seed, t, streams.ARM_SELECT)
+        rng_arm = numpy_stream(seed, t, streams.ARM_SELECT)
         first = cands[int(rng_arm.integers(len(cands)))]
         second = max(
             cands, key=lambda a: (math.sqrt((feats[a] - feats[first]) @ m_inv @ (feats[a] - feats[first])), -a)
         )
         dvec = feats[first] - feats[second]
         won = int(
-            streams.substream(seed, t, streams.ARM_FEEDBACK).random() < sig(dvec @ theta_star)
+            numpy_stream(seed, t, streams.ARM_FEEDBACK).random() < sig(dvec @ theta_star)
         )
         diffs.append(dvec)
         outs.append(won)
@@ -519,8 +526,8 @@ def _rconucb_keyterm_rows(es, kind, sched, seed, horizon):
         q_t = sched.conversations(t)
         if q_t <= 0:
             continue
-        rng_sel = streams.substream(seed, t, streams.KEYTERM_SELECT)
-        rng_fb = streams.substream(seed, t, streams.KEYTERM_FEEDBACK)
+        rng_sel = numpy_stream(seed, t, streams.KEYTERM_SELECT)
+        rng_fb = numpy_stream(seed, t, streams.KEYTERM_FEEDBACK)
         for _ in range(q_t):
             k1 = int(rng_sel.integers(es.n_keyterms))
             k2 = int(rng_sel.integers(es.n_keyterms))

@@ -244,13 +244,18 @@ def test_information_matches_mean_map_differences():
 
 
 def test_value_and_pass_matches_value_and_utilities():
+    # the pass is the utilities and the sigmoid's exp(-|z|), which value,
+    # score, mean map and information all reuse bit for bit
     rng = np.random.default_rng(14)
     h, _ = random_history(rng, d=3, n=20)
     obj = DuelObjective(h, 1.0, SIG)
     theta = rng.normal(size=3)
-    value, z = obj.value_and_pass(theta)
+    value, (z, tail) = obj.value_and_pass(theta)
     assert value == obj.value(theta)
     np.testing.assert_array_equal(z, h.diffs @ theta)
+    np.testing.assert_array_equal(tail, np.exp(-np.abs(z)))
+    for method in (obj.score, obj.mean_map, obj.information):
+        np.testing.assert_array_equal(method(theta, (z, tail)), method(theta))
 
 
 # ---------------------------------------------------------------- mle_fit
@@ -480,8 +485,12 @@ def test_projection_kkt_on_conduel_histories(monkeypatch):
     calls = []
     solve = estimator.project_theta
 
-    def record(theta_raw, obj, design):
-        got = solve(theta_raw, obj, design)
+    def record(theta_raw, obj, design, raw_pass):
+        # the fit hands over the pass at theta_raw it already computed
+        z, tail = obj.pass_at(theta_raw)
+        np.testing.assert_array_equal(raw_pass[0], z)
+        np.testing.assert_array_equal(raw_pass[1], tail)
+        got = solve(theta_raw, obj, design, raw_pass)
         calls.append((obj.diffs.copy(), obj.lam, design.m.copy(), np.array(theta_raw), got))
         return got
 
@@ -549,9 +558,9 @@ class CountingObjective(DuelObjective):
         super().__init__(*args)
         self.mean_map_calls = 0
 
-    def mean_map(self, theta, z=None):
+    def mean_map(self, theta, p=None):
         self.mean_map_calls += 1
-        return super().mean_map(theta, z)
+        return super().mean_map(theta, p)
 
 
 @pytest.mark.parametrize("link", [SIG, CLAMP], ids=["sigmoid", "clamped"])

@@ -164,6 +164,8 @@ def test_bad_arguments_rejected():
         run_experiment(es, "conduel", 5, [0], sched, pool_size=1)
     with pytest.raises(ConfigError):
         run_experiment(es, "conduel", 5, [0], sched, users=99)
+    with pytest.raises(ConfigError, match="seeds must be nonnegative"):
+        run_experiment(es, "conduel", 5, [0, -1], sched, workers=2)
 
 
 def test_failed_cell_reports_context():

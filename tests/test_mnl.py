@@ -21,8 +21,16 @@ from conduel.mnl import (
     mnl_radius,
     optimal_assortment,
     ucb_utilities,
+    _row_sums,
 )
 from conduel.spanner import build_spanner
+
+
+def numpy_stream(seed, t, purpose):
+    # a run's (seed, round, purpose) stream as numpy defines it, so replays
+    # do not take their draws from the module under test
+    ss = np.random.SeedSequence(entropy=(streams._RUN_SALT, seed, t, purpose))
+    return np.random.Generator(np.random.PCG64(ss))
 
 
 def expected_revenue_from_z(z, r, idx):
@@ -158,6 +166,60 @@ def test_outside_option_contributes_outside_probability():
     h.append(offered, OUTSIDE)
     p, p0 = mnl_probs(np.array([0.3, -0.4]), offered)
     assert MnlObjective(h).value(np.array([0.3, -0.4])) == pytest.approx(math.log(p0))
+
+
+def plain_objective(h, theta):
+    """Value, probabilities and score by the textbook row reductions."""
+    n, width = len(h), h.width
+    flat = h.feats.reshape(n * width, h.dim)
+    rows = np.arange(n)
+    has = h.chosen >= 0
+    z = (flat @ theta).reshape(n, width) + np.where(h.mask, 0.0, -np.inf)
+    shift = np.maximum(z.max(axis=1), 0.0)
+    e = np.exp(z - shift[:, None])
+    den = np.exp(-shift) + e.sum(axis=1)
+    picked = np.where(has, z[rows, np.maximum(h.chosen, 0)], 0.0)
+    probs = e / den[:, None]
+    one_hot = np.zeros((n, width))
+    one_hot[rows[has], h.chosen[has]] = 1.0
+    return float(np.sum(picked - shift - np.log(den))), probs, (one_hot - probs).ravel() @ flat
+
+
+@pytest.mark.parametrize("width", range(1, 13))
+def test_objective_bitwise_equals_plain_formula(width):
+    # the pass takes row maxima and sums column by column; the results must
+    # be the bits of the textbook reductions, with padded slots and
+    # outside-option picks present
+    rng = np.random.default_rng(100 + width)
+    h, _ = sample_history(rng, d=3, n=80, q=width)
+    assert np.any(h.chosen == OUTSIDE)
+    if width > 1:
+        assert not h.mask.all()
+    obj = MnlObjective(h)
+    for scale in (0.1, 1.0, 4.0, 30.0):
+        theta = scale * rng.normal(size=3)
+        value, probs, score = plain_objective(h, theta)
+        got_value, got_probs = obj.value_and_pass(theta)
+        assert got_value == value
+        np.testing.assert_array_equal(got_probs, probs)
+        np.testing.assert_array_equal(obj.score(theta, got_probs), score)
+
+
+@pytest.mark.parametrize("width", [*range(1, 20), 63, 64, 127, 128, 129, 136, 300])
+def test_row_sums_bitwise_equal_numpy_sum(width):
+    rng = np.random.default_rng(width)
+    e = np.exp(rng.normal(size=(50, width)) * 4.0) * (rng.random((50, width)) < 0.8)
+    np.testing.assert_array_equal(_row_sums(e), e.sum(axis=1))
+
+
+def test_choice_history_stores_likelihood_rows():
+    h = ChoiceHistory(2, width=3, ridge=1.0)
+    h.append(np.ones((2, 2)), 1)
+    h.append(np.ones((3, 2)), OUTSIDE)
+    h.append(np.ones((1, 2)), 0)
+    np.testing.assert_array_equal(h.pad, [[0.0, 0.0, -np.inf], [0.0] * 3, [0.0, -np.inf, -np.inf]])
+    np.testing.assert_array_equal(h.one_hot, [[0, 1, 0], [0, 0, 0], [1, 0, 0]])
+    np.testing.assert_array_equal(h.pick, [1, 3, 6])
 
 
 # ---------------------------------------------------------------- fit
@@ -543,18 +605,18 @@ def test_keyterm_selection_modes():
     # spanner draws during the initialization phase for every kind
     for kind in ("conmnl", "conmnl-ucb", "conmnl-random"):
         policy = make_policy(kind, es, seed=6, q=3, t0=10)
-        rng = streams.substream(6, 1, streams.KEYTERM_SELECT)
+        rng = numpy_stream(6, 1, streams.KEYTERM_SELECT)
         ids = policy._select_keyterms(1, 0.5, rng)
         assert set(ids.tolist()) <= members
     # after the phase: conmnl stays on the spanner, random roams, ucb is top-q
     policy = make_policy("conmnl", es, seed=6, q=3, t0=10)
-    ids = policy._select_keyterms(11, 2.0, streams.substream(6, 11, streams.KEYTERM_SELECT))
+    ids = policy._select_keyterms(11, 2.0, numpy_stream(6, 11, streams.KEYTERM_SELECT))
     assert set(ids.tolist()) <= members
     policy = make_policy("conmnl-ucb", es, seed=6, q=3, t0=10)
     alpha = policy.radius(11, 2.0)
     u = ucb_utilities(policy.theta, policy.history.design, alpha, es.keyterm_feats)
     expect = np.sort(np.argsort(-u, kind="stable")[:3])
-    got = policy._select_keyterms(11, 2.0, streams.substream(6, 11, streams.KEYTERM_SELECT))
+    got = policy._select_keyterms(11, 2.0, numpy_stream(6, 11, streams.KEYTERM_SELECT))
     np.testing.assert_array_equal(got, expect)
 
 
@@ -611,13 +673,13 @@ def straight_line_conmnl(es, user, seed, horizon, schedule, pool_size, q, t0, ka
 
     for t in range(1, horizon + 1):
         pool = np.sort(
-            streams.substream(seed, t, streams.POOL).choice(es.n_arms, pool_size, replace=False)
+            numpy_stream(seed, t, streams.POOL).choice(es.n_arms, pool_size, replace=False)
         )
         feats = es.arms[pool]
         q_t = math.floor(schedule.b(t)) - math.floor(schedule.b(t - 1))
         if q_t > 0:
-            rng_sel = streams.substream(seed, t, streams.KEYTERM_SELECT)
-            rng_fb = streams.substream(seed, t, streams.KEYTERM_CHOICE_FEEDBACK)
+            rng_sel = numpy_stream(seed, t, streams.KEYTERM_SELECT)
+            rng_fb = numpy_stream(seed, t, streams.KEYTERM_CHOICE_FEEDBACK)
             for _ in range(q_t):
                 ids = np.asarray(members)[rng_sel.integers(len(members), size=q)]
                 offered = kt[ids]
@@ -626,7 +688,7 @@ def straight_line_conmnl(es, user, seed, horizon, schedule, pool_size, q, t0, ka
                 chosens.append(chosen)
                 design = design + offered.T @ offered
         if t <= t0:
-            rng_a = streams.substream(seed, t, streams.ASSORTMENT_RANDOM)
+            rng_a = numpy_stream(seed, t, streams.ASSORTMENT_RANDOM)
             sel = np.sort(rng_a.choice(pool_size, size=min(q, pool_size), replace=False))
         else:
             theta = fit(theta)
@@ -648,7 +710,7 @@ def straight_line_conmnl(es, user, seed, horizon, schedule, pool_size, q, t0, ka
             sel = np.array(best_combo, dtype=int)
         if sel.size:
             offered = feats[sel]
-            chosen = choice_draw(offered, streams.substream(seed, t, streams.CHOICE_FEEDBACK))
+            chosen = choice_draw(offered, numpy_stream(seed, t, streams.CHOICE_FEEDBACK))
             offers.append(offered)
             chosens.append(chosen)
             design = design + offered.T @ offered
