@@ -244,26 +244,29 @@ def _run_settings(cfg: RunConfig) -> tuple:
 
 
 def _run_algorithms(cfg: RunConfig, envset, out_dir, schedule: Schedule, settings) -> dict:
+    """Play every listed algorithm's cells on one pool, writing each
+    algorithm's CSVs as soon as its last cell is in."""
     algos = _algorithms(cfg)
     seeds, duel_cfg, mnl_cfg = settings
     os.makedirs(out_dir, exist_ok=True)
     spanner = build_spanner(envset.keyterm_feats)
+    traces = run_experiment(
+        envset,
+        tuple(algos),
+        cfg.t,
+        seeds,
+        schedule,
+        pool_size=cfg.pool_size,
+        users=cfg.users,
+        duel_config=duel_cfg,
+        mnl_config=mnl_cfg,
+        spanner=spanner,
+        workers=cfg.workers,
+        progress=_progress,
+    )
     summary = {}
-    for algo in algos:
-        trace = run_experiment(
-            envset,
-            algo,
-            cfg.t,
-            seeds,
-            schedule,
-            pool_size=cfg.pool_size,
-            users=cfg.users,
-            duel_config=duel_cfg,
-            mnl_config=mnl_cfg,
-            spanner=spanner,
-            workers=cfg.workers,
-            progress=_progress,
-        )
+    for trace in traces:
+        algo = trace.algorithm
         trace_path = os.path.join(out_dir, f"{algo}.csv")
         agg_path = os.path.join(out_dir, f"{algo}_agg.csv")
         write_trace_csv(trace_path, trace)

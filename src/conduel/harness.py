@@ -1,9 +1,9 @@
 """Multi-seed experiment runner and regret traces.
 
-One cell is (user, seed): a fresh policy plays T rounds against that user's
-feedback, with a fresh uniform pool each round.  Cells are embarrassingly
-parallel; aggregation is a deterministic reduction over the (user, seed)
-grid, so results do not depend on the worker count.
+One cell is (algorithm, user, seed): a fresh policy plays T rounds against
+that user's feedback, with a fresh uniform pool each round.  Cells are
+embarrassingly parallel; aggregation is a deterministic reduction over each
+algorithm's (user, seed) grid, so results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -81,12 +81,12 @@ def config_fingerprint(payload: dict) -> str:
 def _play_cell(
     envset: EnvironmentSet,
     spanner: Spanner,
-    algorithm: str,
     horizon: int,
     schedule: Schedule,
     pool_size: int,
     duel_config: DuelConfig,
     mnl_config: MnlConfig,
+    algorithm: str,
     user: int,
     seed: int,
 ) -> np.ndarray:
@@ -127,7 +127,7 @@ def _play_cell(
     return inst
 
 
-# _play_cell's arguments before (user, seed), set once in each pool worker
+# _play_cell's arguments before (algorithm, user, seed), set once in each pool worker
 _CELL_ARGS: tuple = ()
 
 
@@ -154,7 +154,7 @@ def _cell_rows(cell_args: tuple, cells: list, workers: int):
 
 def run_experiment(
     envset: EnvironmentSet,
-    algorithm: str,
+    algorithm,
     horizon: int,
     seeds,
     schedule: Schedule,
@@ -165,14 +165,24 @@ def run_experiment(
     spanner: Spanner | None = None,
     workers: int = 1,
     progress=None,
-) -> RegretTrace:
-    """Run one algorithm over the (user, seed) grid and aggregate regret.
+):
+    """Run algorithms over the (user, seed) grid and aggregate regret.
+
+    ``algorithm`` is one name, which returns its ``RegretTrace``, or a tuple
+    of names, which returns an iterator over their traces in that order.  All
+    cells of a call play on one pool of ``workers`` processes, algorithm by
+    algorithm, and a trace is yielded as soon as its algorithm's last cell is
+    in.  Every argument is checked before any cell plays.
 
     ``users`` may be a count (the first k users) or an explicit index list.
     The spanner is built once per environment set and shared read-only.
     """
-    if algorithm not in ALL_KINDS:
-        raise ConfigError(f"unknown algorithm {algorithm!r}")
+    algorithms = (algorithm,) if isinstance(algorithm, str) else tuple(algorithm)
+    if not algorithms:
+        raise ConfigError("need at least one algorithm")
+    for name in algorithms:
+        if name not in ALL_KINDS:
+            raise ConfigError(f"unknown algorithm {name!r}")
     if horizon < 1:
         raise ConfigError("horizon must be at least 1")
     if pool_size < 2:
@@ -190,40 +200,50 @@ def run_experiment(
         users = list(range(users))
     else:
         users = [int(u) for u in users]
+        if not users:
+            raise ConfigError("need at least one user")
+        bad = [u for u in users if not 0 <= u < envset.n_users]
+        if bad:
+            raise ConfigError(f"user index {bad[0]} out of range [0, {envset.n_users})")
     duel_config = duel_config or DuelConfig()
     mnl_config = mnl_config or MnlConfig()
     if spanner is None:
         spanner = build_spanner(envset.keyterm_feats)
-
-    cells = [(u, s) for u in users for s in seeds]
-    cell_args = (
-        envset, spanner, algorithm, horizon, schedule, pool_size, duel_config, mnl_config
-    )
     if workers <= 0:
         workers = os.cpu_count() or 1
-    rows = []
-    for row in _cell_rows(cell_args, cells, min(workers, len(cells))):
-        rows.append(row)
-        if progress:
-            progress(algorithm, len(rows), len(cells))
-    inst = np.vstack(rows)
-    fp = config_fingerprint(
-        {
-            "algorithm": algorithm,
-            "horizon": horizon,
-            "seeds": seeds,
-            "users": users,
-            "schedule": schedule.label(),
-            "pool_size": pool_size,
-            "duel_config": vars(duel_config),
-            "mnl_config": vars(mnl_config),
-            "env": envset.provenance,
-        }
-    )
-    return RegretTrace(
-        algorithm=algorithm,
-        regret_kind=regret_kind_of(algorithm),
-        cells=cells,
-        inst=inst,
-        fingerprint=fp,
-    )
+
+    run_fields = {
+        "horizon": horizon,
+        "seeds": seeds,
+        "users": users,
+        "schedule": schedule.label(),
+        "pool_size": pool_size,
+        "duel_config": vars(duel_config),
+        "mnl_config": vars(mnl_config),
+        "env": envset.provenance,
+    }
+    grid = [(u, s) for u in users for s in seeds]
+    cells = [(name, u, s) for name in algorithms for u, s in grid]
+    cell_args = (envset, spanner, horizon, schedule, pool_size, duel_config, mnl_config)
+
+    def traces():
+        rows = []
+        for i, row in enumerate(_cell_rows(cell_args, cells, min(workers, len(cells)))):
+            name = cells[i][0]
+            rows.append(row)
+            if progress:
+                progress(name, len(rows), len(grid))
+            if len(rows) == len(grid):
+                yield RegretTrace(
+                    algorithm=name,
+                    regret_kind=regret_kind_of(name),
+                    cells=list(grid),
+                    inst=np.vstack(rows),
+                    fingerprint=config_fingerprint({"algorithm": name, **run_fields}),
+                )
+                rows = []
+
+    if isinstance(algorithm, str):
+        (trace,) = traces()
+        return trace
+    return traces()

@@ -1,9 +1,12 @@
 import json
+import multiprocessing
+import time
 
 import pytest
 
+from conduel import harness
 from conduel.cli import main, parse_seed_spec
-from conduel.errors import ConfigError
+from conduel.errors import ConfigError, NumericalError
 
 
 def run_cli(capsys, *argv):
@@ -90,6 +93,49 @@ def test_run_is_byte_deterministic(env_file, tmp_path, capsys):
     assert run_cli(capsys, *args, "--out", str(out_b))[0] == 0
     assert (out_a / "conduel.csv").read_bytes() == (out_b / "conduel.csv").read_bytes()
     assert (out_a / "conduel_agg.csv").read_bytes() == (out_b / "conduel_agg.csv").read_bytes()
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers see the patched cell function only when forked",
+)
+def test_failed_run_keeps_finished_algorithms(env_file, tmp_path, capsys, monkeypatch):
+    # the first cell of the last algorithm fails; its later cells are slow,
+    # so the run has time to play them all unless it cancels them
+    path, _ = env_file
+    log = tmp_path / "played.log"
+    play_cell = harness._play_cell
+
+    def failing_play_cell(*args):
+        algorithm, user, seed = args[-3:]
+        with open(log, "a") as fh:
+            fh.write(f"{algorithm} {user} {seed}\n")
+        if algorithm == "maxinp":
+            if (user, seed) == (0, 0):
+                raise NumericalError(
+                    f"run failed at algorithm={algorithm} user={user} seed={seed} round=1: injected"
+                )
+            time.sleep(0.2)
+        return play_cell(*args)
+
+    monkeypatch.setattr(harness, "_play_cell", failing_play_cell)
+    out_dir = tmp_path / "run"
+    code, _, err = run_cli(
+        capsys,
+        "run", "--env", str(path), "--algorithms", "conduel,random-opt,maxinp",
+        "--t", "10", "--seeds", "0:8", "--users", "2", "--pool-size", "6",
+        "--workers", "2", "--out", str(out_dir),
+    )
+    assert code == 2
+    assert "run failed at algorithm=maxinp user=0 seed=0 round=1" in err
+    for algo in ("conduel", "random-opt"):
+        assert (out_dir / f"{algo}.csv").exists()
+        assert (out_dir / f"{algo}_agg.csv").exists()
+    assert not (out_dir / "maxinp.csv").exists()
+    assert not (out_dir / "summary.json").exists()
+    played = log.read_text().split("\n")[:-1]
+    assert sum(line.startswith("conduel ") for line in played) == 16
+    assert sum(line.startswith("maxinp ") for line in played) < 16
 
 
 def test_config_file_and_flag_priority(env_file, tmp_path, capsys):

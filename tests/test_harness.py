@@ -65,6 +65,35 @@ def test_worker_count_does_not_change_results(algorithm):
     assert serial.inst.tobytes() == parallel.inst.tobytes()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_one_pool_matches_per_algorithm_calls(workers):
+    # one call over a tuple of names plays every cell on one pool; each
+    # trace must be the one a call for that algorithm alone returns
+    es = small_envset()
+    algorithms = ("conduel", "conmnl", "rconucb-diff")
+    kw = dict(
+        seeds=[0, 1],
+        schedule=Schedule("prop", 0.3),
+        pool_size=6,
+        users=2,
+        mnl_config=MnlConfig(q=3, t0=10),
+    )
+    seen = []
+    joint = list(
+        run_experiment(
+            es, algorithms, 25, workers=workers, progress=lambda *a: seen.append(a), **kw
+        )
+    )
+    assert [tr.algorithm for tr in joint] == list(algorithms)
+    assert seen == [(a, k, 4) for a in algorithms for k in range(1, 5)]
+    for tr in joint:
+        alone = run_experiment(es, tr.algorithm, 25, **kw)
+        assert tr.inst.tobytes() == alone.inst.tobytes()
+        assert tr.cells == alone.cells
+        assert tr.fingerprint == alone.fingerprint
+        assert tr.regret_kind == alone.regret_kind
+
+
 def test_worker_count_does_not_change_maxinp_results():
     from conduel.dueling import _PAIR_BLOCK_MULADDS
 
@@ -164,6 +193,17 @@ def test_bad_arguments_rejected():
         run_experiment(es, "conduel", 5, [0], sched, pool_size=1)
     with pytest.raises(ConfigError):
         run_experiment(es, "conduel", 5, [0], sched, users=99)
+    # an explicit user list is checked before any cell plays
+    with pytest.raises(ConfigError, match="user index 99 out of range"):
+        run_experiment(es, "conduel", 5, [0], sched, users=[0, 1, 2, 99], workers=2)
+    with pytest.raises(ConfigError, match="user index -1 out of range"):
+        run_experiment(es, "conduel", 5, [0], sched, users=[-1])
+    with pytest.raises(ConfigError, match="at least one user"):
+        run_experiment(es, "conduel", 5, [0], sched, users=[])
+    with pytest.raises(ConfigError, match="at least one algorithm"):
+        run_experiment(es, (), 5, [0], sched)
+    with pytest.raises(ConfigError, match="'zap'"):
+        run_experiment(es, ("conduel", "zap"), 5, [0], sched)
     with pytest.raises(ConfigError, match="seeds must be nonnegative"):
         run_experiment(es, "conduel", 5, [0, -1], sched, workers=2)
 
