@@ -36,7 +36,7 @@ from .estimator import (
     mle_fit,
     project_theta,
 )
-from .glm import DesignMatrix, LinkFunction, WeightGraph, get_link
+from .glm import DesignMatrix, LinkFunction, WeightGraph, get_link, ucb_utilities
 from .harness import ALL_KINDS, RegretTrace, run_experiment
 from .mnl import (
     MNL_KINDS,
@@ -49,7 +49,6 @@ from .mnl import (
     mnl_probs,
     mnl_radius,
     optimal_assortment,
-    ucb_utilities,
 )
 from .spanner import Spanner, build_spanner
 

@@ -23,18 +23,12 @@ from dataclasses import dataclass
 
 from .dueling import DEFAULT_RADIUS_SCALE, DuelConfig
 from .env import Schedule, SyntheticConfig, gen_synthetic
-from .envfile import export_environment, import_environment
+from .envfile import export_environment, import_environment, write_text
 from .errors import ConduelError, ConfigError
 from .harness import ALL_KINDS, regret_kind_of, run_experiment
 from .hetrec import IngestConfig, build_environment, parse_hetrec
 from .mnl import DEFAULT_MNL_RADIUS_SCALE, MnlConfig
-from .report import (
-    read_aggregate_csv,
-    render_chart,
-    write_aggregate_csv,
-    write_text,
-    write_trace_csv,
-)
+from .report import read_aggregate_csv, render_chart, write_aggregate_csv, write_trace_csv
 from .spanner import build_spanner
 
 __all__ = ["RunConfig", "main"]
@@ -188,22 +182,27 @@ def _write_summary(path, summary) -> None:
     write_text(path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
-def cmd_synth(args) -> int:
-    cfg = load_config(args)
-    envset = _load_envset(dataclasses.replace(cfg, env=""))
-    os.makedirs(os.path.dirname(os.path.abspath(args.out_file)), exist_ok=True)
-    digest = export_environment(envset, args.out_file)
+def _export(envset, out_file, details: dict) -> int:
+    """Write the environment file and print its summary with ``details``."""
+    os.makedirs(os.path.dirname(os.path.abspath(out_file)), exist_ok=True)
+    digest = export_environment(envset, out_file)
     _emit(
         {
-            "environment": args.out_file,
+            "environment": out_file,
             "checksum": digest,
             "n_arms": envset.n_arms,
             "n_keyterms": envset.n_keyterms,
             "n_users": envset.n_users,
             "d": envset.dim,
+            **details,
         }
     )
     return 0
+
+
+def cmd_synth(args) -> int:
+    cfg = load_config(args)
+    return _export(_load_envset(dataclasses.replace(cfg, env="")), args.out_file, {})
 
 
 def cmd_prep(args) -> int:
@@ -217,20 +216,7 @@ def cmd_prep(args) -> int:
         link=cfg.link,
     )
     envset = build_environment(raw, ingest)
-    os.makedirs(os.path.dirname(os.path.abspath(args.out_file)), exist_ok=True)
-    digest = export_environment(envset, args.out_file)
-    _emit(
-        {
-            "environment": args.out_file,
-            "checksum": digest,
-            "n_raw_records": raw.n_raw,
-            "n_arms": envset.n_arms,
-            "n_keyterms": envset.n_keyterms,
-            "n_users": envset.n_users,
-            "d": envset.dim,
-        }
-    )
-    return 0
+    return _export(envset, args.out_file, {"n_raw_records": raw.n_raw})
 
 
 def _run_settings(cfg: RunConfig) -> tuple:

@@ -18,7 +18,7 @@ import numpy as np
 from . import rng as streams
 from .errors import ConfigError, DomainError, StructuralError
 from .estimator import InteractionHistory, ThetaEstimate, dueling_radius, mle_fit
-from .glm import DesignMatrix, LinkFunction
+from .glm import DesignMatrix, LinkFunction, ucb_utilities
 from .spanner import Spanner
 
 __all__ = [
@@ -356,10 +356,7 @@ class RconucbPolicy:
         lam = self.config.lam
         theta_key = self.key_design.m_inv @ self.key_b
         theta = self.arm_design.m_inv @ (self.arm_b + self.prior_weight * lam * theta_key)
-        ucb = pool_feats @ theta + self.radius(t) * np.sqrt(
-            self.arm_design.inv_quad_rows(pool_feats)
-        )
-        a = int(np.argmax(ucb))
+        a = int(np.argmax(ucb_utilities(theta, self.arm_design, self.radius(t), pool_feats)))
         click = oracle.click(pool_feats[a], self.stream.at(t, streams.ARM_FEEDBACK))
         self.arm_design.update(pool_feats[a])
         self.arm_b += click * pool_feats[a]

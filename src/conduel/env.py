@@ -9,6 +9,7 @@ measured against the per-round pool optimum.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -32,14 +33,22 @@ __all__ = [
 
 @dataclass
 class EnvironmentSet:
-    """Shared universe with one preference vector per user."""
+    """Shared universe with one preference vector per user.
+
+    Construction derives the key-term features from the graph and the arms,
+    then validates the set.
+    """
 
     arms: np.ndarray
     graph: WeightGraph
-    keyterm_feats: np.ndarray
+    keyterm_feats: np.ndarray = field(init=False)
     link: LinkFunction
     theta_stars: np.ndarray  # U x d, unit rows
     provenance: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.keyterm_feats = self.graph.keyterm_features(self.arms)
+        self.validate()
 
     @property
     def n_users(self) -> int:
@@ -115,31 +124,15 @@ def gen_synthetic(config: SyntheticConfig, seed: int) -> EnvironmentSet:
     for a, keys in enumerate(related):
         w = 1.0 / len(keys)
         triples.extend((a, k, w) for k in keys)
-    graph = WeightGraph.from_triples(config.n_arms, config.n_keyterms, triples)
     # every key-term drew at least one arm and every arm holds at least one
     # key-term, so the graph has no empty rows or columns
-    keyterm_feats = graph.keyterm_features(arms)
-    out = EnvironmentSet(
+    return EnvironmentSet(
         arms=arms,
-        graph=graph,
-        keyterm_feats=keyterm_feats,
+        graph=WeightGraph.from_triples(config.n_arms, config.n_keyterms, triples),
         link=get_link(config.link),
         theta_stars=theta,
-        provenance={
-            "source": "synthetic",
-            "seed": int(seed),
-            "config": {
-                "n_users": config.n_users,
-                "n_keyterms": config.n_keyterms,
-                "n_arms": config.n_arms,
-                "dim": config.dim,
-                "max_arms_per_keyterm": config.max_arms_per_keyterm,
-                "link": config.link,
-            },
-        },
+        provenance={"source": "synthetic", "seed": int(seed), "config": dataclasses.asdict(config)},
     )
-    out.validate()
-    return out
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,14 @@ from .env import EnvironmentSet
 from .errors import DataFormatError
 from .glm import WeightGraph, get_link
 
-__all__ = ["FORMAT_NAME", "FORMAT_VERSION", "export_environment", "import_environment", "fmt17"]
+__all__ = [
+    "FORMAT_NAME",
+    "FORMAT_VERSION",
+    "export_environment",
+    "import_environment",
+    "fmt17",
+    "write_text",
+]
 
 FORMAT_NAME = "conduel-environment"
 FORMAT_VERSION = 1
@@ -38,6 +45,15 @@ FORMAT_VERSION = 1
 def fmt17(x: float) -> str:
     """Shortest text that still round-trips any float64: 17 significant digits."""
     return format(float(x), ".17g")
+
+
+def write_text(path, text: str) -> None:
+    """Write through a temporary file and ``os.replace``, so an interrupted
+    write never leaves a truncated file at ``path``."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
 
 
 def _rows_to_text(matrix: np.ndarray) -> list:
@@ -83,11 +99,7 @@ def export_environment(envset: EnvironmentSet, path) -> str:
     digest = _checksum(body)
     doc = dict(body)
     doc["checksum"] = digest
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-    os.replace(tmp, path)
+    write_text(path, json.dumps(doc, indent=1) + "\n")
     return digest
 
 
@@ -122,14 +134,10 @@ def import_environment(path) -> EnvironmentSet:
         if len(parts) != 3:
             raise DataFormatError(f"malformed weight triple: {line!r}")
         triples.append((int(parts[0]), int(parts[1]), float(parts[2])))
-    graph = WeightGraph.from_triples(int(doc["n_arms"]), int(doc["n_keyterms"]), triples)
-    envset = EnvironmentSet(
+    return EnvironmentSet(
         arms=arms,
-        graph=graph,
-        keyterm_feats=graph.keyterm_features(arms),
+        graph=WeightGraph.from_triples(int(doc["n_arms"]), int(doc["n_keyterms"]), triples),
         link=get_link(doc["link"]),
         theta_stars=theta,
         provenance=doc.get("provenance", {}),
     )
-    envset.validate()
-    return envset

@@ -1,5 +1,5 @@
-"""Link functions, key-term feature aggregation, and the incrementally
-maintained design matrix.
+"""Link functions, key-term feature aggregation, the incrementally
+maintained design matrix, and optimistic utilities under it.
 
 These are the pieces every policy shares.  Arm features are unit vectors, so
 utility differences live in [-2, 2]; the link maps a difference to a win
@@ -22,6 +22,7 @@ __all__ = [
     "get_link",
     "WeightGraph",
     "DesignMatrix",
+    "ucb_utilities",
 ]
 
 
@@ -230,3 +231,13 @@ class DesignMatrix:
         rows = np.asarray(rows, dtype=float)
         vals = np.einsum("ij,jk,ik->i", rows, self.m_inv, rows)
         return np.clip(vals, 0.0, None)
+
+
+def ucb_utilities(theta, design: DesignMatrix, alpha: float, pool_feats) -> np.ndarray:
+    """Optimistic utility x^T theta + alpha ||x||_{M^-1} per arm."""
+    if alpha < 0.0:
+        raise DomainError("alpha must be nonnegative")
+    pool_feats = np.asarray(pool_feats, dtype=float)
+    return pool_feats @ np.asarray(theta, dtype=float) + alpha * np.sqrt(
+        design.inv_quad_rows(pool_feats)
+    )

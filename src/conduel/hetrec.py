@@ -207,14 +207,11 @@ def build_environment(raw: RawInteractions, config: IngestConfig = IngestConfig(
     user_vecs = np.zeros((config.n_users, config.dim))
     user_vecs[:, :k] = u * scale
 
-    arms = _normalize_rows(item_feats)
-    theta = _normalize_rows(user_vecs)
-    envset = EnvironmentSet(
-        arms=arms,
+    return EnvironmentSet(
+        arms=_normalize_rows(item_feats),
         graph=graph,
-        keyterm_feats=graph.keyterm_features(arms),
         link=get_link(config.link),
-        theta_stars=theta,
+        theta_stars=_normalize_rows(user_vecs),
         provenance={
             "source": "hetrec",
             "n_raw_records": int(raw.n_raw),
@@ -232,5 +229,3 @@ def build_environment(raw: RawInteractions, config: IngestConfig = IngestConfig(
             },
         },
     )
-    envset.validate()
-    return envset

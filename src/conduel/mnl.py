@@ -1,6 +1,6 @@
 """Multinomial-logit choice policies: choice probabilities, the multinomial
-MLE, optimistic utilities, and exact cardinality-constrained assortment
-optimization by Dinkelbach's fixed-point iteration on the revenue threshold.
+MLE, and exact cardinality-constrained assortment optimization by
+Dinkelbach's fixed-point iteration on the revenue threshold.
 
 A choice observation offers up to q features (arms or key-terms); the user
 picks one of them or the outside option.  ``MnlObjective`` is the only
@@ -26,7 +26,7 @@ from . import rng as streams
 from .dueling import RoundRecord
 from .errors import ConfigError, DomainError, NumericalError, StructuralError
 from .estimator import _MAX_ITERS, _TOL, _newton
-from .glm import DesignMatrix
+from .glm import DesignMatrix, ucb_utilities
 from .spanner import Spanner
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "MnlObjective",
     "mnl_mle_fit",
     "mnl_radius",
-    "ucb_utilities",
     "optimal_assortment",
     "expected_revenue",
     "MnlPolicy",
@@ -177,29 +176,17 @@ def mnl_probs(theta, offered):
 
 
 def _row_sums(e):
-    """``e.sum(axis=1)`` of a C-contiguous (n, w) array, bit for bit, by column adds.
+    """``e.sum(axis=1)`` of a C-contiguous (n, w) array, bit for bit.
 
-    Follows numpy's pairwise summation of each contiguous row: sequential
-    below 8 terms, eight strided partial sums up to 128 terms, and halves
-    cut at a multiple of 8 above that.  Column adds skip the per-row
-    reduction set-up that dominates when rows are short.
+    numpy sums each contiguous row sequentially below 8 terms, so short rows
+    are summed by column adds, which skip the per-row reduction set-up that
+    dominates there; wider rows take numpy's own pairwise sum.
     """
     w = e.shape[1]
-    if w > 128:
-        half = w // 2
-        half -= half % 8
-        return _row_sums(e[:, :half]) + _row_sums(e[:, half:])
-    if w < 8:
-        total = e[:, 0]
-        for j in range(1, w):
-            total = total + e[:, j]
-        return total
-    part = [e[:, j] for j in range(8)]
-    tail = w - w % 8
-    for i in range(8, tail, 8):
-        part = [part[j] + e[:, i + j] for j in range(8)]
-    total = ((part[0] + part[1]) + (part[2] + part[3])) + ((part[4] + part[5]) + (part[6] + part[7]))
-    for j in range(tail, w):
+    if w >= 8:
+        return e.sum(axis=1)
+    total = e[:, 0]
+    for j in range(1, w):
         total = total + e[:, j]
     return total
 
@@ -286,16 +273,6 @@ def mnl_radius(t: int, b_of_t: float, d: int, kappa2: float) -> float:
         raise DomainError("b(t) must be nonnegative")
     return (0.5 / kappa2) * math.sqrt(
         2.0 * d * math.log(1.0 + (b_of_t + t) / d) + 2.0 * math.log(t)
-    )
-
-
-def ucb_utilities(theta, design: DesignMatrix, alpha: float, pool_feats) -> np.ndarray:
-    """Optimistic utility x^T theta + alpha ||x||_{M^-1} per arm."""
-    if alpha < 0.0:
-        raise DomainError("alpha must be nonnegative")
-    pool_feats = np.asarray(pool_feats, dtype=float)
-    return pool_feats @ np.asarray(theta, dtype=float) + alpha * np.sqrt(
-        design.inv_quad_rows(pool_feats)
     )
 
 
@@ -426,7 +403,9 @@ class MnlPolicy:
                     )
                 self._curvature_verified = True
             self.theta = mnl_mle_fit(self.history, theta0=self.theta)
-            alpha = self.radius(t, b_of_t)
+            # policies without a conversation module have no key-term
+            # observations, so their radius counts offered rounds only
+            alpha = self.radius(t, b_of_t if self.converses else 0.0)
             z = ucb_utilities(self.theta, self.history.design, alpha, pool_feats)
             sel = optimal_assortment(z, oracle.revenues(pool_feats), cfg.q)
 

@@ -13,16 +13,13 @@ external plotting backend; its output is a pure function of its inputs.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from .envfile import fmt17
+from .envfile import fmt17, write_text
 from .errors import DataFormatError
 from .harness import RegretTrace
 
 __all__ = [
-    "write_text",
     "write_trace_csv",
     "write_aggregate_csv",
     "read_aggregate_csv",
@@ -49,15 +46,6 @@ def write_aggregate_csv(path, trace: RegretTrace) -> None:
     for t in range(trace.horizon):
         out.append(f"{t + 1},{fmt17(mean[t])},{fmt17(err[t])}")
     write_text(path, "\n".join(out) + "\n")
-
-
-def write_text(path, text: str) -> None:
-    """Write through a temporary file and ``os.replace``, so an interrupted
-    write never leaves a truncated file at ``path``."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def read_aggregate_csv(path):

@@ -136,15 +136,6 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
-def substream(seed: int, t: int, purpose: int) -> np.random.Generator:
-    """Generator for one (seed, round, purpose) cell of a run.
-
-    Computes the seed words of the round's whole block; a caller that opens
-    many streams of one seed keeps a ``RunStream`` instead.
-    """
-    return RunStream(seed).at(t, purpose)
-
-
 def env_rng(seed: int) -> np.random.Generator:
     """Generator used for synthetic environment construction."""
     ss = np.random.SeedSequence(entropy=(_ENV_SALT, int(seed)))

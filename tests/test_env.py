@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conduel.env import (
+    EnvironmentSet,
     Schedule,
     SimulatedUser,
     SyntheticConfig,
@@ -12,6 +13,7 @@ from conduel.env import (
     mnl_regret,
 )
 from conduel.errors import ConfigError, DomainError, StructuralError
+from conduel.glm import WeightGraph, get_link
 from conduel.mnl import expected_revenue, mnl_probs, optimal_assortment
 
 
@@ -55,6 +57,33 @@ def test_gen_synthetic_validates_sizes():
         gen_synthetic(SyntheticConfig(n_users=0), seed=0)
     with pytest.raises(ConfigError):
         gen_synthetic(SyntheticConfig(max_arms_per_keyterm=0), seed=0)
+
+
+def _unit_rows(rows):
+    rows = np.asarray(rows, dtype=float)
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def test_construction_derives_keyterm_features():
+    arms = _unit_rows([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    graph = WeightGraph.from_triples(3, 2, [(0, 0, 1.0), (1, 0, 0.5), (1, 1, 0.5), (2, 1, 1.0)])
+    es = EnvironmentSet(arms=arms, graph=graph, link=get_link("sigmoid"),
+                        theta_stars=_unit_rows([[1.0, 2.0]]))
+    np.testing.assert_array_equal(es.keyterm_feats, graph.keyterm_features(arms))
+    assert es.n_keyterms == 2
+
+
+def test_construction_rejects_bad_universes():
+    theta = _unit_rows([[1.0, 2.0]])
+    link = get_link("sigmoid")
+    graph = WeightGraph.from_triples(2, 2, [(0, 0, 1.0), (1, 1, 1.0)])
+    with pytest.raises(StructuralError, match="arm features must be unit norm"):
+        EnvironmentSet(arms=np.array([[1.0, 0.0], [0.0, 2.0]]), graph=graph, link=link,
+                       theta_stars=theta)
+    # key-term 1 has no related arm
+    lonely = WeightGraph.from_triples(2, 2, [(0, 0, 1.0), (1, 0, 1.0)])
+    with pytest.raises(StructuralError, match="key-term 1 has no related arm"):
+        EnvironmentSet(arms=np.eye(2), graph=lonely, link=link, theta_stars=theta)
 
 
 def test_user_view():

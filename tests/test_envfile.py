@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -32,6 +33,19 @@ def test_round_trip_identity(tmp_path):
     np.testing.assert_array_equal(back.keyterm_feats, es.keyterm_feats)
     assert back.link.kind == es.link.kind
     assert back.provenance == json.loads(json.dumps(es.provenance))
+
+
+def test_export_bytes_pinned(tmp_path):
+    # the golden-trace universe of test_golden.py; a reordered provenance
+    # key or a changed writer moves these
+    universe = dict(n_users=2, n_keyterms=30, n_arms=60, dim=4, max_arms_per_keyterm=4)
+    path = tmp_path / "env.json"
+    digest = export_environment(gen_synthetic(SyntheticConfig(**universe), 7), path)
+    assert digest == "5266bb16426106263d73646abdf6be15036948007873d9e58335144ce3c7e0ae"
+    assert (
+        hashlib.sha256(path.read_bytes()).hexdigest()
+        == "dabf530b1d5e6fbc220d03077f6664c9c93ab74e837aa6438cc60edf3e2d5558"
+    )
 
 
 def test_export_is_deterministic(tmp_path):

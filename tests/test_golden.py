@@ -17,6 +17,7 @@ import pytest
 from conduel.dueling import DuelConfig
 from conduel.env import Schedule, SyntheticConfig, gen_synthetic
 from conduel.harness import run_experiment
+from conduel.mnl import MnlConfig
 
 GOLDEN = {
     "conduel": "8bb79af48ce01e45009b3ebb1e5dde308d167835cb2c87a892b3c4798270340d",
@@ -71,3 +72,18 @@ def test_golden_variant_trace_digest(algorithm, link, pair_mode):
     envset = gen_synthetic(SyntheticConfig(**UNIVERSE, link=link), 7)
     digest = trace_digest(envset, algorithm, DuelConfig(pair_mode=pair_mode))
     assert digest == GOLDEN_VARIANTS[(algorithm, link, pair_mode)]
+
+
+@pytest.mark.parametrize("algorithm", ["maxinp", "random-opt", "ucb-mnl"])
+def test_policies_without_conversations_ignore_the_budget(envset, algorithm):
+    # with no key-term observations, b(t) must not enter the radius; at this
+    # scale ucb-mnl's radius does not saturate, so a budget would move it
+    mnl = MnlConfig(q=3, t0=10, radius_scale=0.005)
+    traces = [
+        run_experiment(
+            envset, algorithm, 150, [0, 1], Schedule("linear", n), pool_size=10, users=2,
+            mnl_config=mnl,
+        ).inst.tobytes()
+        for n in (10, 0)
+    ]
+    assert traces[0] == traces[1]

@@ -29,8 +29,6 @@ def test_streams_equal_numpy_seed_sequence(seed):
 def test_negative_keys_and_unknown_purposes_rejected():
     with pytest.raises(DomainError):
         streams.RunStream(-1)
-    with pytest.raises(DomainError):
-        streams.substream(-2, 1, streams.POOL)
     stream = streams.RunStream(0)
     with pytest.raises(DomainError):
         stream.at(-1, streams.POOL)
