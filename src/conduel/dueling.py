@@ -17,7 +17,7 @@ import numpy as np
 
 from . import rng as streams
 from .errors import ConfigError, DomainError, StructuralError
-from .estimator import InteractionHistory, ThetaEstimate, dueling_radius, mle_fit
+from .estimator import InteractionHistory, ThetaEstimate, WarmStart, dueling_radius, mle_fit
 from .glm import DesignMatrix, LinkFunction, ucb_utilities
 from .spanner import Spanner
 
@@ -220,7 +220,8 @@ class DuelPolicy:
     Conversational kinds spend the round's conversation budget on key-term
     duels before refitting; the plain kinds skip that phase entirely, which
     makes a zero-budget conversational run and its plain counterpart
-    trace-identical under one seed.
+    trace-identical under one seed.  Each refit carries its last fit forward
+    in a ``WarmStart``.
     """
 
     def __init__(
@@ -244,6 +245,7 @@ class DuelPolicy:
         self.history = InteractionHistory(self.d, self.config.lam / link.kappa1)
         zero = np.zeros(self.d)
         self.estimate = ThetaEstimate(zero, zero.copy(), False, 0)
+        self._warm = WarmStart(self.d)
         self.converses = kind in CONVERSATIONAL_KINDS
         if self.converses and kind == "conduel" and spanner is None:
             raise StructuralError("conduel requires a spanner")
@@ -269,7 +271,7 @@ class DuelPolicy:
                 self.history.append(diff, won)
                 conversations.append((k1, k2, won))
 
-        self.estimate = mle_fit(self.history, cfg.lam, self.link, theta0=self.estimate.theta_raw)
+        self.estimate = mle_fit(self.history, cfg.lam, self.link, warm=self._warm)
         # policies without a conversation module have no key-term observations,
         # so their radius counts arm rounds only
         alpha = self.radius(t, b_of_t if self.converses else 0.0)

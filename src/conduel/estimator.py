@@ -9,7 +9,10 @@ only implementation: the strictly concave
 with m the primitive of the link (``link.anti``), together with its score, the
 regularized mean-value map g and the Jacobian of g.  ``_newton`` is the one
 damped-Newton solver; it fits this objective and the choice-model
-likelihood of ``mnl`` alike.  When the fit leaves the unit ball it is pulled
+likelihood of ``mnl`` alike.  A refit of a growing history starts from the
+estimate that its previous fit, carried in a ``WarmStart``, predicts for the
+rows appended since, when that start passes a likelihood check (see
+``_start``).  When the fit leaves the unit ball it is pulled
 back by minimizing || g(theta) - g(theta_hat) ||_{M^-1} over the ball, a
 Gauss-Newton solve on the unit sphere built from the same object's g and
 Jacobian.
@@ -28,6 +31,7 @@ from .glm import DesignMatrix, LinkFunction
 __all__ = [
     "InteractionHistory",
     "ThetaEstimate",
+    "WarmStart",
     "DuelObjective",
     "mle_fit",
     "project_theta",
@@ -40,6 +44,10 @@ _MAX_DIFF_NORM = 2.0 + 1e-9
 # iterations before it is declared unconverged.
 _TOL = 1e-8
 _MAX_ITERS = 100
+
+# Round-off allowed when a predicted start is checked against the value of
+# the last estimate: that value sums the same terms in another order.
+_START_REL_SLACK = 1e-12
 
 # Projection stopping rule: the relative decrease of F below which it stops,
 # and the cap on Gauss-Newton steps.
@@ -101,6 +109,25 @@ class ThetaEstimate:
     newton_iters: int
 
 
+class WarmStart:
+    """The last fit of a growing history, from which its next refit starts.
+
+    ``theta`` is the raw estimate, ``info`` the information of Newton's last
+    iteration (kept from an earlier fit when no iteration ran; None before
+    the first iteration), ``value`` the objective at ``theta`` and ``rows``
+    the history length at that fit.  A fit given a ``WarmStart`` advances it
+    to its own result.
+    """
+
+    __slots__ = ("theta", "info", "value", "rows")
+
+    def __init__(self, dim: int):
+        self.theta = np.zeros(dim)
+        self.info = None
+        self.value = 0.0
+        self.rows = 0
+
+
 class DuelObjective:
     """Regularized dueling log-likelihood over one history, built once per fit.
 
@@ -112,18 +139,26 @@ class DuelObjective:
     ``z = diffs @ theta`` and the link's tail of z, so every evaluated point
     pays for one exponential.  Inputs are not validated: callers pass
     finite float arrays of the history's dimension.
+
+    ``start`` > 0 keeps only the rows from ``start`` on and drops the ridge:
+    what those rows add to the objective over the first ``start`` rows.
     """
 
-    __slots__ = ("diffs", "outcomes", "lam", "link", "_ridge")
+    __slots__ = ("history", "diffs", "outcomes", "lam", "link", "_ridge")
 
-    def __init__(self, history: InteractionHistory, lam: float, link: LinkFunction):
+    def __init__(self, history: InteractionHistory, lam: float, link: LinkFunction, start: int = 0):
         if lam <= 0.0:
             raise DomainError("lam must be positive")
-        self.diffs = history.diffs
-        self.outcomes = history.outcomes
-        self.lam = lam
+        self.history = history
+        self.diffs = history.diffs[start:]
+        self.outcomes = history.outcomes[start:]
+        self.lam = lam if start == 0 else 0.0
         self.link = link
-        self._ridge = lam * np.eye(history.dim)
+        self._ridge = self.lam * np.eye(history.dim)
+
+    def since(self, start: int) -> "DuelObjective":
+        """The unregularized likelihood of the rows from ``start`` on."""
+        return DuelObjective(self.history, self.lam, self.link, start)
 
     def pass_at(self, theta) -> tuple:
         """The utilities z = diffs @ theta and the link's tail of z."""
@@ -155,7 +190,33 @@ class DuelObjective:
         return self.diffs.T @ (w[:, None] * self.diffs) + self._ridge
 
 
-def _newton(obj, dim: int, theta0, tol: float, max_iters: int, what: str) -> tuple:
+def _start(obj, warm: WarmStart) -> tuple:
+    """A refit's start, its value and its pass.
+
+    The rows appended since the fit in ``warm`` give, at its estimate
+    theta_prev, their log-likelihood l, score g and information J_new; the
+    predicted start is theta_prev + (J_prev + J_new)^-1 g, one Newton step on
+    the whole history with the old rows' information taken from the last
+    fit.  It is kept only when its value is at least f_prev + l, the value at
+    theta_prev, less round-off: where the MLE does not exist yet the step can
+    overshoot by orders of magnitude.  Otherwise, and before any Newton
+    iteration has run, the start is theta_prev.
+    """
+    theta = warm.theta
+    if warm.info is not None and len(obj.history) > warm.rows:
+        new = obj.since(warm.rows)
+        ell, p = new.value_and_pass(theta)
+        pred = theta + np.linalg.solve(warm.info + new.information(theta, p), new.score(theta, p))
+        floor = warm.value + ell
+        f, aux = obj.value_and_pass(pred)
+        if f >= floor - _START_REL_SLACK * (1.0 + abs(floor)):
+            return pred, f, aux
+    theta = theta.copy()
+    f, aux = obj.value_and_pass(theta)
+    return theta, f, aux
+
+
+def _newton(obj, dim: int, theta0, tol: float, max_iters: int, what: str, warm=None) -> tuple:
     """Damped Newton ascent on a strictly concave objective; (theta,
     iterations, the pass at theta).
 
@@ -167,21 +228,31 @@ def _newton(obj, dim: int, theta0, tol: float, max_iters: int, what: str) -> tup
     round-off; the accepted trial's value and pass carry over, so every
     point is evaluated once.  When no trial down to 2^-40 is accepted, that
     smallest step is taken.  Stops once ||score|| <= tol.
+
+    ``warm``, the ``WarmStart`` of the last fit of the same growing history,
+    replaces ``theta0``: the solve starts where ``_start`` says, and ``warm``
+    is advanced to this fit.  ``obj`` then also serves ``since(rows)`` and
+    ``history``.
     """
     if tol <= 0.0:
         raise DomainError("tol must be positive")
-    theta = np.zeros(dim) if theta0 is None else np.asarray(theta0, dtype=float).copy()
-    f0, aux = obj.value_and_pass(theta)
+    if warm is not None:
+        theta, f0, aux = _start(obj, warm)
+    else:
+        theta = np.zeros(dim) if theta0 is None else np.asarray(theta0, dtype=float).copy()
+        f0, aux = obj.value_and_pass(theta)
     grad = obj.score(theta, aux)
     grad_norm = math.sqrt(float(grad @ grad))
     iters = 0
+    info = None
     while grad_norm > tol:
         if iters >= max_iters:
             raise NumericalError(
                 f"{what} Newton failed to converge: ||score|| = {grad_norm:.3e} "
                 f"after {max_iters} iterations"
             )
-        step = np.linalg.solve(obj.information(theta, aux), grad)
+        info = obj.information(theta, aux)
+        step = np.linalg.solve(info, grad)
         slack = 1e-13 * (1.0 + abs(f0))  # tolerate round-off near the optimum
         scale = 1.0
         while True:
@@ -198,6 +269,10 @@ def _newton(obj, dim: int, theta0, tol: float, max_iters: int, what: str) -> tup
         grad = obj.score(theta, aux)
         grad_norm = math.sqrt(float(grad @ grad))
         iters += 1
+    if warm is not None:
+        warm.theta, warm.value, warm.rows = theta, f0, len(obj.history)
+        if info is not None:
+            warm.info = info
     return theta, iters, aux
 
 
@@ -208,15 +283,18 @@ def mle_fit(
     tol: float = _TOL,
     max_iters: int = _MAX_ITERS,
     theta0=None,
+    warm: WarmStart | None = None,
 ) -> ThetaEstimate:
     """Newton fit of the regularized MLE, with projection onto the unit ball.
 
     ``theta0`` warm-starts the solve (the objective is strictly concave, so
-    the solution does not depend on it).  The projection measures in the
-    history's own design matrix and reuses the fit's last pass.
+    the solution does not depend on it); ``warm``, the last fit of this
+    history, replaces it with a predicted start and is advanced to this fit.
+    The projection measures in the history's own design matrix and reuses
+    the fit's last pass.
     """
     obj = DuelObjective(history, lam, link)
-    theta, iters, p = _newton(obj, history.dim, theta0, tol, max_iters, "MLE")
+    theta, iters, p = _newton(obj, history.dim, theta0, tol, max_iters, "MLE", warm)
     if float(np.linalg.norm(theta)) > 1.0:
         return ThetaEstimate(theta, project_theta(theta, obj, history.design, p), True, iters)
     return ThetaEstimate(theta, theta.copy(), False, iters)

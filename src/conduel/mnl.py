@@ -7,12 +7,13 @@ picks one of them or the outside option.  ``MnlObjective`` is the only
 implementation of the choice log-likelihood, its score and its observed
 information; the fit runs the shared Newton solver of ``estimator`` on it.
 ``ChoiceHistory`` writes each observation's pad offsets, one-hot pick and
-flat pick index once, on append, so an objective is built from views; a
-pass reduces its short rows (``q`` slots) column by column, bit for bit the
-result of numpy's row reductions.  The likelihood is unregularized;
-identifiability comes from the forced-exploration initialization phase,
-and a vanishing ridge enters the information only to condition the Newton
-solve.
+flat pick index once, on append, and a slot-major copy of its offer, so an
+objective is built from views; a pass reduces its short rows (``q`` slots)
+column by column, bit for bit the result of numpy's row reductions, and the
+information runs over the slot-major copy's long rows.  The likelihood is
+unregularized; identifiability comes from the forced-exploration
+initialization phase, and a vanishing ridge enters the information only to
+condition the Newton solve.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from . import rng as streams
 from .dueling import RoundRecord
 from .errors import ConfigError, DomainError, NumericalError, StructuralError
-from .estimator import _MAX_ITERS, _TOL, _newton
+from .estimator import _MAX_ITERS, _TOL, WarmStart, _newton
 from .glm import DesignMatrix, ucb_utilities
 from .spanner import Spanner
 
@@ -80,11 +81,14 @@ class ChoiceHistory:
     choice log-likelihood reads of it: the pad offsets (0 on offered slots,
     -inf on padding), the one-hot pick and the pick's index into the
     flattened (n * width) slots (the row's first slot for the outside
-    option).  ``design`` is ``ridge * I`` plus the sum of x x^T over every
-    offered feature.
+    option).  ``slots`` holds the offers again, slot-major: a (width, d, n)
+    view whose rows run over observations.  ``design`` is ``ridge * I`` plus
+    the sum of x x^T over every offered feature.
     """
 
-    __slots__ = ("dim", "width", "design", "_feats", "_pad", "_one_hot", "_pick", "_chosen", "n")
+    __slots__ = (
+        "dim", "width", "design", "_feats", "_slots", "_pad", "_one_hot", "_pick", "_chosen", "n"
+    )
 
     def __init__(self, dim: int, width: int, ridge: float):
         if width < 1:
@@ -93,6 +97,7 @@ class ChoiceHistory:
         self.width = int(width)
         self.design = DesignMatrix(self.dim, ridge)
         self._feats = np.empty((64, self.width, self.dim))
+        self._slots = np.empty((self.width, self.dim, 64))
         self._pad = np.empty((64, self.width))
         self._one_hot = np.empty((64, self.width))
         self._pick = np.empty(64, dtype=np.int64)
@@ -112,6 +117,9 @@ class ChoiceHistory:
         if n == len(self._chosen):
             grow = max(2 * n, 64)
             self._feats = np.resize(self._feats, (grow, self.width, self.dim))
+            slots = np.empty((self.width, self.dim, grow))
+            slots[:, :, :n] = self._slots[:, :, :n]
+            self._slots = slots
             self._pad = np.resize(self._pad, (grow, self.width))
             self._one_hot = np.resize(self._one_hot, (grow, self.width))
             self._pick = np.resize(self._pick, grow)
@@ -119,6 +127,7 @@ class ChoiceHistory:
         # every slot of row n is written, so nothing reads a stale buffer entry
         self._feats[n, :m] = offered
         self._feats[n, m:] = 0.0
+        self._slots[:, :, n] = self._feats[n]
         self._pad[n, :m] = 0.0
         self._pad[n, m:] = -np.inf
         self._one_hot[n] = 0.0
@@ -133,6 +142,10 @@ class ChoiceHistory:
     @property
     def feats(self):
         return self._feats[: self.n]
+
+    @property
+    def slots(self):
+        return self._slots[:, :, : self.n]
 
     @property
     def pad(self):
@@ -194,30 +207,39 @@ def _row_sums(e):
 class MnlObjective:
     """Choice log-likelihood over one history, built once per fit.
 
-    Holds views of the history: the flat (n*width, d) features, the pad
-    offsets that mask padded slots with -inf, the one-hot picks and the
-    flat pick indices.  Serves the value, the choice probabilities, the
-    score and the observed information (minus the Hessian of the value,
-    plus a 1e-8 ridge that conditions the Newton solve); the last two take
-    the probabilities when the caller already has them.  Inputs are not
-    validated.
+    Holds views of the history: the flat (n*width, d) features, their
+    slot-major copy, the pad offsets that mask padded slots with -inf, the
+    one-hot picks and the flat pick indices.  Serves the value, the choice
+    probabilities, the score and the observed information (minus the
+    Hessian of the value, plus a 1e-8 ridge that conditions the Newton
+    solve); the last two take the probabilities when the caller already has
+    them.  Inputs are not validated.
 
     A pass takes each row's max and sum column by column (exact for the
     max; the sum in numpy's own order, see ``_row_sums``), since rows hold
-    only ``width`` slots.
+    only ``width`` slots.  The information sums over slots instead, with
+    rows that run over all observations.
+
+    ``start`` > 0 keeps only the observations from ``start`` on and drops
+    the ridge: what they add to the objective over the first ``start``.
     """
 
-    __slots__ = ("feats", "flat", "_pad", "_one_hot", "_pick", "_has_pick", "_ridge")
+    __slots__ = ("history", "flat", "_slots", "_pad", "_one_hot", "_pick", "_has_pick", "_ridge")
 
-    def __init__(self, history: ChoiceHistory):
+    def __init__(self, history: ChoiceHistory, start: int = 0):
         n, width = len(history), history.width
-        self.feats = history.feats
-        self.flat = history.feats.reshape(n * width, history.dim)
-        self._pad = history.pad
-        self._one_hot = history.one_hot.ravel()
-        self._pick = history.pick
-        self._has_pick = history.chosen >= 0
-        self._ridge = 1e-8 * np.eye(history.dim)
+        self.history = history
+        self.flat = history.feats[start:].reshape((n - start) * width, history.dim)
+        self._slots = history.slots[:, :, start:]
+        self._pad = history.pad[start:]
+        self._one_hot = history.one_hot[start:].ravel()
+        self._pick = history.pick[start:] - start * width if start else history.pick
+        self._has_pick = history.chosen[start:] >= 0
+        self._ridge = 0.0 if start else 1e-8 * np.eye(history.dim)
+
+    def since(self, start: int) -> "MnlObjective":
+        """The likelihood of the observations from ``start`` on, without ridge."""
+        return MnlObjective(self.history, start)
 
     def _pass(self, theta):
         z = (self.flat @ theta).reshape(self._pad.shape) + self._pad
@@ -246,10 +268,13 @@ class MnlObjective:
         return (self._one_hot - probs.ravel()) @ self.flat
 
     def information(self, theta, probs=None) -> np.ndarray:
+        """sum_j (X_j o P_j) X_j^T - xbar xbar^T, with X_j the (d, n) features
+        of slot j, P_j its probabilities and xbar = sum_j X_j o P_j."""
         if probs is None:
             probs = self.value_and_pass(theta)[1]
-        xbar = (probs[:, None, :] @ self.feats)[:, 0, :]
-        info = self.flat.T @ (probs.reshape(-1, 1) * self.flat) - xbar.T @ xbar
+        weighted = self._slots * probs.T[:, None, :]
+        xbar = weighted.sum(axis=0)
+        info = np.matmul(weighted, self._slots.transpose(0, 2, 1)).sum(axis=0) - xbar @ xbar.T
         return info + self._ridge
 
 
@@ -258,9 +283,15 @@ def mnl_mle_fit(
     tol: float = _TOL,
     max_iters: int = _MAX_ITERS,
     theta0=None,
+    warm: WarmStart | None = None,
 ) -> np.ndarray:
-    """Newton maximizer of the multinomial log-likelihood (warm-startable)."""
-    return _newton(MnlObjective(history), history.dim, theta0, tol, max_iters, "choice-model")[0]
+    """Newton maximizer of the multinomial log-likelihood (warm-startable).
+
+    ``warm``, the last fit of this history, replaces ``theta0`` with a
+    predicted start and is advanced to this fit.
+    """
+    obj = MnlObjective(history)
+    return _newton(obj, history.dim, theta0, tol, max_iters, "choice-model", warm)[0]
 
 
 def mnl_radius(t: int, b_of_t: float, d: int, kappa2: float) -> float:
@@ -332,7 +363,8 @@ class MnlPolicy:
     Rounds up to t0 offer random size-q assortments and (for conversational
     kinds) query q spanner key-terms per conversation, recording outcomes and
     growing the design matrix with every offered feature.  Afterwards each
-    round refits the MLE, forms optimistic utilities, and offers the exact
+    round refits the MLE (from the start its last fit, carried in a
+    ``WarmStart``, predicts), forms optimistic utilities, and offers the exact
     revenue-optimal assortment under the revenues of the user it offers to.
     The plain kind skips conversations.
     """
@@ -355,6 +387,7 @@ class MnlPolicy:
         self.d = self.keyterm_feats.shape[1]
         self.history = ChoiceHistory(self.d, self.config.q, _DESIGN_REG)
         self.theta = np.zeros(self.d)
+        self._warm = WarmStart(self.d)
         self.converses = kind != "ucb-mnl"
         self._curvature_verified = False
         if self.converses and spanner is None:
@@ -402,7 +435,7 @@ class MnlPolicy:
                         "increase t0 or the assortment size"
                     )
                 self._curvature_verified = True
-            self.theta = mnl_mle_fit(self.history, theta0=self.theta)
+            self.theta = mnl_mle_fit(self.history, warm=self._warm)
             # policies without a conversation module have no key-term
             # observations, so their radius counts offered rounds only
             alpha = self.radius(t, b_of_t if self.converses else 0.0)

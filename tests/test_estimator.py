@@ -9,6 +9,7 @@ from conduel.errors import DomainError, NumericalError, StructuralError
 from conduel.estimator import (
     DuelObjective,
     InteractionHistory,
+    WarmStart,
     dueling_radius,
     mle_fit,
     project_theta,
@@ -393,6 +394,87 @@ def test_fit_matches_reference_newton_loop(monkeypatch):
         assert len(seen) == len(ref_once) < len(ref_seen)
         for x, y in zip(seen, ref_once):
             np.testing.assert_array_equal(x, y)
+
+
+# ---------------------------------------------------------------- predicted start
+
+
+def grown_fits(rng, d, n0, k):
+    """A history fitted at n0 rows through a WarmStart, then grown by k rows."""
+    h, _ = random_history(rng, d=d, n=n0 + k)
+    first = history_from(h.diffs[:n0], h.outcomes[:n0])
+    warm = WarmStart(d)
+    mle_fit(first, 1.0, SIG, warm=warm)
+    return h, warm
+
+
+def test_since_rows_add_up_to_the_whole_objective():
+    rng = np.random.default_rng(40)
+    h, _ = random_history(rng, d=3, n=40)
+    first = history_from(h.diffs[:25], h.outcomes[:25])
+    whole, head = DuelObjective(h, 0.7, SIG), DuelObjective(first, 0.7, SIG)
+    tail = whole.since(25)
+    theta = rng.normal(size=3)
+    assert whole.value(theta) == pytest.approx(head.value(theta) + tail.value(theta), rel=1e-13)
+    np.testing.assert_allclose(
+        whole.score(theta), head.score(theta) + tail.score(theta), atol=1e-12
+    )
+    np.testing.assert_allclose(
+        whole.information(theta), head.information(theta) + tail.information(theta), atol=1e-12
+    )
+
+
+@pytest.mark.parametrize("d, n0, k", [(2, 30, 1), (3, 50, 4), (5, 200, 12)])
+def test_fit_from_predicted_start_matches_warm_fit(d, n0, k):
+    rng = np.random.default_rng(41 + d)
+    h, warm = grown_fits(rng, d, n0, k)
+    prev = warm.theta
+    start = estimator._start(DuelObjective(h, 1.0, SIG), warm)[0]
+    assert not np.array_equal(start, prev)  # the prediction passed its check
+    predicted = mle_fit(h, 1.0, SIG, warm=warm)
+    plain = mle_fit(h, 1.0, SIG, theta0=prev)
+    obj = DuelObjective(h, 1.0, SIG)
+    assert np.linalg.norm(obj.score(predicted.theta_raw)) <= 1e-8
+    np.testing.assert_allclose(predicted.theta_raw, plain.theta_raw, rtol=0, atol=1e-9)
+    assert warm.rows == n0 + k and warm.theta is predicted.theta_raw
+    assert warm.value == obj.value(warm.theta)
+
+
+def test_rejected_predicted_start_equals_plain_warm_fit():
+    rng = np.random.default_rng(44)
+    h, warm = grown_fits(rng, 3, 40, 3)
+    # an information far too small overshoots: the predicted start loses
+    # likelihood, so the fit must start from the last estimate instead
+    warm.info = 1e-6 * warm.info
+    prev = warm.theta
+    obj = DuelObjective(h, 1.0, SIG)
+    new = obj.since(40)
+    p = new.pass_at(prev)
+    pred = prev + np.linalg.solve(warm.info + new.information(prev, p), new.score(prev, p))
+    assert obj.value(pred) < warm.value + new.value(prev, p) - 1.0
+    predicted = mle_fit(h, 1.0, SIG, warm=warm)
+    plain = mle_fit(h, 1.0, SIG, theta0=prev)
+    np.testing.assert_array_equal(predicted.theta_raw, plain.theta_raw)
+    np.testing.assert_array_equal(predicted.theta_proj, plain.theta_proj)
+    assert predicted.newton_iters == plain.newton_iters
+
+
+def test_predicted_start_cuts_newton_iterations(monkeypatch):
+    # warm-started at the last estimate, fits here averaged 2.198 iterations
+    iters = []
+
+    def counted(*args, **kwargs):
+        out = newton(*args, **kwargs)
+        iters.append(out[1])
+        return out
+
+    newton = estimator._newton
+    monkeypatch.setattr(estimator, "_newton", counted)
+    universe = dict(n_users=2, n_keyterms=30, n_arms=60, dim=4, max_arms_per_keyterm=4)
+    envset = gen_synthetic(SyntheticConfig(**universe), 7)
+    run_experiment(envset, "conduel", 150, [0, 1], Schedule("linear", 5), pool_size=10, users=2)
+    assert len(iters) == 600
+    assert np.mean(iters) < 2.198 - 0.5
 
 
 # ---------------------------------------------------------------- projection

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from conduel import mnl
 from conduel import rng as streams
 from conduel.env import Schedule, SimulatedUser, SyntheticConfig, gen_synthetic
 from conduel.errors import DomainError, NumericalError, StructuralError
+from conduel.estimator import WarmStart, _start
 from conduel.glm import DesignMatrix
+from conduel.harness import run_experiment
 from conduel.mnl import (
     OUTSIDE,
     ChoiceHistory,
@@ -205,6 +208,26 @@ def test_objective_bitwise_equals_plain_formula(width):
         np.testing.assert_array_equal(obj.score(theta, got_probs), score)
 
 
+@pytest.mark.parametrize("width", range(1, 13))
+def test_information_equals_textbook_formula(width):
+    # the slot-major sums against the row-major formula, with padded slots
+    # and outside-option picks present
+    rng = np.random.default_rng(200 + width)
+    h, _ = sample_history(rng, d=3, n=80, q=width)
+    assert np.any(h.chosen == OUTSIDE)
+    if width > 1:
+        assert not h.mask.all()
+    obj = MnlObjective(h)
+    flat = h.feats.reshape(len(h) * width, 3)
+    for scale in (0.1, 1.0, 4.0, 30.0):
+        theta = scale * rng.normal(size=3)
+        probs = obj.value_and_pass(theta)[1]
+        xbar = (probs[:, None, :] @ h.feats)[:, 0, :]
+        plain = flat.T @ (probs.reshape(-1, 1) * flat) - xbar.T @ xbar + 1e-8 * np.eye(3)
+        got = obj.information(theta, probs)
+        assert np.linalg.norm(got - plain) <= 1e-12 * np.linalg.norm(plain)
+
+
 @pytest.mark.parametrize("width", [*range(1, 20), 63, 64, 127, 128, 129, 136, 300])
 def test_row_sums_bitwise_equal_numpy_sum(width):
     rng = np.random.default_rng(width)
@@ -339,6 +362,96 @@ def test_fit_matches_reference_newton_loop(monkeypatch):
         assert len(seen) == len(ref_once) < len(ref_seen)
         for x, y in zip(seen, ref_once):
             np.testing.assert_array_equal(x, y)
+
+
+def replay(history, n):
+    """A fresh history holding the first n observations of ``history``."""
+    h = ChoiceHistory(history.dim, history.width, ridge=1.0)
+    for feats, mask, chosen in zip(history.feats[:n], history.mask[:n], history.chosen[:n]):
+        h.append(feats[mask], int(chosen))
+    return h
+
+
+def test_since_observations_add_up_to_the_whole_objective():
+    rng = np.random.default_rng(31)
+    h, _ = sample_history(rng, d=3, n=40)
+    whole, head = MnlObjective(h), MnlObjective(replay(h, 25))
+    tail = whole.since(25)
+    theta = rng.normal(size=3)
+    assert whole.value(theta) == pytest.approx(head.value(theta) + tail.value(theta), rel=1e-13)
+    np.testing.assert_allclose(
+        whole.score(theta), head.score(theta) + tail.score(theta), atol=1e-12
+    )
+    np.testing.assert_allclose(
+        whole.information(theta), head.information(theta) + tail.information(theta), atol=1e-12
+    )
+
+
+def grown_fits(rng, d, n0, k, q=3):
+    """A history fitted at n0 observations through a WarmStart, then grown by k."""
+    h, _ = sample_history(rng, d=d, n=n0 + k, q=q)
+    warm = WarmStart(d)
+    mnl_mle_fit(replay(h, n0), warm=warm)
+    return h, warm
+
+
+@pytest.mark.parametrize("d, n0, k, q", [(2, 40, 1, 3), (3, 60, 4, 4), (5, 300, 10, 2)])
+def test_fit_from_predicted_start_matches_warm_fit(d, n0, k, q):
+    rng = np.random.default_rng(32 + d)
+    h, warm = grown_fits(rng, d, n0, k, q)
+    prev = warm.theta
+    assert not np.array_equal(_start(MnlObjective(h), warm)[0], prev)
+    predicted = mnl_mle_fit(h, warm=warm)
+    plain = mnl_mle_fit(h, theta0=prev)
+    assert np.linalg.norm(MnlObjective(h).score(predicted)) <= 1e-8
+    np.testing.assert_allclose(predicted, plain, rtol=0, atol=1e-9)
+    assert warm.rows == n0 + k and warm.theta is predicted
+
+
+def test_rejected_predicted_start_equals_plain_warm_fit():
+    rng = np.random.default_rng(36)
+    h, warm = grown_fits(rng, 3, 50, 3)
+    # an information far too small overshoots: the predicted start loses
+    # likelihood, so the fit must start from the last estimate instead
+    warm.info = 1e-6 * warm.info
+    prev = warm.theta
+    obj = MnlObjective(h)
+    new = obj.since(50)
+    ell, p = new.value_and_pass(prev)
+    pred = prev + np.linalg.solve(warm.info + new.information(prev, p), new.score(prev, p))
+    assert obj.value(pred) < warm.value + ell - 1.0
+    np.testing.assert_array_equal(mnl_mle_fit(h, warm=warm), mnl_mle_fit(h, theta0=prev))
+
+
+def test_predicted_start_cuts_newton_iterations(monkeypatch):
+    # warm-started at the last estimate, fits here averaged 2.5975 iterations
+    iters = []
+
+    def counted(*args, **kwargs):
+        out = newton(*args, **kwargs)
+        iters.append(out[1])
+        return out
+
+    newton = mnl._newton
+    monkeypatch.setattr(mnl, "_newton", counted)
+    universe = dict(n_users=2, n_keyterms=30, n_arms=60, dim=4, max_arms_per_keyterm=4)
+    envset = gen_synthetic(SyntheticConfig(**universe), 7)
+    run_experiment(envset, "conmnl", 150, [0, 1], Schedule("linear", 5), pool_size=10, users=2)
+    assert len(iters) == 400
+    assert np.mean(iters) < 2.5975 - 0.5
+
+
+def test_predicted_start_survives_a_missing_mle():
+    # q=3, t0=10, user 0, seed 1: the MLE does not exist after t0 (the
+    # estimate's norm runs past 200), and one predicted step overshoots to a
+    # start far below the last estimate's likelihood; without the check the
+    # fit from there fails to converge at round 16
+    envset = gen_synthetic(SyntheticConfig(), 0)
+    trace = run_experiment(
+        envset, "conmnl", 20, [1], Schedule("linear", 10), pool_size=50, users=[0],
+        mnl_config=MnlConfig(q=3, t0=10),
+    )
+    assert trace.inst.shape == (1, 20) and np.all(np.isfinite(trace.inst))
 
 
 def test_fit_nonconvergence_raises():
@@ -485,6 +598,12 @@ def test_choice_history_grows():
         h.append(np.ones((1 + i % 3, 2)), OUTSIDE)
     assert len(h) == 100
     assert h.mask[-1].sum() == 1 + 99 % 3
+
+
+def test_choice_history_slots_are_feats_transposed():
+    rng = np.random.default_rng(30)
+    h, _ = sample_history(rng, d=4, n=150, q=3)
+    np.testing.assert_array_equal(h.slots, h.feats.transpose(1, 2, 0))
 
 
 def test_choice_history_design_tracks_offered_rows():
