@@ -198,8 +198,9 @@ def _start(obj, warm: WarmStart) -> tuple:
     predicted start is theta_prev + (J_prev + J_new)^-1 g, one Newton step on
     the whole history with the old rows' information taken from the last
     fit.  It is kept only when its value is at least f_prev + l, the value at
-    theta_prev, less round-off: where the MLE does not exist yet the step can
-    overshoot by orders of magnitude.  Otherwise, and before any Newton
+    theta_prev, less round-off, so a step that overshoots (J_prev is the
+    information at the last fit's iterate, not at theta_prev) never starts
+    the solve below the last estimate.  Otherwise, and before any Newton
     iteration has run, the start is theta_prev.
     """
     theta = warm.theta

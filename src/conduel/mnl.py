@@ -10,10 +10,10 @@ information; the fit runs the shared Newton solver of ``estimator`` on it.
 flat pick index once, on append, and a slot-major copy of its offer, so an
 objective is built from views; a pass reduces its short rows (``q`` slots)
 column by column, bit for bit the result of numpy's row reductions, and the
-information runs over the slot-major copy's long rows.  The likelihood is
-unregularized; identifiability comes from the forced-exploration
-initialization phase, and a vanishing ridge enters the information only to
-condition the Newton solve.
+information runs over the slot-major copy's long rows.  The likelihood
+carries the ridge -(lam / 2) ||theta||^2 of the dueling likelihood, so it is
+strictly concave and its maximizer exists after any history, the empty one
+included.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import rng as streams
 from .dueling import RoundRecord
-from .errors import ConfigError, DomainError, NumericalError, StructuralError
+from .errors import ConfigError, DomainError, StructuralError
 from .estimator import _MAX_ITERS, _TOL, WarmStart, _newton
 from .glm import DesignMatrix, ucb_utilities
 from .spanner import Spanner
@@ -51,9 +51,9 @@ OUTSIDE = -1
 # constants are dominated by 1/kappa2 and would drown every utility signal.
 DEFAULT_MNL_RADIUS_SCALE = 0.05
 
-# Starting value of the design matrix; numerical only, since the likelihood
-# has no ridge.
-_DESIGN_REG = 1e-6
+# Ridge lam of the choice likelihood and starting value lam * I of the design
+# matrix; the dueling default (``DuelConfig.lam``).
+_LAM = 1.0
 
 
 @dataclass
@@ -211,9 +211,10 @@ class MnlObjective:
     slot-major copy, the pad offsets that mask padded slots with -inf, the
     one-hot picks and the flat pick indices.  Serves the value, the choice
     probabilities, the score and the observed information (minus the
-    Hessian of the value, plus a 1e-8 ridge that conditions the Newton
-    solve); the last two take the probabilities when the caller already has
-    them.  Inputs are not validated.
+    Hessian of the value) of the regularized log-likelihood
+    sum log p(choice) - (lam / 2) ||theta||^2; the last two take the
+    probabilities when the caller already has them.  Inputs are not
+    validated.
 
     A pass takes each row's max and sum column by column (exact for the
     max; the sum in numpy's own order, see ``_row_sums``), since rows hold
@@ -224,7 +225,9 @@ class MnlObjective:
     the ridge: what they add to the objective over the first ``start``.
     """
 
-    __slots__ = ("history", "flat", "_slots", "_pad", "_one_hot", "_pick", "_has_pick", "_ridge")
+    __slots__ = (
+        "history", "flat", "lam", "_slots", "_pad", "_one_hot", "_pick", "_has_pick", "_ridge"
+    )
 
     def __init__(self, history: ChoiceHistory, start: int = 0):
         n, width = len(history), history.width
@@ -235,10 +238,11 @@ class MnlObjective:
         self._one_hot = history.one_hot[start:].ravel()
         self._pick = history.pick[start:] - start * width if start else history.pick
         self._has_pick = history.chosen[start:] >= 0
-        self._ridge = 0.0 if start else 1e-8 * np.eye(history.dim)
+        self.lam = 0.0 if start else _LAM
+        self._ridge = self.lam * np.eye(history.dim)
 
     def since(self, start: int) -> "MnlObjective":
-        """The likelihood of the observations from ``start`` on, without ridge."""
+        """The unregularized likelihood of the observations from ``start`` on."""
         return MnlObjective(self.history, start)
 
     def _pass(self, theta):
@@ -250,10 +254,12 @@ class MnlObjective:
         e = np.exp(z - shift[:, None])
         den = np.exp(-shift) + _row_sums(e)
         picked = np.where(self._has_pick, z.ravel().take(self._pick), 0.0)
-        return float(np.sum(picked - shift - np.log(den))), e, den
+        reg = 0.5 * self.lam * float(theta @ theta)
+        return float(np.sum(picked - shift - np.log(den))) - reg, e, den
 
     def value(self, theta) -> float:
-        """Sum of log-probabilities of the recorded choices (arm and key-term offers)."""
+        """Sum of log-probabilities of the recorded choices (arm and key-term
+        offers), less the ridge."""
         return self._pass(theta)[0]
 
     def value_and_pass(self, theta):
@@ -265,11 +271,11 @@ class MnlObjective:
         """Gradient of the value; zero at the MLE."""
         if probs is None:
             probs = self.value_and_pass(theta)[1]
-        return (self._one_hot - probs.ravel()) @ self.flat
+        return (self._one_hot - probs.ravel()) @ self.flat - self.lam * theta
 
     def information(self, theta, probs=None) -> np.ndarray:
-        """sum_j (X_j o P_j) X_j^T - xbar xbar^T, with X_j the (d, n) features
-        of slot j, P_j its probabilities and xbar = sum_j X_j o P_j."""
+        """sum_j (X_j o P_j) X_j^T - xbar xbar^T + lam I, with X_j the (d, n)
+        features of slot j, P_j its probabilities and xbar = sum_j X_j o P_j."""
         if probs is None:
             probs = self.value_and_pass(theta)[1]
         weighted = self._slots * probs.T[:, None, :]
@@ -285,7 +291,8 @@ def mnl_mle_fit(
     theta0=None,
     warm: WarmStart | None = None,
 ) -> np.ndarray:
-    """Newton maximizer of the multinomial log-likelihood (warm-startable).
+    """Newton maximizer of the regularized multinomial log-likelihood
+    (warm-startable).
 
     ``warm``, the last fit of this history, replaces ``theta0`` with a
     predicted start and is advanced to this fit.
@@ -385,11 +392,10 @@ class MnlPolicy:
         self.stream = stream
         self.config = config or MnlConfig()
         self.d = self.keyterm_feats.shape[1]
-        self.history = ChoiceHistory(self.d, self.config.q, _DESIGN_REG)
+        self.history = ChoiceHistory(self.d, self.config.q, _LAM)
         self.theta = np.zeros(self.d)
         self._warm = WarmStart(self.d)
         self.converses = kind != "ucb-mnl"
-        self._curvature_verified = False
         if self.converses and spanner is None:
             raise StructuralError("conversational choice policies require a spanner")
 
@@ -427,14 +433,6 @@ class MnlPolicy:
             rng_a = self.stream.at(t, streams.ASSORTMENT_RANDOM)
             sel = np.sort(rng_a.choice(n_pool, size=min(cfg.q, n_pool), replace=False))
         else:
-            if not self._curvature_verified:
-                smallest = float(np.linalg.eigvalsh(self.history.design.m)[0])
-                if smallest <= _DESIGN_REG + 1e-9:
-                    raise NumericalError(
-                        "initialization phase left the design matrix singular; "
-                        "increase t0 or the assortment size"
-                    )
-                self._curvature_verified = True
             self.theta = mnl_mle_fit(self.history, warm=self._warm)
             # policies without a conversation module have no key-term
             # observations, so their radius counts offered rounds only

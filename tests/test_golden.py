@@ -22,12 +22,12 @@ from conduel.mnl import MnlConfig
 GOLDEN = {
     "conduel": "8bb79af48ce01e45009b3ebb1e5dde308d167835cb2c87a892b3c4798270340d",
     "rconucb-diff": "a9e7fedd9a6198ea70c683c965fb5954c817d5a59a9ba288094917f70e5b0b3d",
-    "conmnl": "7b3f1de1b9fbd777f209e22044947b97ff247c2122534868bef9833b9c13c856",
-    # the two pick key-terms differently only after the initialization
-    # phase, and on this config they then offer the same assortments
-    "conmnl-ucb": "3ee74b9859139f70a79c3b02f33e1b541b90e7d9fb7662aa42d28826c0d3d626",
-    "conmnl-random": "3ee74b9859139f70a79c3b02f33e1b541b90e7d9fb7662aa42d28826c0d3d626",
-    "ucb-mnl": "124ad858182c68ed576d2995a8af738d9b86c0a971b2f5610bfeabb038242a1e",
+    # at the default radius scale the optimistic utilities saturate on this
+    # config, so all four choice-model kinds offer the same assortments
+    "conmnl": "71ea0001eb71d40dc2efaced902e22bee4e0fe3784259489ff1eb4ee31c98a75",
+    "conmnl-ucb": "71ea0001eb71d40dc2efaced902e22bee4e0fe3784259489ff1eb4ee31c98a75",
+    "conmnl-random": "71ea0001eb71d40dc2efaced902e22bee4e0fe3784259489ff1eb4ee31c98a75",
+    "ucb-mnl": "71ea0001eb71d40dc2efaced902e22bee4e0fe3784259489ff1eb4ee31c98a75",
     "conduel-random": "967f7defa05dc715654424e6b62a69894af3732d6885c194f37d18a93ef1a885",
     "conduel-maxinp": "433e737109db1d7de20a9224bf537c5e568a462856a567de2ac8e995bb457f75",
     "maxinp": "9a6c40eec963175dc0d948e3279d540bd3c8513a30a38805f59db1bca596f923",

@@ -5,7 +5,7 @@ from conduel.dueling import DuelConfig
 from conduel.env import Schedule, SyntheticConfig, gen_synthetic
 from conduel.errors import ConfigError, NumericalError
 from conduel.harness import ALL_KINDS, RegretTrace, regret_kind_of, run_experiment
-from conduel.mnl import MnlConfig
+from conduel.mnl import MNL_KINDS, MnlConfig, MnlPolicy
 from conduel.spanner import build_spanner
 
 
@@ -170,6 +170,35 @@ def test_one_dimensional_dueling_policies_learn():
         assert tr.final_mean() < 0.1 * 400, algo
 
 
+@pytest.mark.parametrize("dim, t0", [(1, 10), (3, 0)])
+def test_choice_policies_run_at_d1_and_without_initialization(dim, t0):
+    # t0=0: every round fits, the first on its conversations alone or on no
+    # observation at all
+    es = small_envset(dim=dim)
+    traces = run_experiment(
+        es, MNL_KINDS, 60, [0, 1], Schedule("prop", 0.3), pool_size=6, users=2,
+        mnl_config=MnlConfig(q=3, t0=t0),
+    )
+    for tr in traces:
+        assert tr.inst.shape == (4, 60)
+        assert np.all(np.isfinite(tr.inst)) and np.all(tr.inst >= 0.0), tr.algorithm
+
+
+@pytest.mark.parametrize("algorithm", ["conduel", "conmnl"])
+def test_pool_larger_than_arm_set_plays_every_arm(algorithm):
+    # a pool request above the arm count draws every arm, as a pool of
+    # exactly the arm count does, from the same stream
+    es = small_envset(seed=4, n_arms=15)
+    traces = [
+        run_experiment(
+            es, algorithm, 60, [0, 1], Schedule("linear", 5), pool_size=size, users=2,
+            mnl_config=MnlConfig(q=3, t0=10),
+        ).inst.tobytes()
+        for size in (15, 40)
+    ]
+    assert traces[0] == traces[1]
+
+
 def test_edge_case_universe_runs_every_algorithm():
     # as many key-terms as dimensions, and a pool larger than the arm set
     cfg = SyntheticConfig(n_users=2, n_keyterms=4, n_arms=12, dim=4, max_arms_per_keyterm=3)
@@ -208,13 +237,14 @@ def test_bad_arguments_rejected():
         run_experiment(es, "conduel", 5, [0, -1], sched, workers=2)
 
 
-def test_failed_cell_reports_context():
+def test_failed_cell_reports_context(monkeypatch):
+    def failing_round(self, *args):
+        raise NumericalError("injected")
+
+    monkeypatch.setattr(MnlPolicy, "play_round", failing_round)
     es = small_envset()
-    bad = MnlConfig(q=3, t0=0)  # no initialization: the curvature guard fires
-    with pytest.raises(NumericalError, match=r"algorithm=conmnl user=0 seed=0 round=1"):
-        run_experiment(
-            es, "conmnl", 3, [0], Schedule("linear", 0), pool_size=6, mnl_config=bad
-        )
+    with pytest.raises(NumericalError, match=r"algorithm=conmnl user=0 seed=0 round=1: injected"):
+        run_experiment(es, "conmnl", 3, [0], Schedule("linear", 0), pool_size=6)
 
 
 def test_explicit_user_list_and_shared_spanner():

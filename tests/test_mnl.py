@@ -1,3 +1,4 @@
+import functools
 import math
 from itertools import combinations
 
@@ -122,6 +123,9 @@ def test_probs_empty_offer_rejected():
 
 # ---------------------------------------------------------------- likelihood
 
+# the ridge lam of the choice likelihood
+LAM = 1.0
+
 
 def test_likelihood_and_score_empty():
     obj = MnlObjective(ChoiceHistory(3, width=2, ridge=1.0))
@@ -168,11 +172,14 @@ def test_outside_option_contributes_outside_probability():
     offered = np.array([[1.0, 0.0], [0.0, 1.0]])
     h.append(offered, OUTSIDE)
     p, p0 = mnl_probs(np.array([0.3, -0.4]), offered)
-    assert MnlObjective(h).value(np.array([0.3, -0.4])) == pytest.approx(math.log(p0))
+    # ||theta||^2 = 0.25
+    expect = math.log(p0) - 0.5 * LAM * 0.25
+    assert MnlObjective(h).value(np.array([0.3, -0.4])) == pytest.approx(expect)
 
 
 def plain_objective(h, theta):
-    """Value, probabilities and score by the textbook row reductions."""
+    """Value, probabilities and score by the textbook row reductions, with
+    the ridge."""
     n, width = len(h), h.width
     flat = h.feats.reshape(n * width, h.dim)
     rows = np.arange(n)
@@ -185,7 +192,8 @@ def plain_objective(h, theta):
     probs = e / den[:, None]
     one_hot = np.zeros((n, width))
     one_hot[rows[has], h.chosen[has]] = 1.0
-    return float(np.sum(picked - shift - np.log(den))), probs, (one_hot - probs).ravel() @ flat
+    value = float(np.sum(picked - shift - np.log(den))) - 0.5 * LAM * float(theta @ theta)
+    return value, probs, (one_hot - probs).ravel() @ flat - LAM * theta
 
 
 @pytest.mark.parametrize("width", range(1, 13))
@@ -223,16 +231,21 @@ def test_information_equals_textbook_formula(width):
         theta = scale * rng.normal(size=3)
         probs = obj.value_and_pass(theta)[1]
         xbar = (probs[:, None, :] @ h.feats)[:, 0, :]
-        plain = flat.T @ (probs.reshape(-1, 1) * flat) - xbar.T @ xbar + 1e-8 * np.eye(3)
+        plain = flat.T @ (probs.reshape(-1, 1) * flat) - xbar.T @ xbar + LAM * np.eye(3)
         got = obj.information(theta, probs)
         assert np.linalg.norm(got - plain) <= 1e-12 * np.linalg.norm(plain)
 
 
 @pytest.mark.parametrize("width", [*range(1, 20), 63, 64, 127, 128, 129, 136, 300])
 def test_row_sums_bitwise_equal_numpy_sum(width):
+    # numpy sums a row in order below 8 slots, where column adds give its
+    # bits, and pairwise from 8 on, where they do not; so _row_sums must
+    # hand rows of 8 or more slots to numpy
     rng = np.random.default_rng(width)
     e = np.exp(rng.normal(size=(50, width)) * 4.0) * (rng.random((50, width)) < 0.8)
     np.testing.assert_array_equal(_row_sums(e), e.sum(axis=1))
+    column_adds = functools.reduce(np.add, e.T)
+    assert np.array_equal(column_adds, e.sum(axis=1)) == (width < 8)
 
 
 def test_choice_history_stores_likelihood_rows():
@@ -279,7 +292,7 @@ def test_fit_matches_grid_search():
         shift = np.maximum(z.max(axis=2), 0.0)
         den = np.exp(-shift) + np.exp(z - shift[:, :, None]).sum(axis=2)
         zc = np.where(has[None], z[:, rows, picked], 0.0)
-        return (zc - shift - np.log(den)).sum(axis=1)
+        return (zc - shift - np.log(den)).sum(axis=1) - 0.5 * LAM * (grid ** 2).sum(axis=1)
 
     center, half = np.zeros(2), 1.5
     for res in (0.05, 0.005, 0.001):
@@ -442,16 +455,29 @@ def test_predicted_start_cuts_newton_iterations(monkeypatch):
 
 
 def test_predicted_start_survives_a_missing_mle():
-    # q=3, t0=10, user 0, seed 1: the MLE does not exist after t0 (the
-    # estimate's norm runs past 200), and one predicted step overshoots to a
-    # start far below the last estimate's likelihood; without the check the
-    # fit from there fails to converge at round 16
+    # q=3, t0=10, user 0, seed 1: after t0 the unregularized choice MLE does
+    # not exist (its estimate's norm runs past 200), so every refit here
+    # starts from a predicted step on a likelihood whose maximizer only the
+    # ridge provides
     envset = gen_synthetic(SyntheticConfig(), 0)
     trace = run_experiment(
         envset, "conmnl", 20, [1], Schedule("linear", 10), pool_size=50, users=[0],
         mnl_config=MnlConfig(q=3, t0=10),
     )
     assert trace.inst.shape == (1, 20) and np.all(np.isfinite(trace.inst))
+
+
+def test_choice_mle_exists_after_separable_exploration():
+    # q=3, t0=10, user 2, seed 1: after the ten exploration rounds the
+    # unregularized choice likelihood has no maximizer, and Newton on it
+    # fails to converge at round 11; the ridged one has, in every kind
+    envset = gen_synthetic(SyntheticConfig(), 0)
+    traces = run_experiment(
+        envset, mnl.MNL_KINDS, 400, [1], Schedule("linear", 10), pool_size=50, users=[2],
+        mnl_config=MnlConfig(q=3, t0=10),
+    )
+    for trace in traces:
+        assert trace.inst.shape == (1, 400) and np.all(np.isfinite(trace.inst))
 
 
 def test_fit_nonconvergence_raises():
@@ -710,13 +736,6 @@ def test_policy_reads_revenues_from_its_user_after_initialization():
     assert calls == [10] * 12
 
 
-def test_curvature_guard_triggers_without_initialization():
-    es = small_envset()
-    policy = make_policy("ucb-mnl", es, seed=0, q=3, t0=0)
-    with pytest.raises(NumericalError, match="singular"):
-        run_rounds(policy, es, 0, 0, 2, Schedule("linear", 0))
-
-
 def test_keyterm_selection_modes():
     es = small_envset()
     sp = build_spanner(es.keyterm_feats)
@@ -757,7 +776,7 @@ def straight_line_conmnl(es, user, seed, horizon, schedule, pool_size, q, t0, ka
     members = build_spanner(es.keyterm_feats).member_ids
     kt = es.keyterm_feats
     d = es.dim
-    design = 1e-6 * np.eye(d)
+    design = LAM * np.eye(d)
     offers, chosens = [], []
     theta = np.zeros(d)
     out = []
@@ -784,7 +803,7 @@ def straight_line_conmnl(es, user, seed, horizon, schedule, pool_size, q, t0, ka
                 den = math.exp(-shift) + np.exp(z - shift).sum()
                 picked = z[chosen] if chosen >= 0 else 0.0
                 total += picked - shift - math.log(den)
-            return -total
+            return -total + 0.5 * LAM * float(th @ th)
 
         res = minimize(neg_ll, start, method="Nelder-Mead",
                        options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 4000})
