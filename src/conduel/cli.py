@@ -207,7 +207,6 @@ def cmd_synth(args) -> int:
 
 def cmd_prep(args) -> int:
     cfg = load_config(args)
-    raw = parse_hetrec(args.tags)
     ingest = IngestConfig(
         n_items=args.items,
         n_users=args.top_users,
@@ -215,6 +214,7 @@ def cmd_prep(args) -> int:
         dim=cfg.d,
         link=cfg.link,
     )
+    raw = parse_hetrec(args.tags)
     envset = build_environment(raw, ingest)
     return _export(envset, args.out_file, {"n_raw_records": raw.n_raw})
 

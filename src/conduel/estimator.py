@@ -9,13 +9,13 @@ only implementation: the strictly concave
 with m the primitive of the link (``link.anti``), together with its score, the
 regularized mean-value map g and the Jacobian of g.  ``_newton`` is the one
 damped-Newton solver; it fits this objective and the choice-model
-likelihood of ``mnl`` alike.  A refit of a growing history starts from the
-estimate that its previous fit, carried in a ``WarmStart``, predicts for the
-rows appended since, when that start passes a likelihood check (see
-``_start``).  When the fit leaves the unit ball it is pulled
-back by minimizing || g(theta) - g(theta_hat) ||_{M^-1} over the ball, a
-Gauss-Newton solve on the unit sphere built from the same object's g and
-Jacobian.
+likelihood of ``mnl`` alike, and ``_start`` is its one entry: a refit of a
+growing history starts from the estimate that its previous fit, carried in a
+``WarmStart``, predicts for the rows appended since, when that start passes
+a likelihood check; a cold fit is a fresh ``WarmStart`` and starts at zero.
+When the fit leaves the unit ball it is pulled back by minimizing
+|| g(theta) - g(theta_hat) ||_{M^-1} over the ball, a Gauss-Newton solve on
+the unit sphere built from the same object's g and Jacobian.
 """
 
 from __future__ import annotations
@@ -115,8 +115,8 @@ class WarmStart:
     ``theta`` is the raw estimate, ``info`` the information of Newton's last
     iteration (kept from an earlier fit when no iteration ran; None before
     the first iteration), ``value`` the objective at ``theta`` and ``rows``
-    the history length at that fit.  A fit given a ``WarmStart`` advances it
-    to its own result.
+    the history length at that fit.  A fresh one starts a cold fit at zero.
+    A fit given a ``WarmStart`` advances it to its own result.
     """
 
     __slots__ = ("theta", "info", "value", "rows")
@@ -217,31 +217,25 @@ def _start(obj, warm: WarmStart) -> tuple:
     return theta, f, aux
 
 
-def _newton(obj, dim: int, theta0, tol: float, max_iters: int, what: str, warm=None) -> tuple:
+def _newton(obj, tol: float, max_iters: int, what: str, warm: WarmStart) -> tuple:
     """Damped Newton ascent on a strictly concave objective; (theta,
     iterations, the pass at theta).
 
     ``obj`` serves ``value_and_pass(theta)``, which returns the value and a
     per-point pass (utilities and their link tail, or choice
-    probabilities), and ``score`` and
-    ``information`` (minus the Hessian), which reuse that pass.  Each step
-    is the Newton direction, halved until the value falls by no more than
-    round-off; the accepted trial's value and pass carry over, so every
-    point is evaluated once.  When no trial down to 2^-40 is accepted, that
-    smallest step is taken.  Stops once ||score|| <= tol.
-
-    ``warm``, the ``WarmStart`` of the last fit of the same growing history,
-    replaces ``theta0``: the solve starts where ``_start`` says, and ``warm``
-    is advanced to this fit.  ``obj`` then also serves ``since(rows)`` and
-    ``history``.
+    probabilities), ``score`` and ``information`` (minus the Hessian), which
+    reuse that pass, and ``since(rows)`` and ``history`` for ``_start``.
+    ``warm`` holds the last fit of the same growing history, or is fresh
+    (zero) for a cold fit; the solve starts where ``_start`` says, and
+    ``warm`` is advanced to this fit.  Each step is the Newton direction,
+    halved until the value falls by no more than round-off; the accepted
+    trial's value and pass carry over, so every point is evaluated once.
+    When no trial down to 2^-40 is accepted, that smallest step is taken.
+    Stops once ||score|| <= tol.
     """
     if tol <= 0.0:
         raise DomainError("tol must be positive")
-    if warm is not None:
-        theta, f0, aux = _start(obj, warm)
-    else:
-        theta = np.zeros(dim) if theta0 is None else np.asarray(theta0, dtype=float).copy()
-        f0, aux = obj.value_and_pass(theta)
+    theta, f0, aux = _start(obj, warm)
     grad = obj.score(theta, aux)
     grad_norm = math.sqrt(float(grad @ grad))
     iters = 0
@@ -270,10 +264,9 @@ def _newton(obj, dim: int, theta0, tol: float, max_iters: int, what: str, warm=N
         grad = obj.score(theta, aux)
         grad_norm = math.sqrt(float(grad @ grad))
         iters += 1
-    if warm is not None:
-        warm.theta, warm.value, warm.rows = theta, f0, len(obj.history)
-        if info is not None:
-            warm.info = info
+    warm.theta, warm.value, warm.rows = theta, f0, len(obj.history)
+    if info is not None:
+        warm.info = info
     return theta, iters, aux
 
 
@@ -283,19 +276,18 @@ def mle_fit(
     link: LinkFunction,
     tol: float = _TOL,
     max_iters: int = _MAX_ITERS,
-    theta0=None,
     warm: WarmStart | None = None,
 ) -> ThetaEstimate:
     """Newton fit of the regularized MLE, with projection onto the unit ball.
 
-    ``theta0`` warm-starts the solve (the objective is strictly concave, so
-    the solution does not depend on it); ``warm``, the last fit of this
-    history, replaces it with a predicted start and is advanced to this fit.
-    The projection measures in the history's own design matrix and reuses
-    the fit's last pass.
+    ``warm``, the last fit of this history, gives the solve a predicted
+    start (see ``_start``) and is advanced to this fit; without it the solve
+    starts at zero.  The objective is strictly concave, so the solution does
+    not depend on the start.  The projection measures in the history's own
+    design matrix and reuses the fit's last pass.
     """
     obj = DuelObjective(history, lam, link)
-    theta, iters, p = _newton(obj, history.dim, theta0, tol, max_iters, "MLE", warm)
+    theta, iters, p = _newton(obj, tol, max_iters, "MLE", warm or WarmStart(history.dim))
     if float(np.linalg.norm(theta)) > 1.0:
         return ThetaEstimate(theta, project_theta(theta, obj, history.design, p), True, iters)
     return ThetaEstimate(theta, theta.copy(), False, iters)

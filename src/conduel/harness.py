@@ -175,7 +175,8 @@ def run_experiment(
     in.  Every argument is checked before any cell plays.
 
     ``users`` may be a count (the first k users) or an explicit index list.
-    The spanner is built once per environment set and shared read-only.
+    ``workers`` 0 takes one process per processor.  The spanner is built
+    once per environment set and shared read-only.
     """
     algorithms = (algorithm,) if isinstance(algorithm, str) else tuple(algorithm)
     if not algorithms:
@@ -192,6 +193,8 @@ def run_experiment(
         raise ConfigError("need at least one seed")
     if min(seeds) < 0:
         raise ConfigError(f"seeds must be nonnegative, got {min(seeds)}")
+    if workers < 0:
+        raise ConfigError(f"workers must be nonnegative, got {workers}")
     if users is None:
         users = [0]
     elif isinstance(users, int):
@@ -209,7 +212,7 @@ def run_experiment(
     mnl_config = mnl_config or MnlConfig()
     if spanner is None:
         spanner = build_spanner(envset.keyterm_feats)
-    if workers <= 0:
+    if workers == 0:
         workers = os.cpu_count() or 1
 
     run_fields = {

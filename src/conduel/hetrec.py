@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .env import EnvironmentSet
-from .errors import DataFormatError, StructuralError
+from .errors import ConfigError, DataFormatError, StructuralError
 from .glm import WeightGraph, get_link
 
 __all__ = ["RawInteractions", "IngestConfig", "parse_hetrec", "build_environment"]
@@ -56,6 +56,12 @@ class IngestConfig:
     tags_per_item: int = 20
     dim: int = 10
     link: str = "sigmoid"
+
+    def __post_init__(self):
+        for name in ("n_items", "n_users", "tags_per_item", "dim"):
+            value = getattr(self, name)
+            if not value >= 1:
+                raise ConfigError(f"{name} must be at least 1, got {value!r}")
 
 
 def parse_hetrec(path) -> RawInteractions:

@@ -3,17 +3,15 @@ MLE, and exact cardinality-constrained assortment optimization by
 Dinkelbach's fixed-point iteration on the revenue threshold.
 
 A choice observation offers up to q features (arms or key-terms); the user
-picks one of them or the outside option.  ``MnlObjective`` is the only
-implementation of the choice log-likelihood, its score and its observed
-information; the fit runs the shared Newton solver of ``estimator`` on it.
-``ChoiceHistory`` writes each observation's pad offsets, one-hot pick and
-flat pick index once, on append, and a slot-major copy of its offer, so an
-objective is built from views; a pass reduces its short rows (``q`` slots)
-column by column, bit for bit the result of numpy's row reductions, and the
-information runs over the slot-major copy's long rows.  The likelihood
-carries the ridge -(lam / 2) ||theta||^2 of the dueling likelihood, so it is
-strictly concave and its maximizer exists after any history, the empty one
-included.
+picks one of them or the outside option.  ``ChoiceHistory`` stores each
+observation once, slot-major: the offer, its pad offsets and its one-hot
+pick sit in arrays whose last axis runs over observations, so every
+reduction of the likelihood runs over the q slots with rows as long as the
+history.  ``MnlObjective`` is the only implementation of the choice
+log-likelihood, its score and its observed information; the fit runs the
+shared Newton solver of ``estimator`` on it.  The likelihood carries the
+ridge -(lam / 2) ||theta||^2 of the dueling likelihood, so it is strictly
+concave and its maximizer exists after any history, the empty one included.
 """
 
 from __future__ import annotations
@@ -77,18 +75,18 @@ class MnlConfig:
 class ChoiceHistory:
     """Append-only store of choice observations and their design matrix.
 
-    Offers sit in padded buffers.  Each row also stores, once, what the
-    choice log-likelihood reads of it: the pad offsets (0 on offered slots,
-    -inf on padding), the one-hot pick and the pick's index into the
-    flattened (n * width) slots (the row's first slot for the outside
-    option).  ``slots`` holds the offers again, slot-major: a (width, d, n)
-    view whose rows run over observations.  ``design`` is ``ridge * I`` plus
-    the sum of x x^T over every offered feature.
+    Every array is slot-major, with its last axis running over observations:
+    ``slots`` (width, d, n) holds the padded offers, ``slot_pad`` (width, n)
+    their pad offsets (0 on offered slots, -inf on padding), ``slot_one_hot``
+    (width, n) the one-hot picks (all zero for the outside option), and
+    ``chosen`` (n,) the picked slot or ``OUTSIDE``.  Each is written once, on
+    append.  ``feats``, ``pad``, ``one_hot`` and ``mask`` are read-only
+    observation-major (n, width, ...) views of them, for reading one offer at
+    a time.  ``design`` is ``ridge * I`` plus the sum of x x^T over every
+    offered feature.
     """
 
-    __slots__ = (
-        "dim", "width", "design", "_feats", "_slots", "_pad", "_one_hot", "_pick", "_chosen", "n"
-    )
+    __slots__ = ("dim", "width", "design", "_slots", "_pad", "_one_hot", "_chosen", "n")
 
     def __init__(self, dim: int, width: int, ridge: float):
         if width < 1:
@@ -96,11 +94,9 @@ class ChoiceHistory:
         self.dim = int(dim)
         self.width = int(width)
         self.design = DesignMatrix(self.dim, ridge)
-        self._feats = np.empty((64, self.width, self.dim))
         self._slots = np.empty((self.width, self.dim, 64))
-        self._pad = np.empty((64, self.width))
-        self._one_hot = np.empty((64, self.width))
-        self._pick = np.empty(64, dtype=np.int64)
+        self._pad = np.empty((self.width, 64))
+        self._one_hot = np.empty((self.width, 64))
         self._chosen = np.empty(64, dtype=np.int64)
         self.n = 0
 
@@ -116,40 +112,44 @@ class ChoiceHistory:
         n = self.n
         if n == len(self._chosen):
             grow = max(2 * n, 64)
-            self._feats = np.resize(self._feats, (grow, self.width, self.dim))
-            slots = np.empty((self.width, self.dim, grow))
-            slots[:, :, :n] = self._slots[:, :, :n]
-            self._slots = slots
-            self._pad = np.resize(self._pad, (grow, self.width))
-            self._one_hot = np.resize(self._one_hot, (grow, self.width))
-            self._pick = np.resize(self._pick, grow)
-            self._chosen = np.resize(self._chosen, grow)
-        # every slot of row n is written, so nothing reads a stale buffer entry
-        self._feats[n, :m] = offered
-        self._feats[n, m:] = 0.0
-        self._slots[:, :, n] = self._feats[n]
-        self._pad[n, :m] = 0.0
-        self._pad[n, m:] = -np.inf
-        self._one_hot[n] = 0.0
+            bufs = (self._slots, self._pad, self._one_hot, self._chosen)
+            self._slots, self._pad, self._one_hot, self._chosen = (_grown(b, n, grow) for b in bufs)
+        # every slot of column n is written, so nothing reads a stale entry
+        self._slots[:m, :, n] = offered
+        self._slots[m:, :, n] = 0.0
+        self._pad[:m, n] = 0.0
+        self._pad[m:, n] = -np.inf
+        self._one_hot[:, n] = 0.0
         if chosen != OUTSIDE:
-            self._one_hot[n, chosen] = 1.0
-        self._pick[n] = n * self.width + max(chosen, 0)
+            self._one_hot[chosen, n] = 1.0
         self._chosen[n] = chosen
         self.n += 1
         for row in offered:
             self.design.update(row)
 
     @property
-    def feats(self):
-        return self._feats[: self.n]
-
-    @property
     def slots(self):
         return self._slots[:, :, : self.n]
 
     @property
+    def slot_pad(self):
+        return self._pad[:, : self.n]
+
+    @property
+    def slot_one_hot(self):
+        return self._one_hot[:, : self.n]
+
+    @property
+    def chosen(self):
+        return self._chosen[: self.n]
+
+    @property
+    def feats(self):
+        return _read_only(self.slots.transpose(2, 0, 1))
+
+    @property
     def pad(self):
-        return self._pad[: self.n]
+        return _read_only(self.slot_pad.T)
 
     @property
     def mask(self):
@@ -157,18 +157,24 @@ class ChoiceHistory:
 
     @property
     def one_hot(self):
-        return self._one_hot[: self.n]
-
-    @property
-    def pick(self):
-        return self._pick[: self.n]
-
-    @property
-    def chosen(self):
-        return self._chosen[: self.n]
+        return _read_only(self.slot_one_hot.T)
 
     def __len__(self) -> int:
         return self.n
+
+
+def _grown(buf, n: int, size: int):
+    """A copy of ``buf`` with its last axis grown to ``size``; the first n
+    entries along it are kept."""
+    out = np.empty(buf.shape[:-1] + (size,), dtype=buf.dtype)
+    out[..., :n] = buf[..., :n]
+    return out
+
+
+def _read_only(view):
+    """``view``, marked so that nothing writes into the store through it."""
+    view.flags.writeable = False
+    return view
 
 
 def mnl_probs(theta, offered):
@@ -188,56 +194,37 @@ def mnl_probs(theta, offered):
     return e / den, e0 / den
 
 
-def _row_sums(e):
-    """``e.sum(axis=1)`` of a C-contiguous (n, w) array, bit for bit.
-
-    numpy sums each contiguous row sequentially below 8 terms, so short rows
-    are summed by column adds, which skip the per-row reduction set-up that
-    dominates there; wider rows take numpy's own pairwise sum.
-    """
-    w = e.shape[1]
-    if w >= 8:
-        return e.sum(axis=1)
-    total = e[:, 0]
-    for j in range(1, w):
-        total = total + e[:, j]
-    return total
-
-
 class MnlObjective:
     """Choice log-likelihood over one history, built once per fit.
 
-    Holds views of the history: the flat (n*width, d) features, their
-    slot-major copy, the pad offsets that mask padded slots with -inf, the
-    one-hot picks and the flat pick indices.  Serves the value, the choice
-    probabilities, the score and the observed information (minus the
-    Hessian of the value) of the regularized log-likelihood
-    sum log p(choice) - (lam / 2) ||theta||^2; the last two take the
-    probabilities when the caller already has them.  Inputs are not
-    validated.
-
-    A pass takes each row's max and sum column by column (exact for the
-    max; the sum in numpy's own order, see ``_row_sums``), since rows hold
-    only ``width`` slots.  The information sums over slots instead, with
-    rows that run over all observations.
+    Holds slot-major views of the history (offers, pad offsets that mask
+    padded slots with -inf, one-hot picks) and each observation's picked
+    slot.  Serves the value, the (width, n) choice probabilities, the score
+    and the observed information (minus the Hessian of the value) of the
+    regularized log-likelihood sum log p(choice) - (lam / 2) ||theta||^2;
+    the last two take the probabilities when the caller already has them.
+    Every method reduces over slots: the utilities are
+    ``z = theta @ slots + pad``, a (width, n) array whose max and sum run
+    over axis 0, and the picked utility is ``z[slot, arange(n)]``.  Inputs
+    are not validated.
 
     ``start`` > 0 keeps only the observations from ``start`` on and drops
     the ridge: what they add to the objective over the first ``start``.
     """
 
     __slots__ = (
-        "history", "flat", "lam", "_slots", "_pad", "_one_hot", "_pick", "_has_pick", "_ridge"
+        "history", "lam", "_slots", "_pad", "_one_hot", "_slot", "_cols", "_has_pick", "_ridge"
     )
 
     def __init__(self, history: ChoiceHistory, start: int = 0):
-        n, width = len(history), history.width
+        chosen = history.chosen[start:]
         self.history = history
-        self.flat = history.feats[start:].reshape((n - start) * width, history.dim)
         self._slots = history.slots[:, :, start:]
-        self._pad = history.pad[start:]
-        self._one_hot = history.one_hot[start:].ravel()
-        self._pick = history.pick[start:] - start * width if start else history.pick
-        self._has_pick = history.chosen[start:] >= 0
+        self._pad = history.slot_pad[:, start:]
+        self._one_hot = history.slot_one_hot[:, start:]
+        self._slot = np.maximum(chosen, 0)
+        self._cols = np.arange(len(chosen))
+        self._has_pick = chosen >= 0
         self.lam = 0.0 if start else _LAM
         self._ridge = self.lam * np.eye(history.dim)
 
@@ -246,14 +233,11 @@ class MnlObjective:
         return MnlObjective(self.history, start)
 
     def _pass(self, theta):
-        z = (self.flat @ theta).reshape(self._pad.shape) + self._pad
-        top = z[:, 0]
-        for j in range(1, z.shape[1]):
-            top = np.maximum(top, z[:, j])
-        shift = np.maximum(top, 0.0)
-        e = np.exp(z - shift[:, None])
-        den = np.exp(-shift) + _row_sums(e)
-        picked = np.where(self._has_pick, z.ravel().take(self._pick), 0.0)
+        z = theta @ self._slots + self._pad
+        shift = np.maximum(z.max(axis=0), 0.0)
+        e = np.exp(z - shift)
+        den = np.exp(-shift) + e.sum(axis=0)
+        picked = np.where(self._has_pick, z[self._slot, self._cols], 0.0)
         reg = 0.5 * self.lam * float(theta @ theta)
         return float(np.sum(picked - shift - np.log(den))) - reg, e, den
 
@@ -263,22 +247,24 @@ class MnlObjective:
         return self._pass(theta)[0]
 
     def value_and_pass(self, theta):
-        """The value and the (n, width) choice probabilities, from one pass."""
+        """The value and the (width, n) choice probabilities, from one pass."""
         value, e, den = self._pass(theta)
-        return value, e / den[:, None]
+        return value, e / den
 
     def score(self, theta, probs=None) -> np.ndarray:
-        """Gradient of the value; zero at the MLE."""
+        """Gradient of the value, sum_j X_j (one_hot_j - P_j) - lam theta;
+        zero at the MLE."""
         if probs is None:
             probs = self.value_and_pass(theta)[1]
-        return (self._one_hot - probs.ravel()) @ self.flat - self.lam * theta
+        resid = (self._one_hot - probs)[:, :, None]
+        return (self._slots @ resid).sum(axis=0)[:, 0] - self.lam * theta
 
     def information(self, theta, probs=None) -> np.ndarray:
         """sum_j (X_j o P_j) X_j^T - xbar xbar^T + lam I, with X_j the (d, n)
         features of slot j, P_j its probabilities and xbar = sum_j X_j o P_j."""
         if probs is None:
             probs = self.value_and_pass(theta)[1]
-        weighted = self._slots * probs.T[:, None, :]
+        weighted = self._slots * probs[:, None, :]
         xbar = weighted.sum(axis=0)
         info = np.matmul(weighted, self._slots.transpose(0, 2, 1)).sum(axis=0) - xbar @ xbar.T
         return info + self._ridge
@@ -288,17 +274,15 @@ def mnl_mle_fit(
     history: ChoiceHistory,
     tol: float = _TOL,
     max_iters: int = _MAX_ITERS,
-    theta0=None,
     warm: WarmStart | None = None,
 ) -> np.ndarray:
-    """Newton maximizer of the regularized multinomial log-likelihood
-    (warm-startable).
+    """Newton maximizer of the regularized multinomial log-likelihood.
 
-    ``warm``, the last fit of this history, replaces ``theta0`` with a
-    predicted start and is advanced to this fit.
+    ``warm``, the last fit of this history, gives the solve a predicted start
+    and is advanced to this fit; without it the solve starts at zero.
     """
     obj = MnlObjective(history)
-    return _newton(obj, history.dim, theta0, tol, max_iters, "choice-model", warm)[0]
+    return _newton(obj, tol, max_iters, "choice-model", warm or WarmStart(history.dim))[0]
 
 
 def mnl_radius(t: int, b_of_t: float, d: int, kappa2: float) -> float:

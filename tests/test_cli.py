@@ -286,6 +286,23 @@ def test_prep_toy_dataset(tmp_path, capsys):
     assert json.loads(stdout2)["checksum"] == summary["checksum"]
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--items", "-1"), ("--top-users", "0"), ("--tags-per-item", "0"),
+     ("--tags-per-item", "-2"), ("--d", "0")],
+    ids=["items-neg", "top-users-0", "tags-per-item-0", "tags-per-item-neg", "d-0"],
+)
+def test_prep_rejects_out_of_range_sizes(tmp_path, capsys, flag, value):
+    tags = _toy_tags(tmp_path)
+    out = tmp_path / "env.json"
+    sizes = {"--items": "6", "--top-users": "4", "--tags-per-item": "2", "--d": "2", flag: value}
+    argv = [x for pair in sizes.items() for x in pair]
+    code, _, err = run_cli(capsys, "prep", "--tags", str(tags), "--out-file", str(out), *argv)
+    assert code == 1
+    assert "must be at least 1" in err
+    assert not out.exists()
+
+
 def test_prep_output_does_not_depend_on_env_seed(tmp_path, capsys):
     # the construction has no randomness, so the seed must not reach the file
     tags = _toy_tags(tmp_path)

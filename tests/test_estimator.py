@@ -311,11 +311,18 @@ def test_mle_fit_matches_grid_search():
         assert np.linalg.norm(est.theta_raw - grid) <= 2e-3
 
 
+def started_at(theta):
+    """A WarmStart holding only an estimate: a fit given it starts there."""
+    warm = WarmStart(len(theta))
+    warm.theta = np.array(theta, dtype=float)
+    return warm
+
+
 def test_mle_fit_warm_start_agrees():
     rng = np.random.default_rng(7)
     h, _ = random_history(rng, d=3, n=30)
     cold = mle_fit(h, 1.0, SIG)
-    warm = mle_fit(h, 1.0, SIG, theta0=rng.normal(size=3))
+    warm = mle_fit(h, 1.0, SIG, warm=started_at(rng.normal(size=3)))
     np.testing.assert_allclose(cold.theta_raw, warm.theta_raw, atol=1e-7)
 
 
@@ -369,7 +376,8 @@ def test_fit_matches_reference_newton_loop(monkeypatch):
 
     def evaluated(h, start):
         points.clear()
-        theta = mle_fit(h, 1.0, SIG, theta0=start).theta_raw
+        warm = WarmStart(h.dim) if start is None else started_at(start)
+        theta = mle_fit(h, 1.0, SIG, warm=warm).theta_raw
         seen = list(points)
         points.clear()
         return theta, seen, reference_newton_fit(h, 1.0, SIG, start), list(points)
@@ -432,7 +440,7 @@ def test_fit_from_predicted_start_matches_warm_fit(d, n0, k):
     start = estimator._start(DuelObjective(h, 1.0, SIG), warm)[0]
     assert not np.array_equal(start, prev)  # the prediction passed its check
     predicted = mle_fit(h, 1.0, SIG, warm=warm)
-    plain = mle_fit(h, 1.0, SIG, theta0=prev)
+    plain = mle_fit(h, 1.0, SIG, warm=started_at(prev))
     obj = DuelObjective(h, 1.0, SIG)
     assert np.linalg.norm(obj.score(predicted.theta_raw)) <= 1e-8
     np.testing.assert_allclose(predicted.theta_raw, plain.theta_raw, rtol=0, atol=1e-9)
@@ -453,7 +461,7 @@ def test_rejected_predicted_start_equals_plain_warm_fit():
     pred = prev + np.linalg.solve(warm.info + new.information(prev, p), new.score(prev, p))
     assert obj.value(pred) < warm.value + new.value(prev, p) - 1.0
     predicted = mle_fit(h, 1.0, SIG, warm=warm)
-    plain = mle_fit(h, 1.0, SIG, theta0=prev)
+    plain = mle_fit(h, 1.0, SIG, warm=started_at(prev))
     np.testing.assert_array_equal(predicted.theta_raw, plain.theta_raw)
     np.testing.assert_array_equal(predicted.theta_proj, plain.theta_proj)
     assert predicted.newton_iters == plain.newton_iters

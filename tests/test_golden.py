@@ -23,7 +23,8 @@ GOLDEN = {
     "conduel": "8bb79af48ce01e45009b3ebb1e5dde308d167835cb2c87a892b3c4798270340d",
     "rconucb-diff": "a9e7fedd9a6198ea70c683c965fb5954c817d5a59a9ba288094917f70e5b0b3d",
     # at the default radius scale the optimistic utilities saturate on this
-    # config, so all four choice-model kinds offer the same assortments
+    # config, so all four choice-model kinds offer the same assortments;
+    # GOLDEN_MNL tells the kinds apart
     "conmnl": "71ea0001eb71d40dc2efaced902e22bee4e0fe3784259489ff1eb4ee31c98a75",
     "conmnl-ucb": "71ea0001eb71d40dc2efaced902e22bee4e0fe3784259489ff1eb4ee31c98a75",
     "conmnl-random": "71ea0001eb71d40dc2efaced902e22bee4e0fe3784259489ff1eb4ee31c98a75",
@@ -45,13 +46,24 @@ GOLDEN_VARIANTS = {
         "0e10ae5bb088774583d52733dab848602c99d13ec6be9f14f74112331a734a1d",
 }
 
+# the choice-model kinds where their radius does not saturate: forced
+# exploration for 10 rounds of 3-item offers and a tenth of the default
+# radius scale, so each kind plays its own key-terms and assortments
+GOLDEN_MNL_CONFIG = MnlConfig(q=3, t0=10, radius_scale=0.005)
+GOLDEN_MNL = {
+    "conmnl": "682fc775c816f8b8badd220fd28fb92cd5707d300c44df60fea2b883abec617d",
+    "conmnl-ucb": "033184acffdbbd68c228ed6d0920c497a10126244a1049e30f7921a82a513a3f",
+    "conmnl-random": "1bebf5930721cee65cbd8f6e2363a5976e1c7ff44feec3db8548daae04a33f28",
+    "ucb-mnl": "2d8b2c48c35ca90c056bb612cf2de354aa5be2df2b79b3015dfaf5d047b02f12",
+}
+
 UNIVERSE = dict(n_users=2, n_keyterms=30, n_arms=60, dim=4, max_arms_per_keyterm=4)
 
 
-def trace_digest(envset, algorithm, duel_config=None):
+def trace_digest(envset, algorithm, duel_config=None, mnl_config=None):
     trace = run_experiment(
         envset, algorithm, 150, [0, 1], Schedule("linear", 5), pool_size=10, users=2,
-        duel_config=duel_config,
+        duel_config=duel_config, mnl_config=mnl_config,
     )
     assert trace.inst.dtype == np.float64 and trace.inst.shape == (4, 150)
     return hashlib.sha256(np.ascontiguousarray(trace.inst).tobytes()).hexdigest()
@@ -67,6 +79,11 @@ def test_golden_trace_digest(envset, algorithm):
     assert trace_digest(envset, algorithm) == GOLDEN[algorithm]
 
 
+@pytest.mark.parametrize("algorithm", sorted(GOLDEN_MNL))
+def test_golden_choice_model_trace_digest(envset, algorithm):
+    assert trace_digest(envset, algorithm, mnl_config=GOLDEN_MNL_CONFIG) == GOLDEN_MNL[algorithm]
+
+
 @pytest.mark.parametrize("algorithm, link, pair_mode", sorted(GOLDEN_VARIANTS))
 def test_golden_variant_trace_digest(algorithm, link, pair_mode):
     envset = gen_synthetic(SyntheticConfig(**UNIVERSE, link=link), 7)
@@ -78,11 +95,10 @@ def test_golden_variant_trace_digest(algorithm, link, pair_mode):
 def test_policies_without_conversations_ignore_the_budget(envset, algorithm):
     # with no key-term observations, b(t) must not enter the radius; at this
     # scale ucb-mnl's radius does not saturate, so a budget would move it
-    mnl = MnlConfig(q=3, t0=10, radius_scale=0.005)
     traces = [
         run_experiment(
             envset, algorithm, 150, [0, 1], Schedule("linear", n), pool_size=10, users=2,
-            mnl_config=mnl,
+            mnl_config=GOLDEN_MNL_CONFIG,
         ).inst.tobytes()
         for n in (10, 0)
     ]

@@ -235,6 +235,8 @@ def test_bad_arguments_rejected():
         run_experiment(es, ("conduel", "zap"), 5, [0], sched)
     with pytest.raises(ConfigError, match="seeds must be nonnegative"):
         run_experiment(es, "conduel", 5, [0, -1], sched, workers=2)
+    with pytest.raises(ConfigError, match="workers must be nonnegative"):
+        run_experiment(es, "conduel", 5, [0], sched, workers=-1)
 
 
 def test_failed_cell_reports_context(monkeypatch):

@@ -1,4 +1,3 @@
-import functools
 import math
 from itertools import combinations
 
@@ -25,7 +24,6 @@ from conduel.mnl import (
     mnl_radius,
     optimal_assortment,
     ucb_utilities,
-    _row_sums,
 )
 from conduel.spanner import build_spanner
 
@@ -177,6 +175,11 @@ def test_outside_option_contributes_outside_probability():
     assert MnlObjective(h).value(np.array([0.3, -0.4])) == pytest.approx(expect)
 
 
+def assert_close(got, want):
+    # the slot-major pass sums in another order than the row-major formula
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def plain_objective(h, theta):
     """Value, probabilities and score by the textbook row reductions, with
     the ridge."""
@@ -198,9 +201,8 @@ def plain_objective(h, theta):
 
 @pytest.mark.parametrize("width", range(1, 13))
 def test_objective_bitwise_equals_plain_formula(width):
-    # the pass takes row maxima and sums column by column; the results must
-    # be the bits of the textbook reductions, with padded slots and
-    # outside-option picks present
+    # the slot-major pass against the textbook row reductions, with padded
+    # slots and outside-option picks present
     rng = np.random.default_rng(100 + width)
     h, _ = sample_history(rng, d=3, n=80, q=width)
     assert np.any(h.chosen == OUTSIDE)
@@ -211,9 +213,9 @@ def test_objective_bitwise_equals_plain_formula(width):
         theta = scale * rng.normal(size=3)
         value, probs, score = plain_objective(h, theta)
         got_value, got_probs = obj.value_and_pass(theta)
-        assert got_value == value
-        np.testing.assert_array_equal(got_probs, probs)
-        np.testing.assert_array_equal(obj.score(theta, got_probs), score)
+        assert_close(got_value, value)
+        assert_close(got_probs.T, probs)
+        assert_close(obj.score(theta, got_probs), score)
 
 
 @pytest.mark.parametrize("width", range(1, 13))
@@ -229,23 +231,11 @@ def test_information_equals_textbook_formula(width):
     flat = h.feats.reshape(len(h) * width, 3)
     for scale in (0.1, 1.0, 4.0, 30.0):
         theta = scale * rng.normal(size=3)
-        probs = obj.value_and_pass(theta)[1]
+        slot_probs = obj.value_and_pass(theta)[1]
+        probs = slot_probs.T
         xbar = (probs[:, None, :] @ h.feats)[:, 0, :]
         plain = flat.T @ (probs.reshape(-1, 1) * flat) - xbar.T @ xbar + LAM * np.eye(3)
-        got = obj.information(theta, probs)
-        assert np.linalg.norm(got - plain) <= 1e-12 * np.linalg.norm(plain)
-
-
-@pytest.mark.parametrize("width", [*range(1, 20), 63, 64, 127, 128, 129, 136, 300])
-def test_row_sums_bitwise_equal_numpy_sum(width):
-    # numpy sums a row in order below 8 slots, where column adds give its
-    # bits, and pairwise from 8 on, where they do not; so _row_sums must
-    # hand rows of 8 or more slots to numpy
-    rng = np.random.default_rng(width)
-    e = np.exp(rng.normal(size=(50, width)) * 4.0) * (rng.random((50, width)) < 0.8)
-    np.testing.assert_array_equal(_row_sums(e), e.sum(axis=1))
-    column_adds = functools.reduce(np.add, e.T)
-    assert np.array_equal(column_adds, e.sum(axis=1)) == (width < 8)
+        assert_close(obj.information(theta, slot_probs), plain)
 
 
 def test_choice_history_stores_likelihood_rows():
@@ -255,7 +245,6 @@ def test_choice_history_stores_likelihood_rows():
     h.append(np.ones((1, 2)), 0)
     np.testing.assert_array_equal(h.pad, [[0.0, 0.0, -np.inf], [0.0] * 3, [0.0, -np.inf, -np.inf]])
     np.testing.assert_array_equal(h.one_hot, [[0, 1, 0], [0, 0, 0], [1, 0, 0]])
-    np.testing.assert_array_equal(h.pick, [1, 3, 6])
 
 
 # ---------------------------------------------------------------- fit
@@ -316,6 +305,13 @@ def test_fit_improves_on_zero():
         assert obj.value(theta) >= obj.value(np.zeros(3))
 
 
+def started_at(theta):
+    """A WarmStart holding only an estimate: a fit given it starts there."""
+    warm = WarmStart(len(theta))
+    warm.theta = np.array(theta, dtype=float)
+    return warm
+
+
 def reference_newton_fit(history, theta0=None):
     """The choice-model Newton loop evaluating each accepted step twice: once
     in the line search and again after the step is taken."""
@@ -352,7 +348,10 @@ def test_fit_matches_reference_newton_loop(monkeypatch):
 
     def evaluated(fit, h, start):
         points.clear()
-        return fit(h, theta0=start), list(points)
+        return fit(h, start), list(points)
+
+    def fit(h, start):
+        return mnl_mle_fit(h, warm=WarmStart(h.dim) if start is None else started_at(start))
 
     rng = np.random.default_rng(12)
     cases = [
@@ -365,7 +364,7 @@ def test_fit_matches_reference_newton_loop(monkeypatch):
     # the first step, which then takes the smallest step
     cases.append((sample_history(rng, d=3, n=50)[0], None, 1e9))
     for h, start, penalty[0] in cases:
-        theta, seen = evaluated(mnl_mle_fit, h, start)
+        theta, seen = evaluated(fit, h, start)
         ref_theta, ref_seen = evaluated(reference_newton_fit, h, start)
         np.testing.assert_array_equal(theta, ref_theta)
         # the same points in the same order, each evaluated once
@@ -415,7 +414,7 @@ def test_fit_from_predicted_start_matches_warm_fit(d, n0, k, q):
     prev = warm.theta
     assert not np.array_equal(_start(MnlObjective(h), warm)[0], prev)
     predicted = mnl_mle_fit(h, warm=warm)
-    plain = mnl_mle_fit(h, theta0=prev)
+    plain = mnl_mle_fit(h, warm=started_at(prev))
     assert np.linalg.norm(MnlObjective(h).score(predicted)) <= 1e-8
     np.testing.assert_allclose(predicted, plain, rtol=0, atol=1e-9)
     assert warm.rows == n0 + k and warm.theta is predicted
@@ -433,11 +432,12 @@ def test_rejected_predicted_start_equals_plain_warm_fit():
     ell, p = new.value_and_pass(prev)
     pred = prev + np.linalg.solve(warm.info + new.information(prev, p), new.score(prev, p))
     assert obj.value(pred) < warm.value + ell - 1.0
-    np.testing.assert_array_equal(mnl_mle_fit(h, warm=warm), mnl_mle_fit(h, theta0=prev))
+    np.testing.assert_array_equal(mnl_mle_fit(h, warm=warm), mnl_mle_fit(h, warm=started_at(prev)))
 
 
 def test_predicted_start_cuts_newton_iterations(monkeypatch):
-    # warm-started at the last estimate, fits here averaged 2.5975 iterations
+    # warm-started at the last estimate (a WarmStart with no information),
+    # fits here averaged 2.44 iterations
     iters = []
 
     def counted(*args, **kwargs):
@@ -451,7 +451,7 @@ def test_predicted_start_cuts_newton_iterations(monkeypatch):
     envset = gen_synthetic(SyntheticConfig(**universe), 7)
     run_experiment(envset, "conmnl", 150, [0, 1], Schedule("linear", 5), pool_size=10, users=2)
     assert len(iters) == 400
-    assert np.mean(iters) < 2.5975 - 0.5
+    assert np.mean(iters) < 2.44 - 0.5
 
 
 def test_predicted_start_survives_a_missing_mle():
@@ -630,6 +630,10 @@ def test_choice_history_slots_are_feats_transposed():
     rng = np.random.default_rng(30)
     h, _ = sample_history(rng, d=4, n=150, q=3)
     np.testing.assert_array_equal(h.slots, h.feats.transpose(1, 2, 0))
+    # the observation-major arrays are read-only views of the one store
+    assert np.shares_memory(h.feats, h.slots)
+    for view in (h.feats, h.pad, h.one_hot):
+        assert not view.flags.writeable
 
 
 def test_choice_history_design_tracks_offered_rows():
