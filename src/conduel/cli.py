@@ -58,15 +58,12 @@ class RunConfig:
     pool_size: int = 50
     workers: int = 0  # 0: one per processor
     out: str = ""
-    # dueling estimator
-    lam: float = 1.0
-    delta: float = 0.1
+    # dueling policies
     radius_scale: float = DEFAULT_RADIUS_SCALE
     pair_mode: str = "sampled_first"
     # choice model
     q: int = 4
     t0: int = 50
-    kappa2: float = 0.005
     mnl_radius_scale: float = DEFAULT_MNL_RADIUS_SCALE
 
 
@@ -146,16 +143,6 @@ def parse_seed_spec(spec: str) -> list:
     return seeds
 
 
-def _algorithms(cfg: RunConfig) -> list:
-    algos = [a.strip() for a in cfg.algorithms.split(",") if a.strip()]
-    if not algos:
-        raise ConfigError("no algorithms listed")
-    for a in algos:
-        if a not in ALL_KINDS:
-            raise ConfigError(f"unknown algorithm {a!r}; known: {', '.join(ALL_KINDS)}")
-    return algos
-
-
 def _load_envset(cfg: RunConfig):
     if cfg.env:
         return import_environment(cfg.env)
@@ -222,23 +209,19 @@ def cmd_prep(args) -> int:
 def _run_settings(cfg: RunConfig) -> tuple:
     """The seeds and the dueling and choice-model configs; building them
     checks every setting."""
-    duel = DuelConfig(
-        lam=cfg.lam, delta=cfg.delta, radius_scale=cfg.radius_scale, pair_mode=cfg.pair_mode
-    )
-    mnl = MnlConfig(q=cfg.q, t0=cfg.t0, kappa2=cfg.kappa2, radius_scale=cfg.mnl_radius_scale)
+    duel = DuelConfig(radius_scale=cfg.radius_scale, pair_mode=cfg.pair_mode)
+    mnl = MnlConfig(q=cfg.q, t0=cfg.t0, radius_scale=cfg.mnl_radius_scale)
     return parse_seed_spec(cfg.seeds), duel, mnl
 
 
 def _run_algorithms(cfg: RunConfig, envset, out_dir, schedule: Schedule, settings) -> dict:
     """Play every listed algorithm's cells on one pool, writing each
     algorithm's CSVs as soon as its last cell is in."""
-    algos = _algorithms(cfg)
     seeds, duel_cfg, mnl_cfg = settings
-    os.makedirs(out_dir, exist_ok=True)
     spanner = build_spanner(envset.keyterm_feats)
     traces = run_experiment(
         envset,
-        tuple(algos),
+        tuple(a.strip() for a in cfg.algorithms.split(",")),
         cfg.t,
         seeds,
         schedule,
@@ -250,6 +233,7 @@ def _run_algorithms(cfg: RunConfig, envset, out_dir, schedule: Schedule, setting
         workers=cfg.workers,
         progress=_progress,
     )
+    os.makedirs(out_dir, exist_ok=True)
     summary = {}
     for trace in traces:
         algo = trace.algorithm

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import rng as streams
 from .errors import ConfigError, DomainError, StructuralError
-from .estimator import InteractionHistory, ThetaEstimate, WarmStart, dueling_radius, mle_fit
+from .estimator import LAM, InteractionHistory, ThetaEstimate, WarmStart, dueling_radius, mle_fit
 from .glm import DesignMatrix, LinkFunction, ucb_utilities
 from .spanner import Spanner
 
@@ -51,6 +51,9 @@ PAIR_MODES = ("sampled_first", "full_maxinp", "random")
 # calibration.  The adapted linear baselines keep their standard width.
 DEFAULT_RADIUS_SCALE = 0.03
 
+# Confidence level delta of the GLM dueling radius and the linear baselines'.
+DELTA = 0.1
+
 # Sub-Gaussian level of a Bernoulli click, in the linear baselines' radius
 # (whose norm bound on theta is 1).
 _CLICK_NOISE_LEVEL = 0.5
@@ -65,16 +68,10 @@ _PAIR_BLOCK_MULADDS = 2**17
 
 @dataclass
 class DuelConfig:
-    lam: float = 1.0
-    delta: float = 0.1
     radius_scale: float = DEFAULT_RADIUS_SCALE
     pair_mode: str = "sampled_first"  # one of PAIR_MODES
 
     def __post_init__(self):
-        if not self.lam > 0.0:
-            raise ConfigError(f"lam must be positive, got {self.lam!r}")
-        if not 0.0 < self.delta < 1.0:
-            raise ConfigError(f"delta must lie in (0, 1), got {self.delta!r}")
         if not self.radius_scale >= 0.0:
             raise ConfigError(f"radius_scale must be nonnegative, got {self.radius_scale!r}")
         if self.pair_mode not in PAIR_MODES:
@@ -242,7 +239,7 @@ class DuelPolicy:
         self.stream = stream
         self.config = config or DuelConfig()
         self.d = self.keyterm_feats.shape[1]
-        self.history = InteractionHistory(self.d, self.config.lam / link.kappa1)
+        self.history = InteractionHistory(self.d, LAM / link.kappa1)
         zero = np.zeros(self.d)
         self.estimate = ThetaEstimate(zero, zero.copy(), False, 0)
         self._warm = WarmStart(self.d)
@@ -251,9 +248,8 @@ class DuelPolicy:
             raise StructuralError("conduel requires a spanner")
 
     def radius(self, t: int, b_of_t: float) -> float:
-        cfg = self.config
-        return cfg.radius_scale * dueling_radius(
-            t, b_of_t, self.d, cfg.lam, self.link.kappa1, delta=cfg.delta
+        return self.config.radius_scale * dueling_radius(
+            t, b_of_t, self.d, LAM, self.link.kappa1, DELTA
         )
 
     def play_round(self, pool_ids, pool_feats, oracle, t, n_conversations, b_of_t) -> RoundRecord:
@@ -271,7 +267,7 @@ class DuelPolicy:
                 self.history.append(diff, won)
                 conversations.append((k1, k2, won))
 
-        self.estimate = mle_fit(self.history, cfg.lam, self.link, warm=self._warm)
+        self.estimate = mle_fit(self.history, LAM, self.link, warm=self._warm)
         # policies without a conversation module have no key-term observations,
         # so their radius counts arm rounds only
         alpha = self.radius(t, b_of_t if self.converses else 0.0)
@@ -305,33 +301,24 @@ class RconucbPolicy:
 
     prior_weight = 0.5
 
-    def __init__(
-        self,
-        kind: str,
-        keyterm_feats: np.ndarray,
-        stream: streams.RunStream,
-        config: DuelConfig | None = None,
-    ):
+    def __init__(self, kind: str, keyterm_feats: np.ndarray, stream: streams.RunStream):
         if kind not in RCONUCB_KINDS:
             raise DomainError(f"unknown linear baseline kind {kind!r}")
         self.kind = kind
         self.keyterm_feats = np.asarray(keyterm_feats, dtype=float)
         self.stream = stream
-        self.config = config or DuelConfig()
         self.d = self.keyterm_feats.shape[1]
-        lam = self.config.lam
-        self.arm_design = DesignMatrix(self.d, lam)
+        self.arm_design = DesignMatrix(self.d, LAM)
         self.arm_b = np.zeros(self.d)
-        self.key_design = DesignMatrix(self.d, lam)
+        self.key_design = DesignMatrix(self.d, LAM)
         self.key_b = np.zeros(self.d)
 
     def radius(self, t: int) -> float:
         # the baseline runs with its own standard width, not the calibrated
         # shrink the GLM policies share
-        cfg = self.config
-        lam, d = cfg.lam, self.d
-        return math.sqrt(lam) + _CLICK_NOISE_LEVEL * math.sqrt(
-            2.0 * math.log(1.0 / cfg.delta) + d * math.log(1.0 + t / (d * lam))
+        d = self.d
+        return math.sqrt(LAM) + _CLICK_NOISE_LEVEL * math.sqrt(
+            2.0 * math.log(1.0 / DELTA) + d * math.log(1.0 + t / (d * LAM))
         )
 
     def play_round(self, pool_ids, pool_feats, oracle, t, n_conversations, b_of_t) -> RoundRecord:
@@ -355,9 +342,8 @@ class RconucbPolicy:
                     self.key_b += diff
                 conversations.append((k1, k2, won))
 
-        lam = self.config.lam
         theta_key = self.key_design.m_inv @ self.key_b
-        theta = self.arm_design.m_inv @ (self.arm_b + self.prior_weight * lam * theta_key)
+        theta = self.arm_design.m_inv @ (self.arm_b + self.prior_weight * LAM * theta_key)
         a = int(np.argmax(ucb_utilities(theta, self.arm_design, self.radius(t), pool_feats)))
         click = oracle.click(pool_feats[a], self.stream.at(t, streams.ARM_FEEDBACK))
         self.arm_design.update(pool_feats[a])

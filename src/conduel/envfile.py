@@ -41,6 +41,11 @@ __all__ = [
 FORMAT_NAME = "conduel-environment"
 FORMAT_VERSION = 1
 
+# Header counts, and every field an import reads besides the optional
+# provenance.
+_COUNTS = ("d", "n_arms", "n_keyterms", "n_users")
+_FIELDS = _COUNTS + ("link", "theta_star", "arms", "weights")
+
 
 def fmt17(x: float) -> str:
     """Shortest text that still round-trips any float64: 17 significant digits."""
@@ -63,7 +68,7 @@ def _rows_to_text(matrix: np.ndarray) -> list:
 def _text_to_rows(rows, n_cols: int, what: str) -> np.ndarray:
     try:
         out = np.array([[float(v) for v in row.split()] for row in rows], dtype=float)
-    except ValueError as exc:
+    except (AttributeError, ValueError) as exc:  # a row that is not text, or not numbers
         raise DataFormatError(f"malformed {what} row: {exc}") from exc
     if out.size == 0:
         out = out.reshape(0, n_cols)
@@ -123,20 +128,27 @@ def import_environment(path) -> EnvironmentSet:
     if stated != _checksum(doc):
         raise DataFormatError(f"checksum mismatch in {path}: file is corrupt or edited")
 
-    d = int(doc["d"])
+    missing = [key for key in _FIELDS if key not in doc]
+    if missing:
+        raise DataFormatError(f"{path} has no {missing[0]!r} field")
+    for key in _COUNTS:
+        if type(doc[key]) is not int:
+            raise DataFormatError(f"{key} must be an integer, got {doc[key]!r}")
+    d = doc["d"]
     theta = _text_to_rows(doc["theta_star"], d, "theta_star")
     arms = _text_to_rows(doc["arms"], d, "arms")
     if theta.shape[0] != doc["n_users"] or arms.shape[0] != doc["n_arms"]:
         raise DataFormatError("stated counts disagree with row counts")
     triples = []
     for line in doc["weights"]:
-        parts = line.split()
-        if len(parts) != 3:
-            raise DataFormatError(f"malformed weight triple: {line!r}")
-        triples.append((int(parts[0]), int(parts[1]), float(parts[2])))
+        try:
+            arm, key, weight = line.split()
+            triples.append((int(arm), int(key), float(weight)))
+        except (AttributeError, ValueError):
+            raise DataFormatError(f"malformed weight triple: {line!r}") from None
     return EnvironmentSet(
         arms=arms,
-        graph=WeightGraph.from_triples(int(doc["n_arms"]), int(doc["n_keyterms"]), triples),
+        graph=WeightGraph.from_triples(doc["n_arms"], doc["n_keyterms"], triples),
         link=get_link(doc["link"]),
         theta_stars=theta,
         provenance=doc.get("provenance", {}),

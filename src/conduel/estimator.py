@@ -40,6 +40,10 @@ __all__ = [
 
 _MAX_DIFF_NORM = 2.0 + 1e-9
 
+# Ridge lam of both likelihoods, the dueling one here and the choice-model one
+# of ``mnl``, and of the linear baselines' ridge regressions.
+LAM = 1.0
+
 # Newton stopping rule: the score norm at which a fit stops, and the cap on
 # iterations before it is declared unconverged.
 _TOL = 1e-8
@@ -370,7 +374,7 @@ def project_theta(theta_raw, obj: DuelObjective, design: DesignMatrix, raw_pass=
 
 
 def dueling_radius(
-    t: int, b_of_t: float, d: int, lam: float, kappa1: float, delta: float = 0.1
+    t: int, b_of_t: float, d: int, lam: float, kappa1: float, delta: float
 ) -> float:
     """Confidence radius for pairwise estimates after round t.
 

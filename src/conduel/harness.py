@@ -95,7 +95,7 @@ def _play_cell(
     if algorithm in MNL_KINDS:
         policy = MnlPolicy(algorithm, envset.keyterm_feats, spanner, stream, mnl_config)
     elif algorithm in RCONUCB_KINDS:
-        policy = RconucbPolicy(algorithm, envset.keyterm_feats, stream, duel_config)
+        policy = RconucbPolicy(algorithm, envset.keyterm_feats, stream)
     else:
         policy = DuelPolicy(
             algorithm, envset.link, envset.keyterm_feats, spanner, stream, duel_config
@@ -172,7 +172,8 @@ def run_experiment(
     of names, which returns an iterator over their traces in that order.  All
     cells of a call play on one pool of ``workers`` processes, algorithm by
     algorithm, and a trace is yielded as soon as its algorithm's last cell is
-    in.  Every argument is checked before any cell plays.
+    in.  Every argument is checked before any cell plays; an algorithm, seed
+    or user listed twice is an error.
 
     ``users`` may be a count (the first k users) or an explicit index list.
     ``workers`` 0 takes one process per processor.  The spanner is built
@@ -183,7 +184,7 @@ def run_experiment(
         raise ConfigError("need at least one algorithm")
     for name in algorithms:
         if name not in ALL_KINDS:
-            raise ConfigError(f"unknown algorithm {name!r}")
+            raise ConfigError(f"unknown algorithm {name!r}; known: {', '.join(ALL_KINDS)}")
     if horizon < 1:
         raise ConfigError("horizon must be at least 1")
     if pool_size < 2:
@@ -208,6 +209,11 @@ def run_experiment(
         bad = [u for u in users if not 0 <= u < envset.n_users]
         if bad:
             raise ConfigError(f"user index {bad[0]} out of range [0, {envset.n_users})")
+    # a repeated cell would be played twice and counted twice in the mean
+    for what, values in (("algorithm", algorithms), ("seed", seeds), ("user", users)):
+        repeats = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeats:
+            raise ConfigError(f"{what} {repeats[0]!r} is listed more than once")
     duel_config = duel_config or DuelConfig()
     mnl_config = mnl_config or MnlConfig()
     if spanner is None:

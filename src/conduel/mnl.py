@@ -10,8 +10,9 @@ reduction of the likelihood runs over the q slots with rows as long as the
 history.  ``MnlObjective`` is the only implementation of the choice
 log-likelihood, its score and its observed information; the fit runs the
 shared Newton solver of ``estimator`` on it.  The likelihood carries the
-ridge -(lam / 2) ||theta||^2 of the dueling likelihood, so it is strictly
-concave and its maximizer exists after any history, the empty one included.
+dueling likelihood's ridge -(lam / 2) ||theta||^2, lam = ``estimator.LAM``,
+so it is strictly concave and its maximizer exists after any history, the
+empty one included.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from . import rng as streams
 from .dueling import RoundRecord
 from .errors import ConfigError, DomainError, StructuralError
-from .estimator import _MAX_ITERS, _TOL, WarmStart, _newton
+from .estimator import _MAX_ITERS, _TOL, LAM, WarmStart, _newton
 from .glm import DesignMatrix, ucb_utilities
 from .spanner import Spanner
 
@@ -49,16 +50,15 @@ OUTSIDE = -1
 # constants are dominated by 1/kappa2 and would drown every utility signal.
 DEFAULT_MNL_RADIUS_SCALE = 0.05
 
-# Ridge lam of the choice likelihood and starting value lam * I of the design
-# matrix; the dueling default (``DuelConfig.lam``).
-_LAM = 1.0
+# Curvature bound kappa2 of the choice model in its confidence radius, where
+# it is a factor 1 / (2 kappa2) and so sets the same number as the shrink.
+KAPPA2 = 0.005
 
 
 @dataclass
 class MnlConfig:
     q: int = 4
     t0: int = 50
-    kappa2: float = 0.005
     radius_scale: float = DEFAULT_MNL_RADIUS_SCALE
 
     def __post_init__(self):
@@ -66,8 +66,6 @@ class MnlConfig:
             raise ConfigError(f"q must be at least 1, got {self.q!r}")
         if not self.t0 >= 0:
             raise ConfigError(f"t0 must be nonnegative, got {self.t0!r}")
-        if not self.kappa2 > 0.0:
-            raise ConfigError(f"kappa2 must be positive, got {self.kappa2!r}")
         if not self.radius_scale >= 0.0:
             raise ConfigError(f"radius_scale must be nonnegative, got {self.radius_scale!r}")
 
@@ -225,7 +223,7 @@ class MnlObjective:
         self._slot = np.maximum(chosen, 0)
         self._cols = np.arange(len(chosen))
         self._has_pick = chosen >= 0
-        self.lam = 0.0 if start else _LAM
+        self.lam = 0.0 if start else LAM
         self._ridge = self.lam * np.eye(history.dim)
 
     def since(self, start: int) -> "MnlObjective":
@@ -376,7 +374,7 @@ class MnlPolicy:
         self.stream = stream
         self.config = config or MnlConfig()
         self.d = self.keyterm_feats.shape[1]
-        self.history = ChoiceHistory(self.d, self.config.q, _LAM)
+        self.history = ChoiceHistory(self.d, self.config.q, LAM)
         self.theta = np.zeros(self.d)
         self._warm = WarmStart(self.d)
         self.converses = kind != "ucb-mnl"
@@ -384,8 +382,7 @@ class MnlPolicy:
             raise StructuralError("conversational choice policies require a spanner")
 
     def radius(self, t: int, b_of_t: float) -> float:
-        cfg = self.config
-        return cfg.radius_scale * mnl_radius(t, b_of_t, self.d, cfg.kappa2)
+        return self.config.radius_scale * mnl_radius(t, b_of_t, self.d, KAPPA2)
 
     def _select_keyterms(self, t, b_of_t, rng_sel) -> np.ndarray:
         q = self.config.q

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 import time
@@ -166,6 +167,31 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "unknown key" in err
 
 
+@pytest.mark.parametrize("line", ["lam = 1", "delta = 0.1", "kappa2 = 0.005"])
+def test_constants_are_not_config_keys(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code, _, err = run_cli(
+        capsys, "run", "-c", str(cfg), "--env", str(tmp_path / "none.json"), "--out", str(tmp_path)
+    )
+    assert code == 1
+    assert f"unknown key {line.split()[0]!r}" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value, repeated",
+    [("--seeds", "3,3", "seed 3"), ("--algorithms", "conduel,conduel", "algorithm 'conduel'")],
+)
+def test_repeated_cells_rejected(env_file, tmp_path, capsys, flag, value, repeated):
+    path, _ = env_file
+    code, _, err = run_cli(
+        capsys, "run", "--env", str(path), flag, value, "--t", "5", "--out", str(tmp_path / "o")
+    )
+    assert code == 1
+    assert f"{repeated} is listed more than once" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_algorithm_rejected(env_file, tmp_path, capsys):
     path, _ = env_file
     code, _, err = run_cli(
@@ -195,14 +221,10 @@ def test_unknown_pair_mode_rejected_before_environment(tmp_path, capsys):
         ("run", "--radius-scale", "nan"),
         ("run", "--mnl-radius-scale", "nan"),
         ("run", "--radius-scale", "-1"),
-        ("run", "--delta", "2"),
-        ("run", "--lam", "0"),
-        ("run", "--algorithms", "conmnl", "--kappa2", "-1"),
         ("run", "--algorithms", "conmnl", "--mnl-radius-scale", "-1"),
         ("run", "--algorithms", "conmnl", "--q", "0"),
         ("run", "--algorithms", "conmnl", "--t0", "-5"),
         ("run", "--q", "0"),
-        ("sweep", "--axis", "frequency", "--lam", "-1"),
         ("run", "--seeds=-2:0"),
         ("run", "--seeds", "3,-1"),
         ("run", "--seeds=-1:1", "--workers", "2"),
@@ -212,9 +234,9 @@ def test_unknown_pair_mode_rejected_before_environment(tmp_path, capsys):
     ],
     ids=[
         "linear-nan", "log-inf", "sweep-values-abc", "radius-scale-nan", "mnl-radius-scale-nan",
-        "radius-scale-neg", "delta-2", "lam-0", "kappa2-neg", "mnl-radius-scale-neg", "q-0",
-        "t0-neg", "conduel-q-0", "sweep-lam-neg", "seed-range-neg", "seed-list-neg",
-        "seed-range-neg-workers", "sweep-seed-range-neg", "env-seed-neg", "sweep-env-seed-neg",
+        "radius-scale-neg", "mnl-radius-scale-neg", "q-0", "t0-neg", "conduel-q-0",
+        "seed-range-neg", "seed-list-neg", "seed-range-neg-workers", "sweep-seed-range-neg",
+        "env-seed-neg", "sweep-env-seed-neg",
     ],
 )
 def test_bad_number_rejected_before_environment(tmp_path, capsys, argv):
@@ -236,7 +258,12 @@ def test_negative_env_seed_rejected_by_synth(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--tol", "1e-6"), ("--max-iters", "5"), ("--kappa1", "0.2")]
+    "flag, value",
+    [
+        ("--tol", "1e-6"), ("--max-iters", "5"), ("--kappa1", "0.2"),
+        # the ridge, confidence level and choice-model curvature are constants
+        ("--lam", "1"), ("--delta", "0.1"), ("--kappa2", "0.005"),
+    ],
 )
 def test_solver_internals_are_not_flags(env_file, tmp_path, capsys, flag, value):
     path, _ = env_file
@@ -245,6 +272,25 @@ def test_solver_internals_are_not_flags(env_file, tmp_path, capsys, flag, value)
     )
     assert code == 1
     assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda doc: doc.pop("d"), lambda doc: doc["weights"].__setitem__(0, "x 0 1.0")],
+    ids=["no-d", "bad-triple"],
+)
+def test_malformed_environment_file_is_runtime_error(env_file, tmp_path, capsys, edit):
+    # a well-formed checksum over a malformed body: a clean exit 2
+    path, _ = env_file
+    doc = json.loads(path.read_text())
+    del doc["checksum"]
+    edit(doc)
+    canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    doc["checksum"] = hashlib.sha256(canon.encode()).hexdigest()
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "run", "--env", str(path), "--t", "5", "--out", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error:")
 
 
 def test_missing_dataset_file_fails_with_path(tmp_path, capsys):

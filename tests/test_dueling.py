@@ -7,6 +7,7 @@ from scipy.optimize import minimize
 
 from conduel import rng as streams
 from conduel.dueling import (
+    DELTA,
     RCONUCB_KINDS,
     DuelConfig,
     DuelPolicy,
@@ -17,6 +18,7 @@ from conduel.dueling import (
 )
 from conduel.env import Schedule, SyntheticConfig, gen_synthetic
 from conduel.errors import DomainError, StructuralError
+from conduel.estimator import LAM
 from conduel.glm import DesignMatrix, get_link
 from conduel.spanner import build_spanner
 
@@ -306,11 +308,11 @@ def test_unknown_mode_rejected():
 
 
 def make_policy(kind, es, seed=0, **cfg_kwargs):
-    stream, config = streams.RunStream(seed), DuelConfig(**cfg_kwargs)
+    stream = streams.RunStream(seed)
     if kind in RCONUCB_KINDS:
-        return RconucbPolicy(kind, es.keyterm_feats, stream, config)
+        return RconucbPolicy(kind, es.keyterm_feats, stream)
     sp = build_spanner(es.keyterm_feats)
-    return DuelPolicy(kind, es.link, es.keyterm_feats, sp, stream, config)
+    return DuelPolicy(kind, es.link, es.keyterm_feats, sp, stream, DuelConfig(**cfg_kwargs))
 
 
 def run_rounds(policy, es, user, seed, horizon, schedule, pool_size=8):
@@ -388,7 +390,7 @@ def straight_line_conduel(es, user, seed, horizon, schedule, pool_size, cfg):
     kt = es.keyterm_feats
     d = es.dim
     kappa1 = SIG.kappa1
-    lam = cfg.lam
+    lam = LAM
     m = lam / kappa1 * np.eye(d)
     diffs, outs = [], []
     theta_hat = np.zeros(d)
@@ -452,7 +454,7 @@ def straight_line_conduel(es, user, seed, horizon, schedule, pool_size, cfg):
         raw, proj = fit()
         theta_hat = raw
         alpha = cfg.radius_scale * (2.0 / kappa1) * (
-            0.5 * math.sqrt(d * math.log((1 + 4 * kappa1 * (t + schedule.b(t)) / (d * lam)) / cfg.delta))
+            0.5 * math.sqrt(d * math.log((1 + 4 * kappa1 * (t + schedule.b(t)) / (d * lam)) / DELTA))
             + math.sqrt(lam * kappa1)
         )
         m_inv = np.linalg.inv(m)
@@ -510,7 +512,7 @@ def test_rconucb_observation_counts_per_conversation():
         run_rounds(policy, es, 0, 20, 20, sched)
         n_convs = math.floor(sched.b(20))
         # key-term design matrix collected per_conv rank-one updates each time
-        expected_trace = es.dim * policy.config.lam + sum(
+        expected_trace = es.dim * LAM + sum(
             np.linalg.norm(row) ** 2
             for row in _rconucb_keyterm_rows(es, kind, sched, seed=20, horizon=20)
         )
@@ -557,7 +559,7 @@ def test_rconucb_ridge_matches_closed_form():
     policy = make_policy("rconucb-diff", es, seed=15)
     sched = Schedule("prop", 0.4)
     records = run_rounds(policy, es, 0, 15, 15, sched)
-    lam = policy.config.lam
+    lam = LAM
     xs = np.array([es.arms[r.pair_ids[0]] for _, r in records])
     ys = np.array([r.outcome for _, r in records], dtype=float)
     a_direct = lam * np.eye(es.dim) + xs.T @ xs

@@ -103,6 +103,54 @@ def test_missing_and_malformed_files(tmp_path):
         import_environment(other)
 
 
+def write_edited(tmp_path, edit):
+    """An exported file with ``edit`` applied to its body and the checksum
+    recomputed, so only the edit can fail the import."""
+    path = tmp_path / "env.json"
+    export_environment(small_envset(), path)
+    doc = json.loads(path.read_text())
+    del doc["checksum"]
+    edit(doc)
+    canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    doc["checksum"] = hashlib.sha256(canon.encode()).hexdigest()
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "field", ["d", "link", "n_arms", "n_keyterms", "n_users", "theta_star", "arms", "weights"]
+)
+def test_missing_field_rejected(tmp_path, field):
+    path = write_edited(tmp_path, lambda doc: doc.pop(field))
+    with pytest.raises(DataFormatError, match=f"no '{field}' field"):
+        import_environment(path)
+
+
+@pytest.mark.parametrize("field", ["d", "n_arms", "n_keyterms", "n_users"])
+@pytest.mark.parametrize("value", ["x", 2.5, None])
+def test_non_integer_count_rejected(tmp_path, field, value):
+    path = write_edited(tmp_path, lambda doc: doc.update({field: value}))
+    with pytest.raises(DataFormatError, match=f"{field} must be an integer"):
+        import_environment(path)
+
+
+@pytest.mark.parametrize(
+    "triple", ["x 0 1.0", "0 y 1.0", "0 0 z", "0 0", "0 0 1 1", "0.5 0 1", 1, None]
+)
+def test_malformed_weight_triple_rejected(tmp_path, triple):
+    path = write_edited(tmp_path, lambda doc: doc["weights"].__setitem__(0, triple))
+    with pytest.raises(DataFormatError, match="malformed weight triple"):
+        import_environment(path)
+
+
+@pytest.mark.parametrize("field", ["theta_star", "arms"])
+@pytest.mark.parametrize("row", ["0 x 0 0", 1])
+def test_malformed_row_rejected(tmp_path, field, row):
+    path = write_edited(tmp_path, lambda doc: doc[field].__setitem__(0, row))
+    with pytest.raises(DataFormatError, match=f"malformed {field} row"):
+        import_environment(path)
+
+
 def test_imported_environment_reproduces_traces(tmp_path):
     es = small_envset(seed=5)
     path = tmp_path / "env.json"

@@ -239,6 +239,21 @@ def test_bad_arguments_rejected():
         run_experiment(es, "conduel", 5, [0], sched, workers=-1)
 
 
+@pytest.mark.parametrize(
+    "algorithm, seeds, users, repeated",
+    [
+        (("conduel", "maxinp", "conduel"), [0], 1, "algorithm 'conduel'"),
+        ("conduel", [3, 3], 1, "seed 3"),
+        ("conduel", [0], [1, 0, 1], "user 1"),
+    ],
+    ids=["algorithm", "seed", "user"],
+)
+def test_repeated_cells_rejected(algorithm, seeds, users, repeated):
+    # a repeated cell would be played twice and counted twice in the mean
+    with pytest.raises(ConfigError, match=f"{repeated} is listed more than once"):
+        run_experiment(small_envset(), algorithm, 5, seeds, Schedule("linear", 0), users=users)
+
+
 def test_failed_cell_reports_context(monkeypatch):
     def failing_round(self, *args):
         raise NumericalError("injected")

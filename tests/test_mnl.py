@@ -9,10 +9,11 @@ from conduel import mnl
 from conduel import rng as streams
 from conduel.env import Schedule, SimulatedUser, SyntheticConfig, gen_synthetic
 from conduel.errors import DomainError, NumericalError, StructuralError
-from conduel.estimator import WarmStart, _start
+from conduel.estimator import LAM, WarmStart, _start
 from conduel.glm import DesignMatrix
 from conduel.harness import run_experiment
 from conduel.mnl import (
+    KAPPA2,
     OUTSIDE,
     ChoiceHistory,
     MnlConfig,
@@ -120,9 +121,6 @@ def test_probs_empty_offer_rejected():
 
 
 # ---------------------------------------------------------------- likelihood
-
-# the ridge lam of the choice likelihood
-LAM = 1.0
 
 
 def test_likelihood_and_score_empty():
@@ -765,10 +763,10 @@ def test_keyterm_selection_modes():
 def test_mnl_round_loop_matches_straight_line_oracle():
     es = small_envset(seed=9)
     q, t0, horizon = 2, 8, 35
-    policy = make_policy("conmnl", es, seed=13, q=q, t0=t0, kappa2=0.05, radius_scale=0.05)
+    policy = make_policy("conmnl", es, seed=13, q=q, t0=t0, radius_scale=0.005)
     sched = Schedule("prop", 0.3)
     records = run_rounds(policy, es, 0, 13, horizon, sched, pool_size=8)
-    oracle = straight_line_conmnl(es, 0, 13, horizon, sched, 8, q, t0, 0.05, 0.05)
+    oracle = straight_line_conmnl(es, 0, 13, horizon, sched, 8, q, t0, KAPPA2, 0.005)
     for (pool, rec), (o_assort, o_chosen) in zip(records, oracle):
         np.testing.assert_array_equal(rec.assortment, o_assort)
         assert rec.outcome == o_chosen
@@ -866,7 +864,7 @@ def straight_line_conmnl(es, user, seed, horizon, schedule, pool_size, q, t0, ka
 def test_optimistic_utility_sandwich_on_trace():
     # after initialization, optimism holds and the bonus caps the gap
     es = small_envset(seed=2)
-    policy = make_policy("conmnl", es, seed=5, q=3, t0=15, kappa2=0.05, radius_scale=1.0)
+    policy = make_policy("conmnl", es, seed=5, q=3, t0=15, radius_scale=0.1)
     sched = Schedule("prop", 0.2)
     oracle = es.user(0)
     stream = streams.RunStream(5)
