@@ -6,9 +6,15 @@ one or more algorithms), ``sweep`` (conversation-frequency or dimension
 ablations), and ``plot`` (render aggregate CSVs into an SVG chart).
 
 Configuration is a flat ``key = value`` text file; every key is also a flag
-and flags win.  Unknown keys are rejected.  Progress goes to stderr, the
-machine-readable summary to stdout.  Exit codes: 0 success, 1 configuration
-error, 2 runtime error.  ``CONDUEL_OUT`` sets the default output directory.
+and flags win.  A command takes, as flag or as file line, only the keys it
+reads: ``synth`` the seven synthetic-universe keys (``UNIVERSE_KEYS``),
+``prep`` ``d`` and ``link``, and ``run`` and ``sweep`` every key, except
+that a given ``env`` excludes the universe keys, a frequency sweep does not
+read ``schedule`` and a dimension sweep reads neither ``d`` nor ``env``.
+Any other key, known or unknown, is a configuration error, raised before
+any input file is read.  Progress goes to stderr, the machine-readable
+summary to stdout.  Exit codes: 0 success, 1 configuration error, 2 runtime
+error.  ``CONDUEL_OUT`` sets the default output directory.
 """
 
 from __future__ import annotations
@@ -21,13 +27,13 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .dueling import DEFAULT_RADIUS_SCALE, DuelConfig
+from .dueling import DuelConfig
 from .env import Schedule, SyntheticConfig, gen_synthetic
 from .envfile import export_environment, import_environment, write_text
 from .errors import ConduelError, ConfigError
 from .harness import ALL_KINDS, regret_kind_of, run_experiment
 from .hetrec import IngestConfig, build_environment, parse_hetrec
-from .mnl import DEFAULT_MNL_RADIUS_SCALE, MnlConfig
+from .mnl import MnlConfig
 from .report import read_aggregate_csv, render_chart, write_aggregate_csv, write_trace_csv
 from .spanner import build_spanner
 
@@ -42,12 +48,12 @@ DIMENSION_VALUES = (20, 30, 40, 50)
 class RunConfig:
     # environment source: a file, or the synthetic spec below
     env: str = ""
-    link: str = "sigmoid"
-    n_users: int = 200
-    n_keyterms: int = 500
-    n_arms: int = 5000
-    d: int = 10
-    max_arms_per_keyterm: int = 10
+    link: str = SyntheticConfig.link
+    n_users: int = SyntheticConfig.n_users
+    n_keyterms: int = SyntheticConfig.n_keyterms
+    n_arms: int = SyntheticConfig.n_arms
+    d: int = SyntheticConfig.dim
+    max_arms_per_keyterm: int = SyntheticConfig.max_arms_per_keyterm
     env_seed: int = 0
     # experiment
     algorithms: str = "conduel"
@@ -59,15 +65,28 @@ class RunConfig:
     workers: int = 0  # 0: one per processor
     out: str = ""
     # dueling policies
-    radius_scale: float = DEFAULT_RADIUS_SCALE
-    pair_mode: str = "sampled_first"
+    radius_scale: float = DuelConfig.radius_scale
+    pair_mode: str = DuelConfig.pair_mode
     # choice model
-    q: int = 4
-    t0: int = 50
-    mnl_radius_scale: float = DEFAULT_MNL_RADIUS_SCALE
+    q: int = MnlConfig.q
+    t0: int = MnlConfig.t0
+    mnl_radius_scale: float = MnlConfig.radius_scale
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
+
+# the keys of a synthetic universe; an environment file fixes all of them
+UNIVERSE_KEYS = (
+    "link", "n_users", "n_keyterms", "n_arms", "d", "max_arms_per_keyterm", "env_seed",
+)
+
+# the keys each command can read, registered as its flags
+COMMAND_KEYS = {
+    "synth": UNIVERSE_KEYS,
+    "prep": ("d", "link"),
+    "run": tuple(_FIELDS),
+    "sweep": tuple(_FIELDS),
+}
 
 
 def _coerce(key: str, value: str):
@@ -106,19 +125,36 @@ def parse_config_file(path) -> dict:
     return out
 
 
+def _unread_keys(args, env: str) -> tuple:
+    """Who reads the settings, named for messages, and the keys of its
+    command that it does not read."""
+    if args.command == "sweep":
+        if args.axis == "dimension":
+            return "a dimension sweep of synthetic universes", ("d", "env")
+        reader, unread = "a frequency sweep", ("schedule",)
+    else:
+        reader, unread = args.command, ()
+    if env:
+        return f"{reader} with env=", unread + UNIVERSE_KEYS
+    return reader, unread
+
+
 def load_config(args) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        for key, value in parse_config_file(args.config).items():
-            setattr(cfg, key, value)
-    for key in _FIELDS:
-        flag = getattr(args, key, None)
+    given = parse_config_file(args.config) if args.config else {}
+    for key in COMMAND_KEYS[args.command]:
+        flag = getattr(args, key)
         if flag is not None:
-            setattr(cfg, key, _coerce(key, flag))
+            given[key] = _coerce(key, flag)
+    cfg = RunConfig(**given)
     if not cfg.out:
         cfg.out = os.environ.get("CONDUEL_OUT", ".")
+    # a bad value is reported as such, also where its key goes unread
     if cfg.env_seed < 0:
         raise ConfigError(f"env_seed must be nonnegative, got {cfg.env_seed}")
+    reader, unread = _unread_keys(args, cfg.env)
+    for key in given:
+        if key in unread or key not in COMMAND_KEYS[args.command]:
+            raise ConfigError(f"{reader} does not read {key!r}")
     return cfg
 
 
@@ -189,7 +225,7 @@ def _export(envset, out_file, details: dict) -> int:
 
 def cmd_synth(args) -> int:
     cfg = load_config(args)
-    return _export(_load_envset(dataclasses.replace(cfg, env="")), args.out_file, {})
+    return _export(_load_envset(cfg), args.out_file, {})
 
 
 def cmd_prep(args) -> int:
@@ -280,8 +316,6 @@ def cmd_sweep(args) -> int:
                 out_dir = os.path.join(cfg.out, cell)
                 summary[cell] = _run_algorithms(cfg, envset, out_dir, schedule, settings)
     else:  # dimension: argparse admits only the two axes
-        if cfg.env:
-            raise ConfigError("dimension sweep regenerates synthetic environments; remove env=")
         schedule = Schedule.parse(cfg.schedule)
         for d in values or DIMENSION_VALUES:
             cell = f"dim_{d}"
@@ -329,31 +363,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="conduel", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config_flags(p):
+    def add_config_flags(p, command):
         p.add_argument("--config", "-c", help="flat key = value config file")
-        for name in _FIELDS:
+        for name in COMMAND_KEYS[command]:
             p.add_argument(f"--{name.replace('_', '-')}", dest=name, default=None)
 
-    p_synth = sub.add_parser("synth", help="generate a synthetic environment file")
-    add_config_flags(p_synth)
+    # no abbreviated flags: `--out` or `--env` would be taken for `--out-file`
+    # or `--env-seed`, keys these commands do not read
+    p_synth = sub.add_parser(
+        "synth", help="generate a synthetic environment file", allow_abbrev=False
+    )
+    add_config_flags(p_synth, "synth")
     p_synth.add_argument("--out-file", required=True, help="environment file to write")
     p_synth.set_defaults(func=cmd_synth)
 
-    p_prep = sub.add_parser("prep", help="build an environment from tag assignments")
-    add_config_flags(p_prep)
+    p_prep = sub.add_parser(
+        "prep", help="build an environment from tag assignments", allow_abbrev=False
+    )
+    add_config_flags(p_prep, "prep")
     p_prep.add_argument("--tags", required=True, help="user/item/tag assignment file")
     p_prep.add_argument("--out-file", required=True)
-    p_prep.add_argument("--items", type=int, default=2000, help="items to keep")
-    p_prep.add_argument("--top-users", type=int, default=100, help="users to keep")
-    p_prep.add_argument("--tags-per-item", type=int, default=20)
+    p_prep.add_argument("--items", type=int, default=IngestConfig.n_items, help="items to keep")
+    p_prep.add_argument(
+        "--top-users", type=int, default=IngestConfig.n_users, help="users to keep"
+    )
+    p_prep.add_argument("--tags-per-item", type=int, default=IngestConfig.tags_per_item)
     p_prep.set_defaults(func=cmd_prep)
 
     p_run = sub.add_parser("run", help="run a regret experiment")
-    add_config_flags(p_run)
+    add_config_flags(p_run, "run")
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="frequency or dimension ablation")
-    add_config_flags(p_sweep)
+    add_config_flags(p_sweep, "sweep")
     p_sweep.add_argument("--axis", required=True, choices=("frequency", "dimension"))
     p_sweep.add_argument("--values", help="override the default axis values (csv)")
     p_sweep.set_defaults(func=cmd_sweep)

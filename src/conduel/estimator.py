@@ -221,7 +221,7 @@ def _start(obj, warm: WarmStart) -> tuple:
     return theta, f, aux
 
 
-def _newton(obj, tol: float, max_iters: int, what: str, warm: WarmStart) -> tuple:
+def _newton(obj, tol: float, what: str, warm: WarmStart) -> tuple:
     """Damped Newton ascent on a strictly concave objective; (theta,
     iterations, the pass at theta).
 
@@ -235,7 +235,7 @@ def _newton(obj, tol: float, max_iters: int, what: str, warm: WarmStart) -> tupl
     halved until the value falls by no more than round-off; the accepted
     trial's value and pass carry over, so every point is evaluated once.
     When no trial down to 2^-40 is accepted, that smallest step is taken.
-    Stops once ||score|| <= tol.
+    Stops once ||score|| <= tol, and fails after ``_MAX_ITERS`` steps.
     """
     if tol <= 0.0:
         raise DomainError("tol must be positive")
@@ -245,10 +245,10 @@ def _newton(obj, tol: float, max_iters: int, what: str, warm: WarmStart) -> tupl
     iters = 0
     info = None
     while grad_norm > tol:
-        if iters >= max_iters:
+        if iters >= _MAX_ITERS:
             raise NumericalError(
                 f"{what} Newton failed to converge: ||score|| = {grad_norm:.3e} "
-                f"after {max_iters} iterations"
+                f"after {_MAX_ITERS} iterations"
             )
         info = obj.information(theta, aux)
         step = np.linalg.solve(info, grad)
@@ -279,7 +279,6 @@ def mle_fit(
     lam: float,
     link: LinkFunction,
     tol: float = _TOL,
-    max_iters: int = _MAX_ITERS,
     warm: WarmStart | None = None,
 ) -> ThetaEstimate:
     """Newton fit of the regularized MLE, with projection onto the unit ball.
@@ -291,7 +290,7 @@ def mle_fit(
     design matrix and reuses the fit's last pass.
     """
     obj = DuelObjective(history, lam, link)
-    theta, iters, p = _newton(obj, tol, max_iters, "MLE", warm or WarmStart(history.dim))
+    theta, iters, p = _newton(obj, tol, "MLE", warm or WarmStart(history.dim))
     if float(np.linalg.norm(theta)) > 1.0:
         return ThetaEstimate(theta, project_theta(theta, obj, history.design, p), True, iters)
     return ThetaEstimate(theta, theta.copy(), False, iters)

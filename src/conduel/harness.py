@@ -73,6 +73,15 @@ class RegretTrace:
         return float(self.stderr_cum[-1])
 
 
+def _policy_fields(algorithm: str, duel_config: DuelConfig, mnl_config: MnlConfig) -> dict:
+    """The config the algorithm's policy takes, for its fingerprint."""
+    if algorithm in MNL_KINDS:
+        return {"mnl_config": vars(mnl_config)}
+    if algorithm in RCONUCB_KINDS:
+        return {}
+    return {"duel_config": vars(duel_config)}
+
+
 def config_fingerprint(payload: dict) -> str:
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
@@ -227,8 +236,6 @@ def run_experiment(
         "users": users,
         "schedule": schedule.label(),
         "pool_size": pool_size,
-        "duel_config": vars(duel_config),
-        "mnl_config": vars(mnl_config),
         "env": envset.provenance,
     }
     grid = [(u, s) for u in users for s in seeds]
@@ -243,12 +250,14 @@ def run_experiment(
             if progress:
                 progress(name, len(rows), len(grid))
             if len(rows) == len(grid):
+                payload = {"algorithm": name, **run_fields}
+                payload.update(_policy_fields(name, duel_config, mnl_config))
                 yield RegretTrace(
                     algorithm=name,
                     regret_kind=regret_kind_of(name),
                     cells=list(grid),
                     inst=np.vstack(rows),
-                    fingerprint=config_fingerprint({"algorithm": name, **run_fields}),
+                    fingerprint=config_fingerprint(payload),
                 )
                 rows = []
 

@@ -25,7 +25,7 @@ import numpy as np
 from . import rng as streams
 from .dueling import RoundRecord
 from .errors import ConfigError, DomainError, StructuralError
-from .estimator import _MAX_ITERS, _TOL, LAM, WarmStart, _newton
+from .estimator import _TOL, LAM, WarmStart, _newton
 from .glm import DesignMatrix, ucb_utilities
 from .spanner import Spanner
 
@@ -268,19 +268,14 @@ class MnlObjective:
         return info + self._ridge
 
 
-def mnl_mle_fit(
-    history: ChoiceHistory,
-    tol: float = _TOL,
-    max_iters: int = _MAX_ITERS,
-    warm: WarmStart | None = None,
-) -> np.ndarray:
+def mnl_mle_fit(history: ChoiceHistory, warm: WarmStart | None = None) -> np.ndarray:
     """Newton maximizer of the regularized multinomial log-likelihood.
 
     ``warm``, the last fit of this history, gives the solve a predicted start
     and is advanced to this fit; without it the solve starts at zero.
     """
     obj = MnlObjective(history)
-    return _newton(obj, tol, max_iters, "choice-model", warm or WarmStart(history.dim))[0]
+    return _newton(obj, _TOL, "choice-model", warm or WarmStart(history.dim))[0]
 
 
 def mnl_radius(t: int, b_of_t: float, d: int, kappa2: float) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -6,8 +7,12 @@ import time
 import pytest
 
 from conduel import harness
-from conduel.cli import main, parse_seed_spec
+from conduel.cli import RunConfig, build_parser, main, parse_seed_spec
+from conduel.dueling import DuelConfig
+from conduel.env import SyntheticConfig
 from conduel.errors import ConfigError, NumericalError
+from conduel.hetrec import IngestConfig
+from conduel.mnl import MnlConfig
 
 
 def run_cli(capsys, *argv):
@@ -16,10 +21,10 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-SMALL_ENV = [
-    "--n-users", "3", "--n-keyterms", "16", "--n-arms", "20", "--d", "3",
-    "--max-arms-per-keyterm", "4",
+SMALL_UNIVERSE = [
+    "--n-users", "3", "--n-keyterms", "16", "--n-arms", "20", "--max-arms-per-keyterm", "4",
 ]
+SMALL_ENV = [*SMALL_UNIVERSE, "--d", "3"]
 
 
 @pytest.fixture()
@@ -178,6 +183,75 @@ def test_constants_are_not_config_keys(tmp_path, capsys, line):
     assert f"unknown key {line.split()[0]!r}" in err
 
 
+UNIVERSE = ("link", "n_users", "n_keyterms", "n_arms", "d", "max_arms_per_keyterm", "env_seed")
+KEYS = tuple(f.name for f in dataclasses.fields(RunConfig))
+VALUES = {
+    "link": "sigmoid", "n_users": "3", "n_keyterms": "16", "n_arms": "20", "d": "3",
+    "max_arms_per_keyterm": "4", "env_seed": "1", "algorithms": "maxinp", "t": "2",
+    "seeds": "0", "users": "1", "schedule": "linear:1", "pool_size": "6", "workers": "1",
+    "radius_scale": "0.5", "pair_mode": "full_maxinp", "q": "3", "t0": "5",
+    "mnl_radius_scale": "0.5",
+}
+# (what runs, a key of RunConfig it does not read): every such pair
+UNREAD = (
+    [("synth", k) for k in KEYS if k not in UNIVERSE]
+    + [("prep", k) for k in KEYS if k not in ("d", "link")]
+    + [("run-env", k) for k in UNIVERSE]
+    + [("frequency-env", k) for k in UNIVERSE + ("schedule",)]
+    + [("dimension", "d"), ("dimension", "env")]
+)
+
+
+@pytest.mark.parametrize("as_line", [False, True], ids=["flag", "line"])
+@pytest.mark.parametrize("runs, key", UNREAD, ids=[f"{r}-{k}" for r, k in UNREAD])
+def test_unread_key_rejected(tmp_path, capsys, runs, key, as_line):
+    # the environment and tag files are missing: reading one first would be a
+    # runtime error (exit 2), so exit 1 shows the key was checked first
+    missing = str(tmp_path / "none.json")
+    out = tmp_path / "out"
+    argv = {
+        "synth": ["synth", *SMALL_ENV, "--out-file", str(out / "env.json")],
+        "prep": ["prep", "--tags", str(tmp_path / "none.dat"), "--out-file", str(out / "env.json")],
+        "run-env": ["run", "--env", missing, "--out", str(out)],
+        "frequency-env": ["sweep", "--axis", "frequency", "--env", missing, "--out", str(out)],
+        # small enough that a sweep which ignored the key would finish at once
+        "dimension": [
+            "sweep", "--axis", "dimension", "--values", "2", *SMALL_UNIVERSE, "--t", "2",
+            "--seeds", "0", "--algorithms", "maxinp", "--pool-size", "6", "--workers", "1",
+            "--out", str(out),
+        ],
+    }[runs]
+    value = {"env": missing, "out": str(out)}.get(key) or VALUES[key]
+    if as_line:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        argv += ["-c", str(cfg)]
+    else:
+        argv += [f"--{key.replace('_', '-')}", value]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith("configuration error:")
+    if runs in ("synth", "prep") and not as_line:  # not a flag of the command
+        assert f"unrecognized arguments: --{key.replace('_', '-')} " in err
+    else:
+        assert f"does not read {key!r}" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["run.cfg"] if as_line else [])
+
+
+def test_run_config_defaults_are_the_library_defaults():
+    cfg, synth, duel, mnl = RunConfig(), SyntheticConfig(), DuelConfig(), MnlConfig()
+    universe = ("link", "n_users", "n_keyterms", "n_arms", "max_arms_per_keyterm")
+    assert [getattr(cfg, k) for k in universe] == [getattr(synth, k) for k in universe]
+    assert cfg.d == synth.dim
+    assert (cfg.radius_scale, cfg.pair_mode) == (duel.radius_scale, duel.pair_mode)
+    assert (cfg.q, cfg.t0, cfg.mnl_radius_scale) == (mnl.q, mnl.t0, mnl.radius_scale)
+    prep = build_parser().parse_args(["prep", "--tags", "t.dat", "--out-file", "e.json"])
+    ingest = IngestConfig()
+    assert (prep.items, prep.top_users, prep.tags_per_item) == (
+        ingest.n_items, ingest.n_users, ingest.tags_per_item,
+    )
+
+
 @pytest.mark.parametrize(
     "flag, value, repeated",
     [("--seeds", "3,3", "seed 3"), ("--algorithms", "conduel,conduel", "algorithm 'conduel'")],
@@ -247,6 +321,8 @@ def test_bad_number_rejected_before_environment(tmp_path, capsys, argv):
     )
     assert code == 1
     assert "configuration error" in err
+    # the value is what fails, even where env= leaves a given key unread
+    assert "does not read" not in err
 
 
 def test_negative_env_seed_rejected_by_synth(tmp_path, capsys):
@@ -350,17 +426,17 @@ def test_prep_rejects_out_of_range_sizes(tmp_path, capsys, flag, value):
 
 
 def test_prep_output_does_not_depend_on_env_seed(tmp_path, capsys):
-    # the construction has no randomness, so the seed must not reach the file
+    # the construction has no randomness, so prep takes no seed at all
     tags = _toy_tags(tmp_path)
-    outs = [tmp_path / "env1.json", tmp_path / "env2.json"]
-    for env_seed, out in zip(("1", "2"), outs):
-        code, _, _ = run_cli(
-            capsys, "prep", "--tags", str(tags), "--out-file", str(out),
-            "--items", "6", "--top-users", "4", "--tags-per-item", "2", "--d", "2",
-            "--env-seed", env_seed,
-        )
-        assert code == 0
-    assert outs[0].read_bytes() == outs[1].read_bytes()
+    out = tmp_path / "env.json"
+    code, _, err = run_cli(
+        capsys, "prep", "--tags", str(tags), "--out-file", str(out),
+        "--items", "6", "--top-users", "4", "--tags-per-item", "2", "--d", "2",
+        "--env-seed", "1",
+    )
+    assert code == 1
+    assert "unrecognized arguments: --env-seed" in err
+    assert not out.exists()
 
 
 def test_sweep_frequency_axis(env_file, tmp_path, capsys):
@@ -383,7 +459,7 @@ def test_sweep_dimension_axis(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys,
         "sweep", "--axis", "dimension", "--values", "2,3",
-        *SMALL_ENV,
+        *SMALL_UNIVERSE,
         "--algorithms", "maxinp", "--t", "6", "--seeds", "0:2",
         "--pool-size", "6", "--workers", "1", "--out", str(out_dir),
     )

@@ -335,11 +335,12 @@ def test_mle_fit_objective_never_below_start():
         assert obj.value(est.theta_raw) >= obj.value(np.zeros(3))
 
 
-def test_mle_fit_nonconvergence_raises():
+def test_mle_fit_nonconvergence_raises(monkeypatch):
+    monkeypatch.setattr(estimator, "_MAX_ITERS", 1)
     rng = np.random.default_rng(9)
     h, _ = random_history(rng, d=2, n=30)
-    with pytest.raises(NumericalError):
-        mle_fit(h, 1.0, SIG, tol=1e-14, max_iters=1)
+    with pytest.raises(NumericalError, match="after 1 iterations"):
+        mle_fit(h, 1.0, SIG, 1e-14)
 
 
 def reference_newton_fit(history, lam, link, theta0=None):

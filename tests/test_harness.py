@@ -49,6 +49,27 @@ def test_identical_seeds_bit_identical():
     assert a.fingerprint == b.fingerprint
 
 
+@pytest.mark.parametrize(
+    "algorithm, takes", [("maxinp", "duel"), ("conmnl", "mnl"), ("rconucb-posneg", None)]
+)
+def test_fingerprint_hashes_only_the_config_the_policy_takes(algorithm, takes):
+    # a config the policy does not take changes neither its trace nor its
+    # fingerprint; the one it takes changes the fingerprint
+    es = small_envset()
+    base = run_experiment(es, algorithm, 5, [0], Schedule("linear", 1), pool_size=6)
+    changed = {
+        "duel": {"duel_config": DuelConfig(radius_scale=0.5)},
+        "mnl": {"mnl_config": MnlConfig(q=3)},
+    }
+    for which, config in changed.items():
+        other = run_experiment(es, algorithm, 5, [0], Schedule("linear", 1), pool_size=6, **config)
+        if which == takes:
+            assert other.fingerprint != base.fingerprint
+        else:
+            np.testing.assert_array_equal(other.inst, base.inst)
+            assert other.fingerprint == base.fingerprint
+
+
 @pytest.mark.parametrize("algorithm", ["conduel", "conmnl", "rconucb-diff"])
 def test_worker_count_does_not_change_results(algorithm):
     # one algorithm of each policy family

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from conduel import mnl
+from conduel import estimator, mnl
 from conduel import rng as streams
 from conduel.env import Schedule, SimulatedUser, SyntheticConfig, gen_synthetic
 from conduel.errors import DomainError, NumericalError, StructuralError
@@ -198,7 +198,7 @@ def plain_objective(h, theta):
 
 
 @pytest.mark.parametrize("width", range(1, 13))
-def test_objective_bitwise_equals_plain_formula(width):
+def test_objective_matches_plain_formula(width):
     # the slot-major pass against the textbook row reductions, with padded
     # slots and outside-option picks present
     rng = np.random.default_rng(100 + width)
@@ -478,11 +478,13 @@ def test_choice_mle_exists_after_separable_exploration():
         assert trace.inst.shape == (1, 400) and np.all(np.isfinite(trace.inst))
 
 
-def test_fit_nonconvergence_raises():
+def test_fit_nonconvergence_raises(monkeypatch):
+    monkeypatch.setattr(estimator, "_MAX_ITERS", 1)
+    monkeypatch.setattr(mnl, "_TOL", 1e-14)
     rng = np.random.default_rng(5)
     h, _ = sample_history(rng, d=2, n=30)
-    with pytest.raises(NumericalError):
-        mnl_mle_fit(h, tol=1e-14, max_iters=1)
+    with pytest.raises(NumericalError, match="after 1 iterations"):
+        mnl_mle_fit(h)
 
 
 # ---------------------------------------------------------------- radius
