@@ -12,7 +12,9 @@ reads: ``synth`` the seven synthetic-universe keys (``UNIVERSE_KEYS``),
 that a given ``env`` excludes the universe keys, a frequency sweep does not
 read ``schedule`` and a dimension sweep reads neither ``d`` nor ``env``.
 Any other key, known or unknown, is a configuration error, raised before
-any input file is read.  Progress goes to stderr, the machine-readable
+any input file is read; so is an out-of-range value.  ``sweep`` builds every
+axis value's schedule or universe, and rejects a repeated value, before the
+first cell plays.  Progress goes to stderr, the machine-readable
 summary to stdout.  Exit codes: 0 success, 1 configuration error, 2 runtime
 error.  ``CONDUEL_OUT`` sets the default output directory.
 """
@@ -31,7 +33,7 @@ from .dueling import DuelConfig
 from .env import Schedule, SyntheticConfig, gen_synthetic
 from .envfile import export_environment, import_environment, write_text
 from .errors import ConduelError, ConfigError
-from .harness import ALL_KINDS, regret_kind_of, run_experiment
+from .harness import ALL_KINDS, regret_kind_of, reject_repeats, run_experiment
 from .hetrec import IngestConfig, build_environment, parse_hetrec
 from .mnl import MnlConfig
 from .report import read_aggregate_csv, render_chart, write_aggregate_csv, write_trace_csv
@@ -179,10 +181,9 @@ def parse_seed_spec(spec: str) -> list:
     return seeds
 
 
-def _load_envset(cfg: RunConfig):
-    if cfg.env:
-        return import_environment(cfg.env)
-    spec = SyntheticConfig(
+def _universe(cfg: RunConfig) -> SyntheticConfig:
+    """The synthetic universe of the settings; building it checks them."""
+    return SyntheticConfig(
         n_users=cfg.n_users,
         n_keyterms=cfg.n_keyterms,
         n_arms=cfg.n_arms,
@@ -190,7 +191,12 @@ def _load_envset(cfg: RunConfig):
         max_arms_per_keyterm=cfg.max_arms_per_keyterm,
         link=cfg.link,
     )
-    return gen_synthetic(spec, cfg.env_seed)
+
+
+def _load_envset(cfg: RunConfig):
+    if cfg.env:
+        return import_environment(cfg.env)
+    return gen_synthetic(_universe(cfg), cfg.env_seed)
 
 
 def _progress(tag, done, total):
@@ -301,28 +307,31 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args)
+    default = FREQUENCY_VALUES if args.axis == "frequency" else DIMENSION_VALUES
     try:
-        values = [int(v) for v in args.values.split(",")] if args.values else None
+        values = [int(v) for v in args.values.split(",")] if args.values else default
     except ValueError as exc:
         raise ConfigError(f"bad sweep values {args.values!r}") from exc
+    reject_repeats("sweep value", values)
     settings = _run_settings(cfg)
+    # every cell's schedule or universe is built, and so checked, before
+    # the first cell plays
     summary = {}
     if args.axis == "frequency":
+        schedules = {
+            f"freq_{fam}_{n}": Schedule(fam, float(n)) for fam in FREQUENCY_FAMILIES for n in values
+        }
         envset = _load_envset(cfg)
-        for fam in FREQUENCY_FAMILIES:
-            for n in values or FREQUENCY_VALUES:
-                cell = f"freq_{fam}_{n}"
-                schedule = Schedule(fam, float(n))
-                out_dir = os.path.join(cfg.out, cell)
-                summary[cell] = _run_algorithms(cfg, envset, out_dir, schedule, settings)
+        for cell, schedule in schedules.items():
+            out_dir = os.path.join(cfg.out, cell)
+            summary[cell] = _run_algorithms(cfg, envset, out_dir, schedule, settings)
     else:  # dimension: argparse admits only the two axes
         schedule = Schedule.parse(cfg.schedule)
-        for d in values or DIMENSION_VALUES:
-            cell = f"dim_{d}"
-            cell_cfg = dataclasses.replace(cfg, d=int(d))
-            envset = _load_envset(cell_cfg)
+        universes = {f"dim_{d}": _universe(dataclasses.replace(cfg, d=d)) for d in values}
+        for cell, universe in universes.items():
+            envset = gen_synthetic(universe, cfg.env_seed)
             out_dir = os.path.join(cfg.out, cell)
-            summary[cell] = _run_algorithms(cell_cfg, envset, out_dir, schedule, settings)
+            summary[cell] = _run_algorithms(cfg, envset, out_dir, schedule, settings)
     _write_summary(os.path.join(cfg.out, f"sweep_{args.axis}_summary.json"), summary)
     _emit(summary)
     return 0

@@ -79,6 +79,14 @@ class EnvironmentSet:
         self.graph.validate()
 
 
+def check_link(kind: str) -> None:
+    """Raise a ``ConfigError`` unless ``kind`` names a link function."""
+    try:
+        get_link(kind)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 @dataclass(frozen=True)
 class SyntheticConfig:
     n_users: int = 200
@@ -87,6 +95,13 @@ class SyntheticConfig:
     dim: int = 10
     max_arms_per_keyterm: int = 10
     link: str = "sigmoid"
+
+    def __post_init__(self):
+        if min(self.n_users, self.n_keyterms, self.n_arms, self.dim) < 1:
+            raise ConfigError("environment sizes must be positive")
+        if self.max_arms_per_keyterm < 1:
+            raise ConfigError("max arms per key-term must be at least 1")
+        check_link(self.link)
 
 
 def _unit_rows(rng, n, d):
@@ -103,10 +118,6 @@ def gen_synthetic(config: SyntheticConfig, seed: int) -> EnvironmentSet:
     Draw order is fixed (users, arms, per-key-term degrees and subsets,
     stranded-arm fixes), so the result is a pure function of (config, seed).
     """
-    if min(config.n_users, config.n_keyterms, config.n_arms, config.dim) < 1:
-        raise ConfigError("environment sizes must be positive")
-    if config.max_arms_per_keyterm < 1:
-        raise ConfigError("max arms per key-term must be at least 1")
     rng = env_rng(seed)
     theta = _unit_rows(rng, config.n_users, config.dim)
     arms = _unit_rows(rng, config.n_arms, config.dim)

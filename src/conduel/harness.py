@@ -161,6 +161,14 @@ def _cell_rows(cell_args: tuple, cells: list, workers: int):
         yield from pool.map(_worker_run, cells, chunksize=1)
 
 
+def reject_repeats(what: str, values) -> None:
+    """Raise a ``ConfigError`` naming the first value listed twice: its
+    cells would be played twice."""
+    repeats = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeats:
+        raise ConfigError(f"{what} {repeats[0]!r} is listed more than once")
+
+
 def run_experiment(
     envset: EnvironmentSet,
     algorithm,
@@ -218,11 +226,8 @@ def run_experiment(
         bad = [u for u in users if not 0 <= u < envset.n_users]
         if bad:
             raise ConfigError(f"user index {bad[0]} out of range [0, {envset.n_users})")
-    # a repeated cell would be played twice and counted twice in the mean
     for what, values in (("algorithm", algorithms), ("seed", seeds), ("user", users)):
-        repeats = [v for i, v in enumerate(values) if v in values[:i]]
-        if repeats:
-            raise ConfigError(f"{what} {repeats[0]!r} is listed more than once")
+        reject_repeats(what, values)
     duel_config = duel_config or DuelConfig()
     mnl_config = mnl_config or MnlConfig()
     if spanner is None:

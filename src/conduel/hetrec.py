@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import EnvironmentSet
+from .env import EnvironmentSet, check_link
 from .errors import ConfigError, DataFormatError, StructuralError
 from .glm import WeightGraph, get_link
 
@@ -62,6 +62,7 @@ class IngestConfig:
             value = getattr(self, name)
             if not value >= 1:
                 raise ConfigError(f"{name} must be at least 1, got {value!r}")
+        check_link(self.link)
 
 
 def parse_hetrec(path) -> RawInteractions:

@@ -4,15 +4,15 @@ Dinkelbach's fixed-point iteration on the revenue threshold.
 
 A choice observation offers up to q features (arms or key-terms); the user
 picks one of them or the outside option.  ``ChoiceHistory`` stores each
-observation once, slot-major: the offer, its pad offsets and its one-hot
-pick sit in arrays whose last axis runs over observations, so every
-reduction of the likelihood runs over the q slots with rows as long as the
-history.  ``MnlObjective`` is the only implementation of the choice
-log-likelihood, its score and its observed information; the fit runs the
-shared Newton solver of ``estimator`` on it.  The likelihood carries the
-dueling likelihood's ridge -(lam / 2) ||theta||^2, lam = ``estimator.LAM``,
-so it is strictly concave and its maximizer exists after any history, the
-empty one included.
+observation once, slot-major: the offer and its pad offsets sit in arrays
+whose last axis runs over observations, so every reduction of the
+likelihood runs over the q slots with rows as long as the history; the pick
+is kept only as its slot index.  ``MnlObjective`` is the only
+implementation of the choice log-likelihood, its score and its observed
+information; the fit runs the shared Newton solver of ``estimator`` on it.
+The likelihood carries the dueling likelihood's ridge
+-(lam / 2) ||theta||^2, lam = ``estimator.LAM``, so it is strictly concave
+and its maximizer exists after any history, the empty one included.
 """
 
 from __future__ import annotations
@@ -75,16 +75,13 @@ class ChoiceHistory:
 
     Every array is slot-major, with its last axis running over observations:
     ``slots`` (width, d, n) holds the padded offers, ``slot_pad`` (width, n)
-    their pad offsets (0 on offered slots, -inf on padding), ``slot_one_hot``
-    (width, n) the one-hot picks (all zero for the outside option), and
-    ``chosen`` (n,) the picked slot or ``OUTSIDE``.  Each is written once, on
-    append.  ``feats``, ``pad``, ``one_hot`` and ``mask`` are read-only
-    observation-major (n, width, ...) views of them, for reading one offer at
-    a time.  ``design`` is ``ridge * I`` plus the sum of x x^T over every
-    offered feature.
+    their pad offsets (0 on offered slots, -inf on padding), and ``chosen``
+    (n,) the picked slot or ``OUTSIDE``, the one record of each pick.  Each
+    is written once, on append.  ``design`` is ``ridge * I`` plus the sum of
+    x x^T over every offered feature.
     """
 
-    __slots__ = ("dim", "width", "design", "_slots", "_pad", "_one_hot", "_chosen", "n")
+    __slots__ = ("dim", "width", "design", "_slots", "_pad", "_chosen", "n")
 
     def __init__(self, dim: int, width: int, ridge: float):
         if width < 1:
@@ -94,7 +91,6 @@ class ChoiceHistory:
         self.design = DesignMatrix(self.dim, ridge)
         self._slots = np.empty((self.width, self.dim, 64))
         self._pad = np.empty((self.width, 64))
-        self._one_hot = np.empty((self.width, 64))
         self._chosen = np.empty(64, dtype=np.int64)
         self.n = 0
 
@@ -110,16 +106,13 @@ class ChoiceHistory:
         n = self.n
         if n == len(self._chosen):
             grow = max(2 * n, 64)
-            bufs = (self._slots, self._pad, self._one_hot, self._chosen)
-            self._slots, self._pad, self._one_hot, self._chosen = (_grown(b, n, grow) for b in bufs)
+            bufs = (self._slots, self._pad, self._chosen)
+            self._slots, self._pad, self._chosen = (_grown(b, n, grow) for b in bufs)
         # every slot of column n is written, so nothing reads a stale entry
         self._slots[:m, :, n] = offered
         self._slots[m:, :, n] = 0.0
         self._pad[:m, n] = 0.0
         self._pad[m:, n] = -np.inf
-        self._one_hot[:, n] = 0.0
-        if chosen != OUTSIDE:
-            self._one_hot[chosen, n] = 1.0
         self._chosen[n] = chosen
         self.n += 1
         for row in offered:
@@ -134,28 +127,8 @@ class ChoiceHistory:
         return self._pad[:, : self.n]
 
     @property
-    def slot_one_hot(self):
-        return self._one_hot[:, : self.n]
-
-    @property
     def chosen(self):
         return self._chosen[: self.n]
-
-    @property
-    def feats(self):
-        return _read_only(self.slots.transpose(2, 0, 1))
-
-    @property
-    def pad(self):
-        return _read_only(self.slot_pad.T)
-
-    @property
-    def mask(self):
-        return self.pad == 0.0
-
-    @property
-    def one_hot(self):
-        return _read_only(self.slot_one_hot.T)
 
     def __len__(self) -> int:
         return self.n
@@ -167,12 +140,6 @@ def _grown(buf, n: int, size: int):
     out = np.empty(buf.shape[:-1] + (size,), dtype=buf.dtype)
     out[..., :n] = buf[..., :n]
     return out
-
-
-def _read_only(view):
-    """``view``, marked so that nothing writes into the store through it."""
-    view.flags.writeable = False
-    return view
 
 
 def mnl_probs(theta, offered):
@@ -195,34 +162,31 @@ def mnl_probs(theta, offered):
 class MnlObjective:
     """Choice log-likelihood over one history, built once per fit.
 
-    Holds slot-major views of the history (offers, pad offsets that mask
-    padded slots with -inf, one-hot picks) and each observation's picked
-    slot.  Serves the value, the (width, n) choice probabilities, the score
-    and the observed information (minus the Hessian of the value) of the
-    regularized log-likelihood sum log p(choice) - (lam / 2) ||theta||^2;
+    Holds slot-major views of the history (offers, and pad offsets that mask
+    padded slots with -inf) and the pick as one index pair (picked slot,
+    observation) over the observations whose pick is not the outside
+    option.  Serves the value, the (width, n) choice probabilities, the
+    score and the observed information (minus the Hessian of the value) of
+    the regularized log-likelihood sum log p(choice) - (lam / 2) ||theta||^2;
     the last two take the probabilities when the caller already has them.
     Every method reduces over slots: the utilities are
     ``z = theta @ slots + pad``, a (width, n) array whose max and sum run
-    over axis 0, and the picked utility is ``z[slot, arange(n)]``.  Inputs
-    are not validated.
+    over axis 0, and the picked utilities are ``z`` at the pick pair, zero
+    for an outside-option pick.  Inputs are not validated.
 
     ``start`` > 0 keeps only the observations from ``start`` on and drops
     the ridge: what they add to the objective over the first ``start``.
     """
 
-    __slots__ = (
-        "history", "lam", "_slots", "_pad", "_one_hot", "_slot", "_cols", "_has_pick", "_ridge"
-    )
+    __slots__ = ("history", "lam", "_slots", "_pad", "_pick", "_ridge")
 
     def __init__(self, history: ChoiceHistory, start: int = 0):
         chosen = history.chosen[start:]
+        (cols,) = np.nonzero(chosen != OUTSIDE)
         self.history = history
         self._slots = history.slots[:, :, start:]
         self._pad = history.slot_pad[:, start:]
-        self._one_hot = history.slot_one_hot[:, start:]
-        self._slot = np.maximum(chosen, 0)
-        self._cols = np.arange(len(chosen))
-        self._has_pick = chosen >= 0
+        self._pick = (chosen[cols], cols)
         self.lam = 0.0 if start else LAM
         self._ridge = self.lam * np.eye(history.dim)
 
@@ -235,7 +199,8 @@ class MnlObjective:
         shift = np.maximum(z.max(axis=0), 0.0)
         e = np.exp(z - shift)
         den = np.exp(-shift) + e.sum(axis=0)
-        picked = np.where(self._has_pick, z[self._slot, self._cols], 0.0)
+        picked = np.zeros(z.shape[1])
+        picked[self._pick[1]] = z[self._pick]
         reg = 0.5 * self.lam * float(theta @ theta)
         return float(np.sum(picked - shift - np.log(den))) - reg, e, den
 
@@ -250,12 +215,13 @@ class MnlObjective:
         return value, e / den
 
     def score(self, theta, probs=None) -> np.ndarray:
-        """Gradient of the value, sum_j X_j (one_hot_j - P_j) - lam theta;
-        zero at the MLE."""
+        """Gradient of the value, sum_j X_j (one_hot_j - P_j) - lam theta,
+        with one_hot_j 1 where slot j was picked; zero at the MLE."""
         if probs is None:
             probs = self.value_and_pass(theta)[1]
-        resid = (self._one_hot - probs)[:, :, None]
-        return (self._slots @ resid).sum(axis=0)[:, 0] - self.lam * theta
+        resid = -probs
+        resid[self._pick] += 1.0
+        return (self._slots @ resid[:, :, None]).sum(axis=0)[:, 0] - self.lam * theta
 
     def information(self, theta, probs=None) -> np.ndarray:
         """sum_j (X_j o P_j) X_j^T - xbar xbar^T + lam I, with X_j the (d, n)

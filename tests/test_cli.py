@@ -325,6 +325,24 @@ def test_bad_number_rejected_before_environment(tmp_path, capsys, argv):
     assert "does not read" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("synth", "--out-file", "env.json"),
+        ("run", "--t", "5", "--seeds", "0"),
+        # the tag file does not exist: reading it first would be exit 2
+        ("prep", "--tags", "missing.dat", "--out-file", "env.json"),
+    ],
+    ids=["synth", "run", "prep"],
+)
+def test_unknown_link_rejected_before_any_file(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, *argv, "--link", "bogus")
+    assert code == 1
+    assert "configuration error: unknown link kind: 'bogus'" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_negative_env_seed_rejected_by_synth(tmp_path, capsys):
     out_file = tmp_path / "env.json"
     code, _, err = run_cli(capsys, "synth", *SMALL_ENV, "--env-seed=-1", "--out-file", str(out_file))
@@ -465,6 +483,54 @@ def test_sweep_dimension_axis(tmp_path, capsys):
     )
     assert code == 0
     assert set(json.loads(out)) == {"dim_2", "dim_3"}
+
+
+@pytest.mark.parametrize(
+    "axis, values, error",
+    [
+        ("frequency", "5,-1", "schedule parameter must be finite and nonnegative"),
+        ("dimension", "3,0", "environment sizes must be positive"),
+        ("frequency", "1,1", "sweep value 1 is listed more than once"),
+        ("dimension", "3,3", "sweep value 3 is listed more than once"),
+    ],
+    ids=["frequency-neg", "dimension-0", "frequency-repeat", "dimension-repeat"],
+)
+def test_sweep_checks_every_value_before_playing(tmp_path, capsys, axis, values, error):
+    universe = SMALL_ENV if axis == "frequency" else SMALL_UNIVERSE
+    out_dir = tmp_path / "o"
+    code, out, err = run_cli(
+        capsys,
+        "sweep", "--axis", axis, "--values", values, *universe,
+        "--algorithms", "maxinp", "--t", "5", "--seeds", "0", "--pool-size", "6",
+        "--workers", "1", "--out", str(out_dir),
+    )
+    assert code == 1
+    assert f"configuration error: {error}" in err
+    assert out == ""
+    assert not out_dir.exists()
+
+
+def test_sweep_outputs_do_not_depend_on_worker_count(env_file, tmp_path, capsys):
+    path, _ = env_file
+    summaries = {}
+    for workers in ("1", "2"):
+        out_dir = tmp_path / f"w{workers}"
+        code, out, _ = run_cli(
+            capsys,
+            "sweep", "--axis", "frequency", "--values", "1,5", "--env", str(path),
+            "--algorithms", "conduel,conmnl", "--t", "20", "--t0", "5", "--q", "3",
+            "--seeds", "0:2", "--users", "2", "--pool-size", "6", "--workers", workers,
+            "--out", str(out_dir),
+        )
+        assert code == 0
+        saved = (out_dir / "sweep_frequency_summary.json").read_text()
+        summaries[workers] = [text.replace(str(out_dir), "<out>") for text in (out, saved)]
+    assert summaries["1"] == summaries["2"]
+    csvs = sorted(p.relative_to(tmp_path / "w1") for p in (tmp_path / "w1").rglob("*.csv"))
+    assert len(csvs) == 4 * 2 * 2  # cells x algorithms x (trace, aggregate)
+    assert csvs == sorted(p.relative_to(tmp_path / "w2") for p in (tmp_path / "w2").rglob("*.csv"))
+    for rel in csvs:
+        assert (tmp_path / "w1" / rel).read_bytes() == (tmp_path / "w2" / rel).read_bytes()
 
 
 def test_sweep_dimension_with_env_file_rejected(env_file, tmp_path, capsys):

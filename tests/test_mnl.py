@@ -78,6 +78,12 @@ def sample_history(rng, d=2, n=40, q=3):
     return h, theta_star
 
 
+def observation_major(h):
+    """The (n, width, d) offers of ``h`` and their (n, width) offered-slot
+    mask, one observation per row."""
+    return h.slots.transpose(2, 0, 1), (h.slot_pad == 0.0).T
+
+
 # ---------------------------------------------------------------- probabilities
 
 
@@ -182,10 +188,11 @@ def plain_objective(h, theta):
     """Value, probabilities and score by the textbook row reductions, with
     the ridge."""
     n, width = len(h), h.width
-    flat = h.feats.reshape(n * width, h.dim)
+    feats, mask = observation_major(h)
+    flat = feats.reshape(n * width, h.dim)
     rows = np.arange(n)
     has = h.chosen >= 0
-    z = (flat @ theta).reshape(n, width) + np.where(h.mask, 0.0, -np.inf)
+    z = (flat @ theta).reshape(n, width) + np.where(mask, 0.0, -np.inf)
     shift = np.maximum(z.max(axis=1), 0.0)
     e = np.exp(z - shift[:, None])
     den = np.exp(-shift) + e.sum(axis=1)
@@ -205,7 +212,7 @@ def test_objective_matches_plain_formula(width):
     h, _ = sample_history(rng, d=3, n=80, q=width)
     assert np.any(h.chosen == OUTSIDE)
     if width > 1:
-        assert not h.mask.all()
+        assert np.any(h.slot_pad == -np.inf)
     obj = MnlObjective(h)
     for scale in (0.1, 1.0, 4.0, 30.0):
         theta = scale * rng.normal(size=3)
@@ -224,14 +231,15 @@ def test_information_equals_textbook_formula(width):
     h, _ = sample_history(rng, d=3, n=80, q=width)
     assert np.any(h.chosen == OUTSIDE)
     if width > 1:
-        assert not h.mask.all()
+        assert np.any(h.slot_pad == -np.inf)
     obj = MnlObjective(h)
-    flat = h.feats.reshape(len(h) * width, 3)
+    feats = observation_major(h)[0]
+    flat = feats.reshape(len(h) * width, 3)
     for scale in (0.1, 1.0, 4.0, 30.0):
         theta = scale * rng.normal(size=3)
         slot_probs = obj.value_and_pass(theta)[1]
         probs = slot_probs.T
-        xbar = (probs[:, None, :] @ h.feats)[:, 0, :]
+        xbar = (probs[:, None, :] @ feats)[:, 0, :]
         plain = flat.T @ (probs.reshape(-1, 1) * flat) - xbar.T @ xbar + LAM * np.eye(3)
         assert_close(obj.information(theta, slot_probs), plain)
 
@@ -241,8 +249,12 @@ def test_choice_history_stores_likelihood_rows():
     h.append(np.ones((2, 2)), 1)
     h.append(np.ones((3, 2)), OUTSIDE)
     h.append(np.ones((1, 2)), 0)
-    np.testing.assert_array_equal(h.pad, [[0.0, 0.0, -np.inf], [0.0] * 3, [0.0, -np.inf, -np.inf]])
-    np.testing.assert_array_equal(h.one_hot, [[0, 1, 0], [0, 0, 0], [1, 0, 0]])
+    # slot-major: one column per observation, zero features on padded slots
+    np.testing.assert_array_equal(h.slots.sum(axis=1), [[2, 2, 2], [2, 2, 0], [0, 2, 0]])
+    np.testing.assert_array_equal(
+        h.slot_pad, [[0.0, 0.0, 0.0], [0.0, 0.0, -np.inf], [-np.inf, 0.0, -np.inf]]
+    )
+    np.testing.assert_array_equal(h.chosen, [1, OUTSIDE, 0])
 
 
 # ---------------------------------------------------------------- fit
@@ -267,8 +279,8 @@ def test_fit_matches_grid_search():
     h, _ = sample_history(rng, d=2, n=60, q=3)
     theta = mnl_mle_fit(h)
 
-    flat = h.feats.reshape(len(h) * h.width, 2)
-    mask = h.mask
+    feats, mask = observation_major(h)
+    flat = feats.reshape(len(h) * h.width, 2)
     rows = np.arange(len(h))
     picked = np.maximum(h.chosen, 0)
     has = h.chosen >= 0
@@ -377,8 +389,9 @@ def test_fit_matches_reference_newton_loop(monkeypatch):
 def replay(history, n):
     """A fresh history holding the first n observations of ``history``."""
     h = ChoiceHistory(history.dim, history.width, ridge=1.0)
-    for feats, mask, chosen in zip(history.feats[:n], history.mask[:n], history.chosen[:n]):
-        h.append(feats[mask], int(chosen))
+    feats, mask = observation_major(history)
+    for offer, offered, chosen in zip(feats[:n], mask[:n], history.chosen[:n]):
+        h.append(offer[offered], int(chosen))
     return h
 
 
@@ -623,17 +636,7 @@ def test_choice_history_grows():
     for i in range(100):
         h.append(np.ones((1 + i % 3, 2)), OUTSIDE)
     assert len(h) == 100
-    assert h.mask[-1].sum() == 1 + 99 % 3
-
-
-def test_choice_history_slots_are_feats_transposed():
-    rng = np.random.default_rng(30)
-    h, _ = sample_history(rng, d=4, n=150, q=3)
-    np.testing.assert_array_equal(h.slots, h.feats.transpose(1, 2, 0))
-    # the observation-major arrays are read-only views of the one store
-    assert np.shares_memory(h.feats, h.slots)
-    for view in (h.feats, h.pad, h.one_hot):
-        assert not view.flags.writeable
+    assert np.sum(h.slot_pad[:, -1] == 0.0) == 1 + 99 % 3
 
 
 def test_choice_history_design_tracks_offered_rows():
@@ -645,9 +648,10 @@ def test_choice_history_design_tracks_offered_rows():
         offered = rng.normal(size=(m, 3))
         offered /= np.linalg.norm(offered, axis=1, keepdims=True)
         h.append(offered, int(rng.integers(-1, m)))
-    rows = h.feats[h.mask]
+    feats, mask = observation_major(h)
+    rows = feats[mask]
     assert rows.shape == (1200, 3)
-    assert np.all(h.feats[~h.mask] == 0.0)
+    assert np.all(feats[~mask] == 0.0)
     m = h.design.m
     np.testing.assert_allclose(m, 0.5 * np.eye(3) + rows.T @ rows, rtol=1e-12, atol=1e-9)
     assert np.max(np.abs(m @ h.design.m_inv - np.eye(3))) < 1e-6
@@ -703,7 +707,7 @@ def test_design_update_counting():
     assert all(len(rec.assortment) == q for _, rec in records)
     total_updates = q * horizon + q * n_convs
     # every offered feature produced one rank-one design update
-    offered_rows = int(policy.history.mask.sum())
+    offered_rows = int(np.sum(policy.history.slot_pad == 0.0))
     assert offered_rows == total_updates
 
 
