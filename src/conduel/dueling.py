@@ -163,7 +163,12 @@ def build_candidate_set(pool_feats, theta_proj, design: DesignMatrix, alpha: flo
     util = pool_feats @ np.asarray(theta_proj, dtype=float)
     gram = pool_feats @ design.m_inv @ pool_feats.T
     diag = np.diag(gram).copy()
-    dist = np.sqrt(np.clip(diag[:, None] + diag[None, :] - 2.0 * gram, 0.0, None))
+    # sqrt(max(diag_a + diag_b - 2 gram, 0)) in place, in that order
+    gram *= 2.0
+    dist = diag[:, None] + diag[None, :]
+    dist -= gram
+    np.maximum(dist, 0.0, out=dist)
+    np.sqrt(dist, out=dist)
     ucb = util[:, None] - util[None, :] + alpha * dist
     # Twins are masked rather than tested with ">= 0": round-off in the gram
     # matrix can leave a twin pair's entry slightly negative.  Twins share

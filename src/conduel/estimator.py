@@ -1,8 +1,10 @@
 """Regularized maximum-likelihood estimation from dueling observations.
 
 Observations are difference vectors with binary outcomes, from arm duels and
-key-term duels alike; both enter one likelihood.  ``DuelObjective`` is its
-only implementation: the strictly concave
+key-term duels alike; both enter one likelihood.  ``InteractionHistory``
+stores them feature-major, one column per difference vector, so every pass
+of a fit over the history reads contiguous length-n rows.  ``DuelObjective``
+is the likelihood's only implementation: the strictly concave
 
     sum_s [ o_s * d_s^T theta - m(d_s^T theta) ] - (lam / 2) ||theta||^2,
 
@@ -62,17 +64,20 @@ _PROJECT_MAX_ITERS = 500
 class InteractionHistory:
     """Append-only store of dueling observations and their design matrix.
 
-    Keeps difference vectors and outcomes in growing buffers so fits can
-    read contiguous array views without copying, and ``design``, the
-    ``ridge * I`` plus the sum of d d^T over every stored difference.
+    The store is feature-major, with its last axis running over
+    observations like ``ChoiceHistory.slots``: ``cols`` (d, n) holds one
+    difference vector per column, so each feature's values over the history
+    are one contiguous row.  ``diffs`` (n, d) is its transposed view and
+    ``outcomes`` (n,) the binary outcomes.  ``design`` is ``ridge * I`` plus
+    the sum of d d^T over every stored difference.
     """
 
-    __slots__ = ("dim", "design", "_diffs", "_outcomes", "n")
+    __slots__ = ("dim", "design", "_cols", "_outcomes", "n")
 
     def __init__(self, dim: int, ridge: float):
         self.dim = int(dim)
         self.design = DesignMatrix(self.dim, ridge)
-        self._diffs = np.empty((64, self.dim))
+        self._cols = np.empty((self.dim, 64))
         self._outcomes = np.empty(64)
         self.n = 0
 
@@ -80,22 +85,27 @@ class InteractionHistory:
         diff = np.asarray(diff, dtype=float)
         if diff.shape != (self.dim,):
             raise StructuralError(f"difference vector must have shape ({self.dim},)")
-        if float(np.linalg.norm(diff)) > _MAX_DIFF_NORM:
+        if math.sqrt(float(diff @ diff)) > _MAX_DIFF_NORM:
             raise StructuralError("difference vector norm exceeds 2")
         if outcome not in (0, 1):
             raise StructuralError("outcome must be 0 or 1")
-        if self.n == len(self._outcomes):
-            grow = max(2 * self.n, 64)
-            self._diffs = np.resize(self._diffs, (grow, self.dim))
-            self._outcomes = np.resize(self._outcomes, grow)
-        self._diffs[self.n] = diff
-        self._outcomes[self.n] = outcome
+        n = self.n
+        if n == len(self._outcomes):
+            grow = max(2 * n, 64)
+            self._cols = _grown(self._cols, n, grow)
+            self._outcomes = _grown(self._outcomes, n, grow)
+        self._cols[:, n] = diff
+        self._outcomes[n] = outcome
         self.n += 1
         self.design.update(diff)
 
     @property
+    def cols(self) -> np.ndarray:
+        return self._cols[:, : self.n]
+
+    @property
     def diffs(self) -> np.ndarray:
-        return self._diffs[: self.n]
+        return self.cols.T
 
     @property
     def outcomes(self) -> np.ndarray:
@@ -103,6 +113,14 @@ class InteractionHistory:
 
     def __len__(self) -> int:
         return self.n
+
+
+def _grown(buf, n: int, size: int):
+    """A copy of ``buf`` with its last axis grown to ``size``; the first n
+    entries along it are kept."""
+    out = np.empty(buf.shape[:-1] + (size,), dtype=buf.dtype)
+    out[..., :n] = buf[..., :n]
+    return out
 
 
 @dataclass
@@ -138,23 +156,26 @@ class DuelObjective:
     Serves the value, the score, the mean-value map
     g(theta) = sum mu(d^T theta) d + lam theta, its Jacobian
     J(theta) = sum mu'(d^T theta) d d^T + lam I (minus the Hessian of the
-    value, hence ``information``).  Each method takes the pass of
-    ``pass_at(theta)`` when the caller already has it: the utilities
-    ``z = diffs @ theta`` and the link's tail of z, so every evaluated point
-    pays for one exponential.  Inputs are not validated: callers pass
-    finite float arrays of the history's dimension.
+    value, hence ``information``).  It reads the history's feature-major
+    view ``cols`` (d, n): the utilities are ``theta @ cols``, the score and
+    the mean-value map ``cols @ r`` for a per-observation r, and the
+    information ``cols @ (cols * w).T``, so each product runs over length-n
+    rows.  Each method takes the pass of ``pass_at(theta)`` when the caller
+    already has it: the utilities z and the link's tail of z, so every
+    evaluated point pays for one exponential.  Inputs are not validated:
+    callers pass finite float arrays of the history's dimension.
 
     ``start`` > 0 keeps only the rows from ``start`` on and drops the ridge:
     what those rows add to the objective over the first ``start`` rows.
     """
 
-    __slots__ = ("history", "diffs", "outcomes", "lam", "link", "_ridge")
+    __slots__ = ("history", "cols", "outcomes", "lam", "link", "_ridge")
 
     def __init__(self, history: InteractionHistory, lam: float, link: LinkFunction, start: int = 0):
         if lam <= 0.0:
             raise DomainError("lam must be positive")
         self.history = history
-        self.diffs = history.diffs[start:]
+        self.cols = history.cols[:, start:]
         self.outcomes = history.outcomes[start:]
         self.lam = lam if start == 0 else 0.0
         self.link = link
@@ -165,8 +186,8 @@ class DuelObjective:
         return DuelObjective(self.history, self.lam, self.link, start)
 
     def pass_at(self, theta) -> tuple:
-        """The utilities z = diffs @ theta and the link's tail of z."""
-        z = self.diffs @ theta
+        """The utilities z = theta @ cols and the link's tail of z."""
+        z = theta @ self.cols
         return z, self.link.tail(z)
 
     def value(self, theta, p=None) -> float:
@@ -182,16 +203,16 @@ class DuelObjective:
     def score(self, theta, p=None) -> np.ndarray:
         """Gradient of the value; zero exactly at the MLE."""
         z, tail = self.pass_at(theta) if p is None else p
-        return self.diffs.T @ (self.outcomes - self.link.mu(z, tail)) - self.lam * theta
+        return self.cols @ (self.outcomes - self.link.mu(z, tail)) - self.lam * theta
 
     def mean_map(self, theta, p=None) -> np.ndarray:
         z, tail = self.pass_at(theta) if p is None else p
-        return self.diffs.T @ self.link.mu(z, tail) + self.lam * theta
+        return self.cols @ self.link.mu(z, tail) + self.lam * theta
 
     def information(self, theta, p=None) -> np.ndarray:
         z, tail = self.pass_at(theta) if p is None else p
         w = self.link.slope(z, tail)
-        return self.diffs.T @ (w[:, None] * self.diffs) + self._ridge
+        return self.cols @ (self.cols * w).T + self._ridge
 
 
 def _start(obj, warm: WarmStart) -> tuple:
@@ -291,7 +312,7 @@ def mle_fit(
     """
     obj = DuelObjective(history, lam, link)
     theta, iters, p = _newton(obj, tol, "MLE", warm or WarmStart(history.dim))
-    if float(np.linalg.norm(theta)) > 1.0:
+    if math.sqrt(float(theta @ theta)) > 1.0:
         return ThetaEstimate(theta, project_theta(theta, obj, history.design, p), True, iters)
     return ThetaEstimate(theta, theta.copy(), False, iters)
 

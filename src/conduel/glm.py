@@ -85,7 +85,7 @@ def _sig_tail(z):
 
 
 def _sig(z, e):
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _sig_slope(z, e):
@@ -210,8 +210,8 @@ class DesignMatrix:
         v = np.asarray(v, dtype=float)
         w = self.m_inv @ v
         q = float(v @ w)
-        self.m += np.outer(v, v)
-        self.m_inv -= np.outer(w, w) / (1.0 + q)
+        self.m += v[:, None] * v
+        self.m_inv -= (w[:, None] * w) / (1.0 + q)
         self._since_refactor += 1
         if self._since_refactor >= self.refactor_every:
             self.refactor()

@@ -25,7 +25,7 @@ import numpy as np
 from . import rng as streams
 from .dueling import RoundRecord
 from .errors import ConfigError, DomainError, StructuralError
-from .estimator import _TOL, LAM, WarmStart, _newton
+from .estimator import _TOL, LAM, WarmStart, _grown, _newton
 from .glm import DesignMatrix, ucb_utilities
 from .spanner import Spanner
 
@@ -132,14 +132,6 @@ class ChoiceHistory:
 
     def __len__(self) -> int:
         return self.n
-
-
-def _grown(buf, n: int, size: int):
-    """A copy of ``buf`` with its last axis grown to ``size``; the first n
-    entries along it are kept."""
-    out = np.empty(buf.shape[:-1] + (size,), dtype=buf.dtype)
-    out[..., :n] = buf[..., :n]
-    return out
 
 
 def mnl_probs(theta, offered):

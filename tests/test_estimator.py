@@ -75,12 +75,18 @@ def test_history_validates_entries():
 
 
 def test_history_buffers_grow():
+    # 300 distinct rows cross the 64, 128 and 256 growth boundaries; every
+    # stored row and outcome must survive each growth in its place
+    rng = np.random.default_rng(21)
+    rows = rng.uniform(-0.5, 0.5, size=(300, 3))
+    outcomes = rng.integers(0, 2, size=300)
     h = InteractionHistory(3, RIDGE)
-    for i in range(200):
-        h.append(np.eye(3)[i % 3], i % 2)
-    assert len(h) == 200
-    np.testing.assert_array_equal(h.diffs[0], [1.0, 0.0, 0.0])
-    np.testing.assert_array_equal(h.diffs[199], [0.0, 1.0, 0.0])
+    for i in range(300):
+        h.append(rows[i], int(outcomes[i]))
+        if i + 1 in (64, 65, 128, 129, 256, 257, 300):
+            np.testing.assert_array_equal(h.diffs, rows[: i + 1])
+            np.testing.assert_array_equal(h.outcomes, outcomes[: i + 1])
+    assert len(h) == 300
 
 
 def test_history_design_tracks_stored_differences():
@@ -433,6 +439,36 @@ def test_since_rows_add_up_to_the_whole_objective():
     )
 
 
+@pytest.mark.parametrize("start", [0, 90])
+def test_objective_matches_row_major_formula(start):
+    # the feature-major passes against the row-major formulas over the rows
+    # from start on (the ridge only at start 0); 150 rows cross the 64 and
+    # 128 growth boundaries.  The products sum in another order, so the
+    # bound is relative.
+    rng = np.random.default_rng(50 + start)
+    arms = rng.normal(size=(150, 2, 4))
+    arms /= np.linalg.norm(arms, axis=2, keepdims=True)
+    diffs = arms[:, 0] - arms[:, 1]
+    outcomes = rng.integers(0, 2, size=150).astype(float)
+    obj = DuelObjective(history_from(diffs, outcomes), 0.7, SIG)
+    if start:
+        obj = obj.since(start)
+    x, o, lam = diffs[start:], outcomes[start:], 0.7 if start == 0 else 0.0
+
+    def assert_close(got, want):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    for scale in (0.1, 1.0, 4.0):
+        theta = scale * rng.normal(size=4)
+        s = sigmoid(x @ theta)
+        assert_close(obj.value(theta), loglik_direct(x, o, theta, lam))
+        assert_close(obj.score(theta), x.T @ (o - s) - lam * theta)
+        assert_close(obj.mean_map(theta), x.T @ s + lam * theta)
+        assert_close(
+            obj.information(theta), x.T @ ((s * (1.0 - s))[:, None] * x) + lam * np.eye(4)
+        )
+
+
 @pytest.mark.parametrize("d, n0, k", [(2, 30, 1), (3, 50, 4), (5, 200, 12)])
 def test_fit_from_predicted_start_matches_warm_fit(d, n0, k):
     rng = np.random.default_rng(41 + d)
@@ -582,7 +618,8 @@ def test_projection_kkt_on_conduel_histories(monkeypatch):
         np.testing.assert_array_equal(raw_pass[0], z)
         np.testing.assert_array_equal(raw_pass[1], tail)
         got = solve(theta_raw, obj, design, raw_pass)
-        calls.append((obj.diffs.copy(), obj.lam, design.m.copy(), np.array(theta_raw), got))
+        rows = obj.history.diffs.copy()
+        calls.append((rows, obj.lam, design.m.copy(), np.array(theta_raw), got))
         return got
 
     monkeypatch.setattr(estimator, "project_theta", record)

@@ -35,6 +35,19 @@ def test_link_eval_stable_for_large_inputs():
     assert 0.0 <= SIG.mu(-40.0) < 1e-15
 
 
+def test_sigmoid_mean_equals_two_division_form_bitwise():
+    # where(z >= 0, 1, e) / (1 + e) takes, on each branch, the one division
+    # of where(z >= 0, 1 / (1 + e), e / (1 + e)) on the same operands;
+    # e = exp(-|z|) underflows to 0 at |z| = 800, and the signs of zero count
+    z = np.concatenate([
+        [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 800.0, -800.0],
+        np.random.default_rng(3).normal(scale=10.0, size=1000),
+    ])
+    e = np.exp(-np.abs(z))
+    two = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    np.testing.assert_array_equal(SIG.mu(z).view(np.uint64), two.view(np.uint64))
+
+
 def test_link_deriv_examples():
     assert SIG.slope(0.0) == 0.25
     s2 = 1 / (1 + mp.e ** -2)
