@@ -2,19 +2,16 @@
 
 Subcommands: ``synth`` (generate a synthetic environment file), ``prep``
 (build one from a tag-assignment dataset), ``run`` (regret experiment over
-one or more algorithms), ``sweep`` (conversation-frequency or dimension
-ablations), and ``plot`` (render aggregate CSVs into an SVG chart).
+one or more algorithms), and ``plot`` (render aggregate CSVs into an SVG
+chart).
 
 Configuration is a flat ``key = value`` text file; every key is also a flag
 and flags win.  A command takes, as flag or as file line, only the keys it
 reads: ``synth`` the seven synthetic-universe keys (``UNIVERSE_KEYS``),
-``prep`` ``d`` and ``link``, and ``run`` and ``sweep`` every key, except
-that a given ``env`` excludes the universe keys, a frequency sweep does not
-read ``schedule`` and a dimension sweep reads neither ``d`` nor ``env``.
-Any other key, known or unknown, is a configuration error, raised before
-any input file is read; so is an out-of-range value.  ``sweep`` builds every
-axis value's schedule or universe, and rejects a repeated value, before the
-first cell plays.  Progress goes to stderr, the machine-readable
+``prep`` ``d`` and ``link``, and ``run`` every key, except that a given
+``env`` excludes the universe keys.  Any other key, known or unknown, is a
+configuration error, raised before any input file is read; so is an
+out-of-range value.  Progress goes to stderr, the machine-readable
 summary to stdout.  Exit codes: 0 success, 1 configuration error, 2 runtime
 error.  ``CONDUEL_OUT`` sets the default output directory.
 """
@@ -33,17 +30,13 @@ from .dueling import DuelConfig
 from .env import Schedule, SyntheticConfig, gen_synthetic
 from .envfile import export_environment, import_environment, write_text
 from .errors import ConduelError, ConfigError
-from .harness import ALL_KINDS, regret_kind_of, reject_repeats, run_experiment
+from .harness import ALL_KINDS, regret_kind_of, run_experiment
 from .hetrec import IngestConfig, build_environment, parse_hetrec
 from .mnl import MnlConfig
 from .report import read_aggregate_csv, render_chart, write_aggregate_csv, write_trace_csv
 from .spanner import build_spanner
 
 __all__ = ["RunConfig", "main"]
-
-FREQUENCY_VALUES = (1, 5, 10, 20)
-FREQUENCY_FAMILIES = ("linear", "log")
-DIMENSION_VALUES = (20, 30, 40, 50)
 
 
 @dataclass
@@ -87,7 +80,6 @@ COMMAND_KEYS = {
     "synth": UNIVERSE_KEYS,
     "prep": ("d", "link"),
     "run": tuple(_FIELDS),
-    "sweep": tuple(_FIELDS),
 }
 
 
@@ -127,20 +119,6 @@ def parse_config_file(path) -> dict:
     return out
 
 
-def _unread_keys(args, env: str) -> tuple:
-    """Who reads the settings, named for messages, and the keys of its
-    command that it does not read."""
-    if args.command == "sweep":
-        if args.axis == "dimension":
-            return "a dimension sweep of synthetic universes", ("d", "env")
-        reader, unread = "a frequency sweep", ("schedule",)
-    else:
-        reader, unread = args.command, ()
-    if env:
-        return f"{reader} with env=", unread + UNIVERSE_KEYS
-    return reader, unread
-
-
 def load_config(args) -> RunConfig:
     given = parse_config_file(args.config) if args.config else {}
     for key in COMMAND_KEYS[args.command]:
@@ -153,10 +131,13 @@ def load_config(args) -> RunConfig:
     # a bad value is reported as such, also where its key goes unread
     if cfg.env_seed < 0:
         raise ConfigError(f"env_seed must be nonnegative, got {cfg.env_seed}")
-    reader, unread = _unread_keys(args, cfg.env)
     for key in given:
-        if key in unread or key not in COMMAND_KEYS[args.command]:
-            raise ConfigError(f"{reader} does not read {key!r}")
+        if key not in COMMAND_KEYS[args.command]:
+            raise ConfigError(f"{args.command} does not read {key!r}")
+    # only run reads env, and the environment file fixes the universe
+    for key in given:
+        if cfg.env and key in UNIVERSE_KEYS:
+            raise ConfigError(f"run with env= does not read {key!r}")
     return cfg
 
 
@@ -181,9 +162,10 @@ def parse_seed_spec(spec: str) -> list:
     return seeds
 
 
-def _universe(cfg: RunConfig) -> SyntheticConfig:
-    """The synthetic universe of the settings; building it checks them."""
-    return SyntheticConfig(
+def _load_envset(cfg: RunConfig):
+    if cfg.env:
+        return import_environment(cfg.env)
+    universe = SyntheticConfig(
         n_users=cfg.n_users,
         n_keyterms=cfg.n_keyterms,
         n_arms=cfg.n_arms,
@@ -191,12 +173,7 @@ def _universe(cfg: RunConfig) -> SyntheticConfig:
         max_arms_per_keyterm=cfg.max_arms_per_keyterm,
         link=cfg.link,
     )
-
-
-def _load_envset(cfg: RunConfig):
-    if cfg.env:
-        return import_environment(cfg.env)
-    return gen_synthetic(_universe(cfg), cfg.env_seed)
+    return gen_synthetic(universe, cfg.env_seed)
 
 
 def _progress(tag, done, total):
@@ -205,10 +182,6 @@ def _progress(tag, done, total):
 
 def _emit(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def _write_summary(path, summary) -> None:
-    write_text(path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
 def _export(envset, out_file, details: dict) -> int:
@@ -248,19 +221,16 @@ def cmd_prep(args) -> int:
     return _export(envset, args.out_file, {"n_raw_records": raw.n_raw})
 
 
-def _run_settings(cfg: RunConfig) -> tuple:
-    """The seeds and the dueling and choice-model configs; building them
-    checks every setting."""
-    duel = DuelConfig(radius_scale=cfg.radius_scale, pair_mode=cfg.pair_mode)
-    mnl = MnlConfig(q=cfg.q, t0=cfg.t0, radius_scale=cfg.mnl_radius_scale)
-    return parse_seed_spec(cfg.seeds), duel, mnl
-
-
-def _run_algorithms(cfg: RunConfig, envset, out_dir, schedule: Schedule, settings) -> dict:
+def cmd_run(args) -> int:
     """Play every listed algorithm's cells on one pool, writing each
     algorithm's CSVs as soon as its last cell is in."""
-    seeds, duel_cfg, mnl_cfg = settings
-    spanner = build_spanner(envset.keyterm_feats)
+    cfg = load_config(args)
+    # every setting is checked before the environment is read
+    schedule = Schedule.parse(cfg.schedule)
+    duel_cfg = DuelConfig(radius_scale=cfg.radius_scale, pair_mode=cfg.pair_mode)
+    mnl_cfg = MnlConfig(q=cfg.q, t0=cfg.t0, radius_scale=cfg.mnl_radius_scale)
+    seeds = parse_seed_spec(cfg.seeds)
+    envset = _load_envset(cfg)
     traces = run_experiment(
         envset,
         tuple(a.strip() for a in cfg.algorithms.split(",")),
@@ -271,16 +241,16 @@ def _run_algorithms(cfg: RunConfig, envset, out_dir, schedule: Schedule, setting
         users=cfg.users,
         duel_config=duel_cfg,
         mnl_config=mnl_cfg,
-        spanner=spanner,
+        spanner=build_spanner(envset.keyterm_feats),
         workers=cfg.workers,
         progress=_progress,
     )
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(cfg.out, exist_ok=True)
     summary = {}
     for trace in traces:
         algo = trace.algorithm
-        trace_path = os.path.join(out_dir, f"{algo}.csv")
-        agg_path = os.path.join(out_dir, f"{algo}_agg.csv")
+        trace_path = os.path.join(cfg.out, f"{algo}.csv")
+        agg_path = os.path.join(cfg.out, f"{algo}_agg.csv")
         write_trace_csv(trace_path, trace)
         write_aggregate_csv(agg_path, trace)
         summary[algo] = {
@@ -291,49 +261,9 @@ def _run_algorithms(cfg: RunConfig, envset, out_dir, schedule: Schedule, setting
             "aggregate_csv": agg_path,
             "fingerprint": trace.fingerprint,
         }
-    return summary
-
-
-def cmd_run(args) -> int:
-    cfg = load_config(args)
-    schedule = Schedule.parse(cfg.schedule)
-    settings = _run_settings(cfg)
-    envset = _load_envset(cfg)
-    summary = _run_algorithms(cfg, envset, cfg.out, schedule, settings)
-    _write_summary(os.path.join(cfg.out, "summary.json"), summary)
-    _emit(summary)
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    cfg = load_config(args)
-    default = FREQUENCY_VALUES if args.axis == "frequency" else DIMENSION_VALUES
-    try:
-        values = [int(v) for v in args.values.split(",")] if args.values else default
-    except ValueError as exc:
-        raise ConfigError(f"bad sweep values {args.values!r}") from exc
-    reject_repeats("sweep value", values)
-    settings = _run_settings(cfg)
-    # every cell's schedule or universe is built, and so checked, before
-    # the first cell plays
-    summary = {}
-    if args.axis == "frequency":
-        schedules = {
-            f"freq_{fam}_{n}": Schedule(fam, float(n)) for fam in FREQUENCY_FAMILIES for n in values
-        }
-        envset = _load_envset(cfg)
-        for cell, schedule in schedules.items():
-            out_dir = os.path.join(cfg.out, cell)
-            summary[cell] = _run_algorithms(cfg, envset, out_dir, schedule, settings)
-    else:  # dimension: argparse admits only the two axes
-        schedule = Schedule.parse(cfg.schedule)
-        universes = {f"dim_{d}": _universe(dataclasses.replace(cfg, d=d)) for d in values}
-        for cell, universe in universes.items():
-            envset = gen_synthetic(universe, cfg.env_seed)
-            out_dir = os.path.join(cfg.out, cell)
-            summary[cell] = _run_algorithms(cfg, envset, out_dir, schedule, settings)
-    _write_summary(os.path.join(cfg.out, f"sweep_{args.axis}_summary.json"), summary)
-    _emit(summary)
+    summary_text = json.dumps(summary, indent=2, sort_keys=True)
+    write_text(os.path.join(cfg.out, "summary.json"), summary_text + "\n")
+    print(summary_text)
     return 0
 
 
@@ -356,9 +286,8 @@ def cmd_plot(args) -> int:
 
 
 def regret_kind_of_label(label: str) -> str:
-    base = label.split("/")[-1]
     for kind in ALL_KINDS:
-        if base == kind or base.startswith(kind):
+        if label.startswith(kind):
             return regret_kind_of(kind)
     return "dueling"
 
@@ -402,12 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a regret experiment")
     add_config_flags(p_run, "run")
     p_run.set_defaults(func=cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="frequency or dimension ablation")
-    add_config_flags(p_sweep, "sweep")
-    p_sweep.add_argument("--axis", required=True, choices=("frequency", "dimension"))
-    p_sweep.add_argument("--values", help="override the default axis values (csv)")
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_plot = sub.add_parser("plot", help="render aggregate CSVs as an SVG chart")
     p_plot.add_argument("csvs", nargs="+", help="aggregate regret CSV paths")

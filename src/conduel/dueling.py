@@ -17,7 +17,15 @@ import numpy as np
 
 from . import rng as streams
 from .errors import ConfigError, DomainError, StructuralError
-from .estimator import LAM, InteractionHistory, ThetaEstimate, WarmStart, dueling_radius, mle_fit
+from .estimator import (
+    DELTA,
+    LAM,
+    InteractionHistory,
+    ThetaEstimate,
+    WarmStart,
+    dueling_radius,
+    mle_fit,
+)
 from .glm import DesignMatrix, LinkFunction, ucb_utilities
 from .spanner import Spanner
 
@@ -50,9 +58,6 @@ PAIR_MODES = ("sampled_first", "full_maxinp", "random")
 # gap for every horizon we run); all GLM dueling policies share this
 # calibration.  The adapted linear baselines keep their standard width.
 DEFAULT_RADIUS_SCALE = 0.03
-
-# Confidence level delta of the GLM dueling radius and the linear baselines'.
-DELTA = 0.1
 
 # Sub-Gaussian level of a Bernoulli click, in the linear baselines' radius
 # (whose norm bound on theta is 1).
@@ -253,9 +258,7 @@ class DuelPolicy:
             raise StructuralError("conduel requires a spanner")
 
     def radius(self, t: int, b_of_t: float) -> float:
-        return self.config.radius_scale * dueling_radius(
-            t, b_of_t, self.d, LAM, self.link.kappa1, DELTA
-        )
+        return self.config.radius_scale * dueling_radius(t, b_of_t, self.d, self.link.kappa1)
 
     def play_round(self, pool_ids, pool_feats, oracle, t, n_conversations, b_of_t) -> RoundRecord:
         cfg = self.config

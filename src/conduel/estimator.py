@@ -46,6 +46,9 @@ _MAX_DIFF_NORM = 2.0 + 1e-9
 # of ``mnl``, and of the linear baselines' ridge regressions.
 LAM = 1.0
 
+# Confidence level delta of the GLM dueling radius and the linear baselines'.
+DELTA = 0.1
+
 # Newton stopping rule: the score norm at which a fit stops, and the cap on
 # iterations before it is declared unconverged.
 _TOL = 1e-8
@@ -393,22 +396,19 @@ def project_theta(theta_raw, obj: DuelObjective, design: DesignMatrix, raw_pass=
     return theta
 
 
-def dueling_radius(
-    t: int, b_of_t: float, d: int, lam: float, kappa1: float, delta: float
-) -> float:
+def dueling_radius(t: int, b_of_t: float, d: int, kappa1: float) -> float:
     """Confidence radius for pairwise estimates after round t.
 
     (2 / kappa1) * (R sqrt(d log((1 + 4 kappa1 (t + b(t)) / (d lam)) / delta))
                     + sqrt(lam kappa1) * S)
-    with R = 1/2, the sub-Gaussian level of a coin-flip outcome, and S = 1,
-    the norm bound on theta (preference vectors are unit norm).
+    with lam = ``LAM``, delta = ``DELTA``, R = 1/2, the sub-Gaussian level of
+    a coin-flip outcome, and S = 1, the norm bound on theta (preference
+    vectors are unit norm).
     """
-    if min(t, d, lam, kappa1) <= 0:
-        raise DomainError("t, d, lam and kappa1 must be positive")
-    if not 0.0 < delta < 1.0:
-        raise DomainError("delta must lie in (0, 1)")
+    if min(t, d, kappa1) <= 0:
+        raise DomainError("t, d and kappa1 must be positive")
     if b_of_t < 0.0:
         raise DomainError("b(t) must be nonnegative")
-    # t, d, lam, kappa1 > 0, b >= 0 and delta < 1 put the argument above 1
-    inner = d * math.log((1.0 + 4.0 * kappa1 * (t + b_of_t) / (d * lam)) / delta)
-    return (2.0 / kappa1) * (0.5 * math.sqrt(inner) + math.sqrt(lam * kappa1))
+    # t, d, kappa1 > 0, b >= 0 and DELTA < 1 put the argument above 1
+    inner = d * math.log((1.0 + 4.0 * kappa1 * (t + b_of_t) / (d * LAM)) / DELTA)
+    return (2.0 / kappa1) * (0.5 * math.sqrt(inner) + math.sqrt(LAM * kappa1))

@@ -194,15 +194,14 @@ class DesignMatrix:
 
     refactor_every = 256
 
-    __slots__ = ("dim", "regularizer", "m", "m_inv", "_since_refactor")
+    __slots__ = ("dim", "m", "m_inv", "_since_refactor")
 
     def __init__(self, dim: int, regularizer: float):
         if regularizer <= 0.0 or not math.isfinite(regularizer):
             raise DomainError("regularizer must be positive and finite")
         self.dim = int(dim)
-        self.regularizer = float(regularizer)
-        self.m = np.eye(self.dim) * self.regularizer
-        self.m_inv = np.eye(self.dim) / self.regularizer
+        self.m = np.eye(self.dim) * regularizer
+        self.m_inv = np.eye(self.dim) / regularizer
         self._since_refactor = 0
 
     def update(self, v: np.ndarray) -> None:

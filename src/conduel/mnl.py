@@ -236,15 +236,16 @@ def mnl_mle_fit(history: ChoiceHistory, warm: WarmStart | None = None) -> np.nda
     return _newton(obj, _TOL, "choice-model", warm or WarmStart(history.dim))[0]
 
 
-def mnl_radius(t: int, b_of_t: float, d: int, kappa2: float) -> float:
-    """Confidence radius (1 / 2 kappa2) sqrt(2 d log(1 + (b(t)+t)/d) + 2 log t)."""
+def mnl_radius(t: int, b_of_t: float, d: int) -> float:
+    """Confidence radius (1 / 2 kappa2) sqrt(2 d log(1 + (b(t)+t)/d) + 2 log t),
+    with kappa2 = ``KAPPA2``."""
     if t < 1:
         raise DomainError("round index must be at least 1")
-    if kappa2 <= 0.0 or d <= 0:
-        raise DomainError("kappa2 and d must be positive")
+    if d <= 0:
+        raise DomainError("d must be positive")
     if b_of_t < 0.0:
         raise DomainError("b(t) must be nonnegative")
-    return (0.5 / kappa2) * math.sqrt(
+    return (0.5 / KAPPA2) * math.sqrt(
         2.0 * d * math.log(1.0 + (b_of_t + t) / d) + 2.0 * math.log(t)
     )
 
@@ -335,7 +336,7 @@ class MnlPolicy:
             raise StructuralError("conversational choice policies require a spanner")
 
     def radius(self, t: int, b_of_t: float) -> float:
-        return self.config.radius_scale * mnl_radius(t, b_of_t, self.d, KAPPA2)
+        return self.config.radius_scale * mnl_radius(t, b_of_t, self.d)
 
     def _select_keyterms(self, t, b_of_t, rng_sel) -> np.ndarray:
         q = self.config.q

@@ -2,7 +2,10 @@ import dataclasses
 import hashlib
 import json
 import multiprocessing
+import runpy
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +16,8 @@ from conduel.env import SyntheticConfig
 from conduel.errors import ConfigError, NumericalError
 from conduel.hetrec import IngestConfig
 from conduel.mnl import MnlConfig
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def run_cli(capsys, *argv):
@@ -197,8 +202,6 @@ UNREAD = (
     [("synth", k) for k in KEYS if k not in UNIVERSE]
     + [("prep", k) for k in KEYS if k not in ("d", "link")]
     + [("run-env", k) for k in UNIVERSE]
-    + [("frequency-env", k) for k in UNIVERSE + ("schedule",)]
-    + [("dimension", "d"), ("dimension", "env")]
 )
 
 
@@ -213,13 +216,6 @@ def test_unread_key_rejected(tmp_path, capsys, runs, key, as_line):
         "synth": ["synth", *SMALL_ENV, "--out-file", str(out / "env.json")],
         "prep": ["prep", "--tags", str(tmp_path / "none.dat"), "--out-file", str(out / "env.json")],
         "run-env": ["run", "--env", missing, "--out", str(out)],
-        "frequency-env": ["sweep", "--axis", "frequency", "--env", missing, "--out", str(out)],
-        # small enough that a sweep which ignored the key would finish at once
-        "dimension": [
-            "sweep", "--axis", "dimension", "--values", "2", *SMALL_UNIVERSE, "--t", "2",
-            "--seeds", "0", "--algorithms", "maxinp", "--pool-size", "6", "--workers", "1",
-            "--out", str(out),
-        ],
     }[runs]
     value = {"env": missing, "out": str(out)}.get(key) or VALUES[key]
     if as_line:
@@ -287,11 +283,31 @@ def test_unknown_pair_mode_rejected_before_environment(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "flag, value, error",
+    [
+        ("--schedule", "linear:-1", "schedule parameter must be finite and nonnegative"),
+        ("--d", "0", "environment sizes must be positive"),
+    ],
+    ids=["schedule-neg", "d-0"],
+)
+def test_bad_schedule_or_dimension_rejected_before_playing(tmp_path, capsys, flag, value, error):
+    out_dir = tmp_path / "o"
+    code, out, err = run_cli(
+        capsys,
+        "run", *SMALL_ENV, flag, value, "--algorithms", "maxinp", "--t", "5", "--seeds", "0",
+        "--pool-size", "6", "--workers", "1", "--out", str(out_dir),
+    )
+    assert code == 1
+    assert f"configuration error: {error}" in err
+    assert out == ""
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("run", "--schedule", "linear:nan"),
         ("run", "--schedule", "log:inf"),
-        ("sweep", "--axis", "frequency", "--values", "abc"),
         ("run", "--radius-scale", "nan"),
         ("run", "--mnl-radius-scale", "nan"),
         ("run", "--radius-scale", "-1"),
@@ -302,15 +318,12 @@ def test_unknown_pair_mode_rejected_before_environment(tmp_path, capsys):
         ("run", "--seeds=-2:0"),
         ("run", "--seeds", "3,-1"),
         ("run", "--seeds=-1:1", "--workers", "2"),
-        ("sweep", "--axis", "frequency", "--seeds=-1:1"),
         ("run", "--env-seed=-1"),
-        ("sweep", "--axis", "dimension", "--env-seed=-1"),
     ],
     ids=[
-        "linear-nan", "log-inf", "sweep-values-abc", "radius-scale-nan", "mnl-radius-scale-nan",
+        "linear-nan", "log-inf", "radius-scale-nan", "mnl-radius-scale-nan",
         "radius-scale-neg", "mnl-radius-scale-neg", "q-0", "t0-neg", "conduel-q-0",
-        "seed-range-neg", "seed-list-neg", "seed-range-neg-workers", "sweep-seed-range-neg",
-        "env-seed-neg", "sweep-env-seed-neg",
+        "seed-range-neg", "seed-list-neg", "seed-range-neg-workers", "env-seed-neg",
     ],
 )
 def test_bad_number_rejected_before_environment(tmp_path, capsys, argv):
@@ -457,89 +470,55 @@ def test_prep_output_does_not_depend_on_env_seed(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_sweep_frequency_axis(env_file, tmp_path, capsys):
-    path, _ = env_file
-    out_dir = tmp_path / "sweep"
-    code, out, _ = run_cli(
-        capsys,
-        "sweep", "--axis", "frequency", "--values", "1,5",
-        "--env", str(path), "--algorithms", "conduel", "--t", "8",
-        "--seeds", "0:2", "--pool-size", "6", "--workers", "1", "--out", str(out_dir),
+# fig 3 sweeps conversation frequency and dimension; its dimension points
+# reach d=50, where the spanner needs key-term features of rank 50: fifty
+# key-terms over a hundred arms have it at env seed 0
+FIG3_SMALL = [
+    "--n-users", "1", "--n-keyterms", "50", "--n-arms", "100", "--max-arms-per-keyterm", "4",
+    "--t", "5", "--seeds", "0", "--users", "1", "--workers", "1", "--pool-size", "6",
+]
+FIG3_FILES = {"conduel.csv", "conduel_agg.csv", "maxinp.csv", "maxinp_agg.csv", "summary.json"}
+
+
+def play_fig3(tmp_path, monkeypatch):
+    out = tmp_path / "fig3"
+    monkeypatch.setenv("CONDUEL_OUT", str(out))
+    monkeypatch.setattr(sys, "argv", ["fig3_ablations.py", *FIG3_SMALL])
+    runpy.run_path(str(SCRIPTS / "fig3_ablations.py"), run_name="__main__")
+    return out
+
+
+def assert_point_is_one_run(tmp_path, capsys, point, setting):
+    # a point is the run of its settings, conduel alone included: the
+    # no-conversation reference does not move the conduel trace
+    direct = tmp_path / "direct"
+    assert main(["run", *FIG3_SMALL, *setting, "--out", str(direct)]) == 0
+    capsys.readouterr()
+    assert (point / "conduel.csv").read_bytes() == (direct / "conduel.csv").read_bytes()
+
+
+def test_sweep_frequency_axis(tmp_path, monkeypatch, capsys):
+    out = play_fig3(tmp_path, monkeypatch)
+    points = sorted(p.name for p in (out / "frequency").iterdir())
+    assert points == sorted(
+        f"freq_{family}_{n}" for family in ("linear", "log") for n in (1, 5, 10, 20)
     )
-    assert code == 0
-    summary = json.loads(out)
-    assert set(summary) == {"freq_linear_1", "freq_linear_5", "freq_log_1", "freq_log_5"}
-    assert (out_dir / "freq_log_5" / "conduel_agg.csv").exists()
-
-
-def test_sweep_dimension_axis(tmp_path, capsys):
-    out_dir = tmp_path / "dims"
-    code, out, _ = run_cli(
-        capsys,
-        "sweep", "--axis", "dimension", "--values", "2,3",
-        *SMALL_UNIVERSE,
-        "--algorithms", "maxinp", "--t", "6", "--seeds", "0:2",
-        "--pool-size", "6", "--workers", "1", "--out", str(out_dir),
+    for name in points:
+        assert {p.name for p in (out / "frequency" / name).iterdir()} == FIG3_FILES
+    assert_point_is_one_run(
+        tmp_path, capsys, out / "frequency" / "freq_log_5", ["--schedule", "log:5"]
     )
-    assert code == 0
-    assert set(json.loads(out)) == {"dim_2", "dim_3"}
 
 
-@pytest.mark.parametrize(
-    "axis, values, error",
-    [
-        ("frequency", "5,-1", "schedule parameter must be finite and nonnegative"),
-        ("dimension", "3,0", "environment sizes must be positive"),
-        ("frequency", "1,1", "sweep value 1 is listed more than once"),
-        ("dimension", "3,3", "sweep value 3 is listed more than once"),
-    ],
-    ids=["frequency-neg", "dimension-0", "frequency-repeat", "dimension-repeat"],
-)
-def test_sweep_checks_every_value_before_playing(tmp_path, capsys, axis, values, error):
-    universe = SMALL_ENV if axis == "frequency" else SMALL_UNIVERSE
-    out_dir = tmp_path / "o"
-    code, out, err = run_cli(
-        capsys,
-        "sweep", "--axis", axis, "--values", values, *universe,
-        "--algorithms", "maxinp", "--t", "5", "--seeds", "0", "--pool-size", "6",
-        "--workers", "1", "--out", str(out_dir),
+def test_sweep_dimension_axis(tmp_path, monkeypatch, capsys):
+    out = play_fig3(tmp_path, monkeypatch)
+    points = sorted(p.name for p in (out / "dimension").iterdir())
+    assert points == [f"dim_{d}" for d in (20, 30, 40, 50)]
+    for name in points:
+        assert {p.name for p in (out / "dimension" / name).iterdir()} == FIG3_FILES
+    assert_point_is_one_run(
+        tmp_path, capsys, out / "dimension" / "dim_30", ["--schedule", "linear:10", "--d", "30"]
     )
-    assert code == 1
-    assert f"configuration error: {error}" in err
-    assert out == ""
-    assert not out_dir.exists()
-
-
-def test_sweep_outputs_do_not_depend_on_worker_count(env_file, tmp_path, capsys):
-    path, _ = env_file
-    summaries = {}
-    for workers in ("1", "2"):
-        out_dir = tmp_path / f"w{workers}"
-        code, out, _ = run_cli(
-            capsys,
-            "sweep", "--axis", "frequency", "--values", "1,5", "--env", str(path),
-            "--algorithms", "conduel,conmnl", "--t", "20", "--t0", "5", "--q", "3",
-            "--seeds", "0:2", "--users", "2", "--pool-size", "6", "--workers", workers,
-            "--out", str(out_dir),
-        )
-        assert code == 0
-        saved = (out_dir / "sweep_frequency_summary.json").read_text()
-        summaries[workers] = [text.replace(str(out_dir), "<out>") for text in (out, saved)]
-    assert summaries["1"] == summaries["2"]
-    csvs = sorted(p.relative_to(tmp_path / "w1") for p in (tmp_path / "w1").rglob("*.csv"))
-    assert len(csvs) == 4 * 2 * 2  # cells x algorithms x (trace, aggregate)
-    assert csvs == sorted(p.relative_to(tmp_path / "w2") for p in (tmp_path / "w2").rglob("*.csv"))
-    for rel in csvs:
-        assert (tmp_path / "w1" / rel).read_bytes() == (tmp_path / "w2" / rel).read_bytes()
-
-
-def test_sweep_dimension_with_env_file_rejected(env_file, tmp_path, capsys):
-    path, _ = env_file
-    code, _, err = run_cli(
-        capsys, "sweep", "--axis", "dimension", "--env", str(path), "--out", str(tmp_path)
-    )
-    assert code == 1
-    assert "synthetic" in err
 
 
 def test_plot_command(env_file, tmp_path, capsys):

@@ -7,7 +7,6 @@ from scipy.optimize import minimize
 
 from conduel import rng as streams
 from conduel.dueling import (
-    DELTA,
     RCONUCB_KINDS,
     DuelConfig,
     DuelPolicy,
@@ -18,7 +17,7 @@ from conduel.dueling import (
 )
 from conduel.env import Schedule, SyntheticConfig, gen_synthetic
 from conduel.errors import DomainError, StructuralError
-from conduel.estimator import LAM
+from conduel.estimator import DELTA, LAM
 from conduel.glm import DesignMatrix, get_link
 from conduel.spanner import build_spanner
 

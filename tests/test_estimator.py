@@ -730,22 +730,24 @@ def test_projection_clamped_link_flat_region():
 
 
 def test_radius_monotone_in_round():
-    vals = [dueling_radius(t, 0.0, 10, 1.0, 0.105, 0.1) for t in range(1, 101)]
+    vals = [dueling_radius(t, 0.0, 10, 0.105) for t in range(1, 101)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
 def test_radius_hand_evaluation():
+    # lam = 1 and delta = 0.1 are the constants LAM and DELTA
     t, b, d, lam, kappa1, r, delta = 1, 0.0, 10, 1.0, 0.105, 0.5, 0.1
+    assert (estimator.LAM, estimator.DELTA) == (lam, delta)
     expect = (2.0 / kappa1) * (
         r * math.sqrt(d * math.log((1.0 + 4.0 * kappa1 * (t + b) / (d * lam)) / delta))
         + math.sqrt(lam * kappa1)
     )
-    assert abs(dueling_radius(t, b, d, lam, kappa1, delta) - expect) < 1e-12
+    assert abs(dueling_radius(t, b, d, kappa1) - expect) < 1e-12
 
 
 def test_radius_kappa1_scaling_direct():
     for kappa1 in (0.105, 0.21):
-        got = dueling_radius(50, 5.0, 4, 1.0, kappa1, 0.1)
+        got = dueling_radius(50, 5.0, 4, kappa1)
         expect = (2.0 / kappa1) * (
             0.5 * math.sqrt(4 * math.log((1.0 + 4.0 * kappa1 * 55.0 / 4.0) / 0.1))
             + math.sqrt(kappa1)
@@ -755,11 +757,9 @@ def test_radius_kappa1_scaling_direct():
 
 def test_radius_domain_errors():
     with pytest.raises(DomainError):
-        dueling_radius(0, 0.0, 10, 1.0, 0.1, 0.1)
+        dueling_radius(0, 0.0, 10, 0.1)
     with pytest.raises(DomainError):
-        dueling_radius(1, 0.0, 10, 1.0, 0.1, delta=1.5)
-    with pytest.raises(DomainError):
-        dueling_radius(1, -1.0, 10, 1.0, 0.1, 0.1)
+        dueling_radius(1, -1.0, 10, 0.1)
 
 
 # ---------------------------------------------------------------- consistency

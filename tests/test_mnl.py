@@ -504,26 +504,19 @@ def test_fit_nonconvergence_raises(monkeypatch):
 
 
 def test_radius_monotone_and_hand_value():
-    vals = [mnl_radius(t, 0.1 * t, 10, 0.1) for t in range(1, 200)]
+    vals = [mnl_radius(t, 0.1 * t, 10) for t in range(1, 200)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
-    t, b, d, kappa2 = 100, 10.0, 10, 0.1
+    t, b, d, kappa2 = 100, 10.0, 10, 0.005
+    assert KAPPA2 == kappa2
     expect = (1.0 / (2 * kappa2)) * math.sqrt(
         2 * d * math.log(1 + (b + t) / d) + 2 * math.log(t)
     )
-    assert mnl_radius(t, b, d, kappa2) == pytest.approx(expect, abs=1e-12)
-
-
-def test_radius_inverse_in_kappa2():
-    a = mnl_radius(50, 5.0, 4, 0.1)
-    b = mnl_radius(50, 5.0, 4, 0.05)
-    assert b == pytest.approx(2.0 * a)
+    assert mnl_radius(t, b, d) == pytest.approx(expect, abs=1e-12)
 
 
 def test_radius_validates():
     with pytest.raises(DomainError):
-        mnl_radius(0, 0.0, 4, 0.1)
-    with pytest.raises(DomainError):
-        mnl_radius(1, 0.0, 4, 0.0)
+        mnl_radius(0, 0.0, 4)
 
 
 # ---------------------------------------------------------------- utilities and assortment
