@@ -14,11 +14,14 @@ import sys
 from conduel.cli import main
 
 OUT = os.environ.get("CONDUEL_OUT", "out/fig2_synthetic")
+ALGORITHMS = (
+    "conduel", "conduel-random", "conduel-maxinp", "maxinp",
+    "random-opt", "rconucb-posneg", "rconucb-diff",
+)
 
 args = [
     "run",
-    "--algorithms",
-    "conduel,conduel-random,conduel-maxinp,maxinp,random-opt,rconucb-posneg,rconucb-diff",
+    "--algorithms", ",".join(ALGORITHMS),
     "--t", "5000",
     "--seeds", "0:10",
     "--users", "20",
@@ -30,12 +33,6 @@ args = [
 if __name__ == "__main__":
     code = main(args + sys.argv[1:])
     if code == 0:
-        csvs = [
-            os.path.join(OUT, f"{a}_agg.csv")
-            for a in (
-                "conduel", "conduel-random", "conduel-maxinp", "maxinp",
-                "random-opt", "rconucb-posneg", "rconucb-diff",
-            )
-        ]
+        csvs = [os.path.join(OUT, f"{a}_agg.csv") for a in ALGORITHMS]
         code = main(["plot", *csvs, "--out-file", os.path.join(OUT, "fig2_synthetic.svg")])
     sys.exit(code)

@@ -8,10 +8,11 @@ import sys
 from conduel.cli import main
 
 OUT = os.environ.get("CONDUEL_OUT", "out/fig4_mnl")
+ALGORITHMS = ("conmnl", "conmnl-ucb", "conmnl-random", "ucb-mnl")
 
 args = [
     "run",
-    "--algorithms", "conmnl,conmnl-ucb,conmnl-random,ucb-mnl",
+    "--algorithms", ",".join(ALGORITHMS),
     "--t", "2000",
     "--seeds", "0:10",
     "--users", "20",
@@ -25,9 +26,6 @@ args = [
 if __name__ == "__main__":
     code = main(args + sys.argv[1:])
     if code == 0:
-        csvs = [
-            os.path.join(OUT, f"{a}_agg.csv")
-            for a in ("conmnl", "conmnl-ucb", "conmnl-random", "ucb-mnl")
-        ]
+        csvs = [os.path.join(OUT, f"{a}_agg.csv") for a in ALGORITHMS]
         code = main(["plot", *csvs, "--out-file", os.path.join(OUT, "fig4_mnl.svg")])
     sys.exit(code)

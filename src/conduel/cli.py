@@ -5,15 +5,14 @@ Subcommands: ``synth`` (generate a synthetic environment file), ``prep``
 one or more algorithms), and ``plot`` (render aggregate CSVs into an SVG
 chart).
 
-Configuration is a flat ``key = value`` text file; every key is also a flag
-and flags win.  A command takes, as flag or as file line, only the keys it
+Every setting is a flag, and a command registers as flags only the keys it
 reads: ``synth`` the seven synthetic-universe keys (``UNIVERSE_KEYS``),
 ``prep`` ``d`` and ``link``, and ``run`` every key, except that a given
-``env`` excludes the universe keys.  Any other key, known or unknown, is a
-configuration error, raised before any input file is read; so is an
-out-of-range value.  Progress goes to stderr, the machine-readable
-summary to stdout.  Exit codes: 0 success, 1 configuration error, 2 runtime
-error.  ``CONDUEL_OUT`` sets the default output directory.
+``env`` excludes the universe keys.  Any other flag is a configuration
+error, raised before any input file is read; so is an out-of-range value.
+Progress goes to stderr, the machine-readable summary to stdout.  Exit
+codes: 0 success, 1 configuration error, 2 runtime error.  ``CONDUEL_OUT``
+sets the default output directory.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from .dueling import DuelConfig
 from .env import Schedule, SyntheticConfig, gen_synthetic
 from .envfile import export_environment, import_environment, write_text
 from .errors import ConduelError, ConfigError
-from .harness import ALL_KINDS, regret_kind_of, run_experiment
+from .harness import ALL_KINDS, needs_spanner, regret_kind_of, run_experiment
 from .hetrec import IngestConfig, build_environment, parse_hetrec
 from .mnl import MnlConfig
 from .report import read_aggregate_csv, render_chart, write_aggregate_csv, write_trace_csv
@@ -98,29 +97,8 @@ def _coerce(key: str, value: str):
         raise ConfigError(f"bad value for {key}: {value!r}") from exc
 
 
-def parse_config_file(path) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    out = {}
-    for lineno, line in enumerate(lines, start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        key, eq, value = body.partition("=")
-        key = key.strip().replace("-", "_")
-        if not eq or not key:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        if key not in _FIELDS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        out[key] = _coerce(key, value.strip())
-    return out
-
-
 def load_config(args) -> RunConfig:
-    given = parse_config_file(args.config) if args.config else {}
+    given = {}
     for key in COMMAND_KEYS[args.command]:
         flag = getattr(args, key)
         if flag is not None:
@@ -131,9 +109,6 @@ def load_config(args) -> RunConfig:
     # a bad value is reported as such, also where its key goes unread
     if cfg.env_seed < 0:
         raise ConfigError(f"env_seed must be nonnegative, got {cfg.env_seed}")
-    for key in given:
-        if key not in COMMAND_KEYS[args.command]:
-            raise ConfigError(f"{args.command} does not read {key!r}")
     # only run reads env, and the environment file fixes the universe
     for key in given:
         if cfg.env and key in UNIVERSE_KEYS:
@@ -230,10 +205,11 @@ def cmd_run(args) -> int:
     duel_cfg = DuelConfig(radius_scale=cfg.radius_scale, pair_mode=cfg.pair_mode)
     mnl_cfg = MnlConfig(q=cfg.q, t0=cfg.t0, radius_scale=cfg.mnl_radius_scale)
     seeds = parse_seed_spec(cfg.seeds)
+    algorithms = tuple(a.strip() for a in cfg.algorithms.split(","))
     envset = _load_envset(cfg)
     traces = run_experiment(
         envset,
-        tuple(a.strip() for a in cfg.algorithms.split(",")),
+        algorithms,
         cfg.t,
         seeds,
         schedule,
@@ -241,7 +217,7 @@ def cmd_run(args) -> int:
         users=cfg.users,
         duel_config=duel_cfg,
         mnl_config=mnl_cfg,
-        spanner=build_spanner(envset.keyterm_feats),
+        spanner=build_spanner(envset.keyterm_feats) if needs_spanner(algorithms) else None,
         workers=cfg.workers,
         progress=_progress,
     )
@@ -302,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_config_flags(p, command):
-        p.add_argument("--config", "-c", help="flat key = value config file")
         for name in COMMAND_KEYS[command]:
             p.add_argument(f"--{name.replace('_', '-')}", dest=name, default=None)
 

@@ -23,9 +23,18 @@ from .errors import ConfigError, NumericalError
 from .mnl import MNL_KINDS, MnlConfig, MnlPolicy
 from .spanner import Spanner, build_spanner
 
-__all__ = ["ALL_KINDS", "RegretTrace", "regret_kind_of", "run_experiment", "config_fingerprint"]
+__all__ = [
+    "ALL_KINDS", "RegretTrace", "needs_spanner", "regret_kind_of", "run_experiment",
+    "config_fingerprint",
+]
 
 ALL_KINDS = DUEL_KINDS + MNL_KINDS
+
+
+def needs_spanner(algorithms) -> bool:
+    """Whether any of ``algorithms`` draws key-terms from the barycentric
+    spanner; the policies of these kinds raise without one."""
+    return any(name in ("conduel", "conmnl", "conmnl-ucb", "conmnl-random") for name in algorithms)
 
 
 def regret_kind_of(algorithm: str) -> str:
@@ -89,7 +98,7 @@ def config_fingerprint(payload: dict) -> str:
 
 def _play_cell(
     envset: EnvironmentSet,
-    spanner: Spanner,
+    spanner: Spanner | None,
     horizon: int,
     schedule: Schedule,
     pool_size: int,
@@ -194,7 +203,8 @@ def run_experiment(
 
     ``users`` may be a count (the first k users) or an explicit index list.
     ``workers`` 0 takes one process per processor.  The spanner is built
-    once per environment set and shared read-only.
+    once per environment set, only if a listed algorithm draws from it, and
+    shared read-only.
     """
     algorithms = (algorithm,) if isinstance(algorithm, str) else tuple(algorithm)
     if not algorithms:
@@ -230,7 +240,7 @@ def run_experiment(
         reject_repeats(what, values)
     duel_config = duel_config or DuelConfig()
     mnl_config = mnl_config or MnlConfig()
-    if spanner is None:
+    if spanner is None and needs_spanner(algorithms):
         spanner = build_spanner(envset.keyterm_feats)
     if workers == 0:
         workers = os.cpu_count() or 1

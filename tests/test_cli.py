@@ -149,43 +149,24 @@ def test_failed_run_keeps_finished_algorithms(env_file, tmp_path, capsys, monkey
     assert sum(line.startswith("maxinp ") for line in played) < 16
 
 
-def test_config_file_and_flag_priority(env_file, tmp_path, capsys):
-    path, _ = env_file
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        f"env = {path}\n"
-        "algorithms = conduel\n"
-        "t = 10\n"
-        "seeds = 0:2\n"
-        "schedule = linear:0\n"
-        "pool_size = 6\n"
-        "workers = 1\n"
-        "# comment line\n"
-    )
-    out_dir = tmp_path / "cfg_run"
-    code, out, _ = run_cli(capsys, "run", "-c", str(cfg), "--t", "5", "--out", str(out_dir))
-    assert code == 0
-    lines = (out_dir / "conduel.csv").read_text().splitlines()
-    assert len(lines) == 1 + 5 * 2  # flag t=5 beat the file's t=10
-
-
-def test_unknown_config_key_rejected(tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("zap = 1\n")
-    code, _, err = run_cli(capsys, "run", "-c", str(cfg))
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "-c", "x.cfg"],
+        ["run", "--config", "x.cfg"],
+        ["synth", "--config", "x.cfg", "--out-file", "e.json"],
+    ],
+    ids=["run-c", "run-config", "synth-config"],
+)
+def test_config_file_flag_is_gone(tmp_path, capsys, monkeypatch, argv):
+    # a flag is the one way to give a key: an existing file is not read
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("CONDUEL_OUT", raising=False)
+    (tmp_path / "x.cfg").write_text("t = 5\n")
+    code, _, err = run_cli(capsys, *argv)
     assert code == 1
-    assert "unknown key" in err
-
-
-@pytest.mark.parametrize("line", ["lam = 1", "delta = 0.1", "kappa2 = 0.005"])
-def test_constants_are_not_config_keys(tmp_path, capsys, line):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(line + "\n")
-    code, _, err = run_cli(
-        capsys, "run", "-c", str(cfg), "--env", str(tmp_path / "none.json"), "--out", str(tmp_path)
-    )
-    assert code == 1
-    assert f"unknown key {line.split()[0]!r}" in err
+    assert f"configuration error: unrecognized arguments: {argv[1]} x.cfg" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["x.cfg"]
 
 
 UNIVERSE = ("link", "n_users", "n_keyterms", "n_arms", "d", "max_arms_per_keyterm", "env_seed")
@@ -205,9 +186,9 @@ UNREAD = (
 )
 
 
-@pytest.mark.parametrize("as_line", [False, True], ids=["flag", "line"])
-@pytest.mark.parametrize("runs, key", UNREAD, ids=[f"{r}-{k}" for r, k in UNREAD])
-def test_unread_key_rejected(tmp_path, capsys, runs, key, as_line):
+# each key is given as a flag, the one way to give a key
+@pytest.mark.parametrize("runs, key", UNREAD, ids=[f"{r}-{k}-flag" for r, k in UNREAD])
+def test_unread_key_rejected(tmp_path, capsys, runs, key):
     # the environment and tag files are missing: reading one first would be a
     # runtime error (exit 2), so exit 1 shows the key was checked first
     missing = str(tmp_path / "none.json")
@@ -218,20 +199,15 @@ def test_unread_key_rejected(tmp_path, capsys, runs, key, as_line):
         "run-env": ["run", "--env", missing, "--out", str(out)],
     }[runs]
     value = {"env": missing, "out": str(out)}.get(key) or VALUES[key]
-    if as_line:
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{key} = {value}\n")
-        argv += ["-c", str(cfg)]
-    else:
-        argv += [f"--{key.replace('_', '-')}", value]
+    argv += [f"--{key.replace('_', '-')}", value]
     code, _, err = run_cli(capsys, *argv)
     assert code == 1
     assert err.startswith("configuration error:")
-    if runs in ("synth", "prep") and not as_line:  # not a flag of the command
+    if runs in ("synth", "prep"):  # not a flag of the command
         assert f"unrecognized arguments: --{key.replace('_', '-')} " in err
     else:
-        assert f"does not read {key!r}" in err
-    assert sorted(p.name for p in tmp_path.iterdir()) == (["run.cfg"] if as_line else [])
+        assert f"run with env= does not read {key!r}" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_config_defaults_are_the_library_defaults():
@@ -497,7 +473,7 @@ def assert_point_is_one_run(tmp_path, capsys, point, setting):
     assert (point / "conduel.csv").read_bytes() == (direct / "conduel.csv").read_bytes()
 
 
-def test_sweep_frequency_axis(tmp_path, monkeypatch, capsys):
+def test_fig3_frequency_points(tmp_path, monkeypatch, capsys):
     out = play_fig3(tmp_path, monkeypatch)
     points = sorted(p.name for p in (out / "frequency").iterdir())
     assert points == sorted(
@@ -510,7 +486,7 @@ def test_sweep_frequency_axis(tmp_path, monkeypatch, capsys):
     )
 
 
-def test_sweep_dimension_axis(tmp_path, monkeypatch, capsys):
+def test_fig3_dimension_points(tmp_path, monkeypatch, capsys):
     out = play_fig3(tmp_path, monkeypatch)
     points = sorted(p.name for p in (out / "dimension").iterdir())
     assert points == [f"dim_{d}" for d in (20, 30, 40, 50)]
@@ -563,3 +539,35 @@ def test_env_var_default_out(env_file, tmp_path, capsys, monkeypatch):
     )
     assert code == 0
     assert (target / "conduel.csv").exists()
+
+
+# universes without a barycentric spanner: five key-terms cannot span d=10,
+# and these fifty span only 49 of 50 dimensions
+NO_SPANNER = {
+    "few-keyterms": ["--n-keyterms", "5", "--n-arms", "60", "--d", "10"],
+    "rank-49": [
+        "--n-keyterms", "50", "--n-arms", "60", "--max-arms-per-keyterm", "4", "--d", "50",
+    ],
+}
+
+
+@pytest.mark.parametrize("universe", NO_SPANNER.values(), ids=NO_SPANNER.keys())
+def test_run_without_spanner_when_no_algorithm_draws_from_it(tmp_path, capsys, universe):
+    out = tmp_path / "out"
+    code, _, _ = run_cli(
+        capsys, "run", "--n-users", "1", *universe, "--algorithms", "maxinp",
+        "--t", "5", "--seeds", "0", "--workers", "1", "--out", str(out),
+    )
+    assert code == 0
+    assert {p.name for p in out.iterdir()} == {"maxinp.csv", "maxinp_agg.csv", "summary.json"}
+
+
+def test_conduel_without_spanner_fails(tmp_path, capsys):
+    out = tmp_path / "out"
+    code, _, err = run_cli(
+        capsys, "run", "--n-users", "1", *NO_SPANNER["few-keyterms"], "--algorithms", "conduel",
+        "--t", "5", "--seeds", "0", "--workers", "1", "--out", str(out),
+    )
+    assert code == 2
+    assert "error: need at least 10 key-terms, got 5" in err
+    assert not out.exists()

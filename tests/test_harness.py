@@ -3,8 +3,10 @@ import pytest
 
 from conduel.dueling import DuelConfig
 from conduel.env import Schedule, SyntheticConfig, gen_synthetic
-from conduel.errors import ConfigError, NumericalError
-from conduel.harness import ALL_KINDS, RegretTrace, regret_kind_of, run_experiment
+from conduel.errors import ConfigError, NumericalError, StructuralError
+from conduel.harness import (
+    ALL_KINDS, RegretTrace, _play_cell, needs_spanner, regret_kind_of, run_experiment,
+)
 from conduel.mnl import MNL_KINDS, MnlConfig, MnlPolicy
 from conduel.spanner import build_spanner
 
@@ -292,3 +294,25 @@ def test_explicit_user_list_and_shared_spanner():
         es, "maxinp", 10, [0], Schedule("linear", 0), pool_size=6, users=[1, 2], spanner=sp
     )
     assert tr.cells == [(1, 0), (2, 0)]
+
+
+@pytest.mark.parametrize("algorithm", ALL_KINDS)
+def test_only_kinds_that_draw_from_the_spanner_need_one(algorithm):
+    # every second round converses, so each conversational kind picks key-terms
+    es = small_envset()
+    cell = (es, None, 4, Schedule("prop", 0.5), 6, DuelConfig(), MnlConfig(), algorithm, 0, 0)
+    if needs_spanner([algorithm]):
+        with pytest.raises(StructuralError, match="spanner"):
+            _play_cell(*cell)
+    else:
+        assert _play_cell(*cell).shape == (4,)
+
+
+def test_no_spanner_is_built_for_kinds_that_do_not_draw_from_it():
+    # three key-terms cannot span d=4
+    es = small_envset(n_keyterms=3, dim=4)
+    with pytest.raises(StructuralError, match="need at least 4 key-terms, got 3"):
+        build_spanner(es.keyterm_feats)
+    kinds = tuple(k for k in ALL_KINDS if not needs_spanner([k]))
+    traces = list(run_experiment(es, kinds, 4, [0], Schedule("prop", 0.5), pool_size=6))
+    assert [tr.algorithm for tr in traces] == list(kinds)
