@@ -169,7 +169,16 @@ def test_config_file_flag_is_gone(tmp_path, capsys, monkeypatch, argv):
     assert [p.name for p in tmp_path.iterdir()] == ["x.cfg"]
 
 
-UNIVERSE = ("link", "n_users", "n_keyterms", "n_arms", "d", "max_arms_per_keyterm", "env_seed")
+def test_unknown_config_key_rejected(tmp_path, capsys):
+    # a key no command reads is an unregistered flag, rejected before any file
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "run", "--zap", "1", "--out", str(out))
+    assert code == 1
+    assert "configuration error: unrecognized arguments: --zap 1" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+UNIVERSE =("link", "n_users", "n_keyterms", "n_arms", "d", "max_arms_per_keyterm", "env_seed")
 KEYS = tuple(f.name for f in dataclasses.fields(RunConfig))
 VALUES = {
     "link": "sigmoid", "n_users": "3", "n_keyterms": "16", "n_arms": "20", "d": "3",
