@@ -60,7 +60,6 @@ class RunConfig:
     out: str = ""
     # dueling policies
     radius_scale: float = DuelConfig.radius_scale
-    pair_mode: str = DuelConfig.pair_mode
     # choice model
     q: int = MnlConfig.q
     t0: int = MnlConfig.t0
@@ -202,7 +201,7 @@ def cmd_run(args) -> int:
     cfg = load_config(args)
     # every setting is checked before the environment is read
     schedule = Schedule.parse(cfg.schedule)
-    duel_cfg = DuelConfig(radius_scale=cfg.radius_scale, pair_mode=cfg.pair_mode)
+    duel_cfg = DuelConfig(radius_scale=cfg.radius_scale)
     mnl_cfg = MnlConfig(q=cfg.q, t0=cfg.t0, radius_scale=cfg.mnl_radius_scale)
     seeds = parse_seed_spec(cfg.seeds)
     algorithms = tuple(a.strip() for a in cfg.algorithms.split(","))

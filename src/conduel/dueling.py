@@ -31,7 +31,6 @@ from .spanner import Spanner
 
 __all__ = [
     "DUEL_KINDS",
-    "PAIR_MODES",
     "DuelConfig",
     "RoundRecord",
     "select_keyterm_pair",
@@ -49,9 +48,6 @@ PLAIN_KINDS = ("maxinp", "random-opt")
 RCONUCB_KINDS = ("rconucb-posneg", "rconucb-diff")
 DUEL_KINDS = CONVERSATIONAL_KINDS + PLAIN_KINDS + RCONUCB_KINDS
 
-# Arm-pair rules of ``select_arm_pair``; random-opt always plays "random".
-PAIR_MODES = ("sampled_first", "full_maxinp", "random")
-
 # Empirical shrink applied to the theoretical confidence radius.  The
 # closed-form radius is a high-probability bound whose constants are far too
 # conservative to act on directly (it exceeds the largest possible utility
@@ -63,7 +59,8 @@ DEFAULT_RADIUS_SCALE = 0.03
 # (whose norm bound on theta is 1).
 _CLICK_NOISE_LEVEL = 0.5
 
-# Multiply-adds (rows x columns x d) in one block of the key-term pair scan:
+# Multiply-adds (rows x columns x d) in one block of ``_max_info_pair``,
+# conduel-maxinp's key-term pair scan:
 # half of 2^18, the size up to which OpenBLAS keeps a gemm on one thread.
 # A threaded product inside a pool worker wakes a second BLAS thread that
 # spins on the other worker's core.  At d=10 a block holds about 13,000
@@ -74,14 +71,10 @@ _PAIR_BLOCK_MULADDS = 2**17
 @dataclass
 class DuelConfig:
     radius_scale: float = DEFAULT_RADIUS_SCALE
-    pair_mode: str = "sampled_first"  # one of PAIR_MODES
 
     def __post_init__(self):
         if not self.radius_scale >= 0.0:
             raise ConfigError(f"radius_scale must be nonnegative, got {self.radius_scale!r}")
-        if self.pair_mode not in PAIR_MODES:
-            known = ", ".join(PAIR_MODES)
-            raise ConfigError(f"unknown pair mode {self.pair_mode!r}; known: {known}")
 
 
 @dataclass
@@ -190,35 +183,31 @@ def build_candidate_set(pool_feats, theta_proj, design: DesignMatrix, alpha: flo
     return keep
 
 
-def select_arm_pair(mode, candidates, pool_feats, design: DesignMatrix, rng_sel):
+def select_arm_pair(kind, candidates, pool_feats, design: DesignMatrix, rng_sel):
     """Pick the duel pair from the candidate positions.
 
-    ``sampled_first``: first arm uniform, second the most uncertain against
-    it.  ``full_maxinp``: most uncertain pair overall.  ``random``: both
-    uniform without replacement.  ``full_maxinp`` takes the first maximum of
-    the computed distances in row-major order; candidates of identical
-    features may break a tie either way, since x_k M^-1 x_j is not bitwise
-    symmetric.  A single candidate duels itself.
+    random-opt draws both uniformly without replacement.  Every other GLM
+    dueling kind draws the first arm uniformly and duels it against the
+    candidate most uncertain relative to it, the first maximum of
+    ||x_a - x_first||_{M^-1}.  That departs from MaxInP, which duels the
+    most uncertain pair overall.  A single candidate duels itself.
     """
+    if kind not in CONVERSATIONAL_KINDS + PLAIN_KINDS:
+        raise DomainError(f"policy kind {kind!r} does not duel arms")
     candidates = np.asarray(candidates, dtype=int)
     if candidates.size == 0:
         raise StructuralError("candidate set is empty")
     if candidates.size == 1:
         a = int(candidates[0])
         return a, a
-    feats = pool_feats[candidates]
-    if mode == "sampled_first":
-        first = int(rng_sel.integers(candidates.size))
-        gaps = feats - feats[first]
-        second = int(np.argmax(design.inv_quad_rows(gaps)))
-        return int(candidates[first]), int(candidates[second])
-    if mode == "full_maxinp":
-        i, j = _max_info_pair(feats, design)
-        return int(candidates[i]), int(candidates[j])
-    if mode == "random":
+    if kind == "random-opt":
         i, j = rng_sel.choice(candidates.size, size=2, replace=False)
         return int(candidates[i]), int(candidates[j])
-    raise DomainError(f"unknown pair selection mode {mode!r}")
+    feats = pool_feats[candidates]
+    first = int(rng_sel.integers(candidates.size))
+    gaps = feats - feats[first]
+    second = int(np.argmax(design.inv_quad_rows(gaps)))
+    return int(candidates[first]), int(candidates[second])
 
 
 class DuelPolicy:
@@ -261,7 +250,6 @@ class DuelPolicy:
         return self.config.radius_scale * dueling_radius(t, b_of_t, self.d, self.link.kappa1)
 
     def play_round(self, pool_ids, pool_feats, oracle, t, n_conversations, b_of_t) -> RoundRecord:
-        cfg = self.config
         conversations = []
         if self.converses and n_conversations > 0:
             rng_sel = self.stream.at(t, streams.KEYTERM_SELECT)
@@ -281,9 +269,8 @@ class DuelPolicy:
         alpha = self.radius(t, b_of_t if self.converses else 0.0)
         design = self.history.design
         candidates = build_candidate_set(pool_feats, self.estimate.theta_proj, design, alpha)
-        mode = "random" if self.kind == "random-opt" else cfg.pair_mode
         i, j = select_arm_pair(
-            mode, candidates, pool_feats, design, self.stream.at(t, streams.ARM_SELECT)
+            self.kind, candidates, pool_feats, design, self.stream.at(t, streams.ARM_SELECT)
         )
         won = oracle.duel(pool_feats[i], pool_feats[j], self.stream.at(t, streams.ARM_FEEDBACK))
         self.history.append(pool_feats[i] - pool_feats[j], won)

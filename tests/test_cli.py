@@ -178,14 +178,13 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-UNIVERSE =("link", "n_users", "n_keyterms", "n_arms", "d", "max_arms_per_keyterm", "env_seed")
+UNIVERSE = ("link", "n_users", "n_keyterms", "n_arms", "d", "max_arms_per_keyterm", "env_seed")
 KEYS = tuple(f.name for f in dataclasses.fields(RunConfig))
 VALUES = {
     "link": "sigmoid", "n_users": "3", "n_keyterms": "16", "n_arms": "20", "d": "3",
     "max_arms_per_keyterm": "4", "env_seed": "1", "algorithms": "maxinp", "t": "2",
     "seeds": "0", "users": "1", "schedule": "linear:1", "pool_size": "6", "workers": "1",
-    "radius_scale": "0.5", "pair_mode": "full_maxinp", "q": "3", "t0": "5",
-    "mnl_radius_scale": "0.5",
+    "radius_scale": "0.5", "q": "3", "t0": "5", "mnl_radius_scale": "0.5",
 }
 # (what runs, a key of RunConfig it does not read): every such pair
 UNREAD = (
@@ -224,7 +223,7 @@ def test_run_config_defaults_are_the_library_defaults():
     universe = ("link", "n_users", "n_keyterms", "n_arms", "max_arms_per_keyterm")
     assert [getattr(cfg, k) for k in universe] == [getattr(synth, k) for k in universe]
     assert cfg.d == synth.dim
-    assert (cfg.radius_scale, cfg.pair_mode) == (duel.radius_scale, duel.pair_mode)
+    assert cfg.radius_scale == duel.radius_scale
     assert (cfg.q, cfg.t0, cfg.mnl_radius_scale) == (mnl.q, mnl.t0, mnl.radius_scale)
     prep = build_parser().parse_args(["prep", "--tags", "t.dat", "--out-file", "e.json"])
     ingest = IngestConfig()
@@ -256,15 +255,18 @@ def test_unknown_algorithm_rejected(env_file, tmp_path, capsys):
     assert "unknown algorithm" in err
 
 
-def test_unknown_pair_mode_rejected_before_environment(tmp_path, capsys):
-    # the environment file does not exist: reading it first would be a
-    # runtime error (exit 2), so exit 1 shows the mode was checked first
+def test_pair_mode_flag_rejected_before_environment(tmp_path, capsys):
+    # the arm-pair rule follows the algorithm, so no flag chooses it; the
+    # environment file does not exist, and reading it first would be a
+    # runtime error (exit 2)
+    out = tmp_path / "out"
     code, _, err = run_cli(
-        capsys, "run", "--env", str(tmp_path / "none.json"), "--pair-mode", "sideways",
-        "--out", str(tmp_path),
+        capsys, "run", "--env", str(tmp_path / "none.json"), "--pair-mode", "full_maxinp",
+        "--out", str(out),
     )
     assert code == 1
-    assert "unknown pair mode 'sideways'" in err
+    assert "configuration error: unrecognized arguments: --pair-mode full_maxinp" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

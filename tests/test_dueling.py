@@ -11,6 +11,7 @@ from conduel.dueling import (
     DuelConfig,
     DuelPolicy,
     RconucbPolicy,
+    _max_info_pair,
     build_candidate_set,
     select_arm_pair,
     select_keyterm_pair,
@@ -103,7 +104,7 @@ def first_max_pair(feats, m_inv):
 
 
 def test_maxinp_pair_blocked_scan_matches_direct():
-    from conduel.dueling import _PAIR_BLOCK_MULADDS, _max_info_pair
+    from conduel.dueling import _PAIR_BLOCK_MULADDS
 
     rng = np.random.default_rng(2)
     # continuous features: a unique maximum, scanned over many blocks at d=10
@@ -243,48 +244,33 @@ def test_best_arm_survives_with_calibrated_radius():
 # ------------------------------------------------------- arm pair selection
 
 
-def test_full_maxinp_collinear_extremes():
+def test_max_info_pair_collinear_extremes():
     pool = np.array([[0.1, 0.0], [0.5, 0.0], [0.9, 0.0]])
-    dm = DesignMatrix(2, 1.0)
-    pair = select_arm_pair("full_maxinp", np.arange(3), pool, dm, np.random.default_rng(0))
-    assert sorted(pair) == [0, 2]
+    assert _max_info_pair(pool, DesignMatrix(2, 1.0)) == (0, 2)
 
 
 def test_single_candidate_duels_itself():
     pool = np.eye(2)
     dm = DesignMatrix(2, 1.0)
-    for mode in ("sampled_first", "full_maxinp", "random"):
-        assert select_arm_pair(mode, [1], pool, dm, np.random.default_rng(0)) == (1, 1)
+    for kind in ("conduel", "maxinp", "random-opt"):
+        assert select_arm_pair(kind, [1], pool, dm, np.random.default_rng(0)) == (1, 1)
 
 
-def test_full_maxinp_matches_enumeration():
-    rng = np.random.default_rng(8)
-    pool = rng.normal(size=(8, 3))
-    dm = random_spd_design(rng, 3)
-    i, j = select_arm_pair("full_maxinp", np.arange(8), pool, dm, rng)
-    best = max(
-        (m_inv_norm(dm, pool[a] - pool[b]) for a, b in combinations(range(8), 2))
-    )
-    assert m_inv_norm(dm, pool[i] - pool[j]) == pytest.approx(best)
-
-
-def test_full_maxinp_argmax_invariant_under_metric_scaling():
+def test_max_info_pair_argmax_invariant_under_metric_scaling():
     rng = np.random.default_rng(9)
     pool = rng.normal(size=(6, 3))
     dm = random_spd_design(rng, 3)
     scaled = DesignMatrix(3, 1.0)
     scaled.m = dm.m * 3.7
     scaled.refactor()
-    p1 = select_arm_pair("full_maxinp", np.arange(6), pool, dm, rng)
-    p2 = select_arm_pair("full_maxinp", np.arange(6), pool, scaled, rng)
-    assert p1 == p2
+    assert _max_info_pair(pool, dm) == _max_info_pair(pool, scaled)
 
 
 def test_sampled_first_second_arm_is_most_uncertain():
     rng = np.random.default_rng(10)
     pool = rng.normal(size=(7, 3))
     dm = random_spd_design(rng, 3)
-    first, second = select_arm_pair("sampled_first", np.arange(7), pool, dm, rng)
+    first, second = select_arm_pair("conduel", np.arange(7), pool, dm, rng)
     dists = [m_inv_norm(dm, pool[k] - pool[first]) for k in range(7)]
     assert dists[second] == pytest.approx(max(dists))
 
@@ -294,13 +280,16 @@ def test_random_mode_draws_without_replacement():
     pool = np.eye(4)
     dm = DesignMatrix(4, 1.0)
     for _ in range(25):
-        i, j = select_arm_pair("random", np.arange(4), pool, dm, rng)
+        i, j = select_arm_pair("random-opt", np.arange(4), pool, dm, rng)
         assert i != j
 
 
 def test_unknown_mode_rejected():
-    with pytest.raises(DomainError):
-        select_arm_pair("best", np.arange(2), np.eye(2), DesignMatrix(2, 1.0), None)
+    # a kind that does not duel arms, as select_keyterm_pair rejects one
+    # that does not converse
+    for kind in ("best", "conmnl", "rconucb-diff"):
+        with pytest.raises(DomainError, match="does not duel arms"):
+            select_arm_pair(kind, np.arange(2), np.eye(2), DesignMatrix(2, 1.0), None)
 
 
 # ------------------------------------------------------- policy rounds

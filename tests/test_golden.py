@@ -1,5 +1,5 @@
-"""Golden regret traces: every policy on a small fixed config, and the
-dueling policies under the clamped-linear link and the full_maxinp pair mode.
+"""Golden regret traces: every policy on a small fixed config, and two
+dueling policies under the clamped-linear link.
 
 Each digest is the SHA-256 of ``RegretTrace.inst`` as float64 bytes, so a
 pure refactor must leave it unchanged.  A change that moves a trace on
@@ -14,7 +14,6 @@ import hashlib
 import numpy as np
 import pytest
 
-from conduel.dueling import DuelConfig
 from conduel.env import Schedule, SyntheticConfig, gen_synthetic
 from conduel.harness import run_experiment
 from conduel.mnl import MnlConfig
@@ -36,14 +35,12 @@ GOLDEN = {
     "rconucb-posneg": "2823b9fb36049f562a10f833593655fa6c256a13ed734ce91e9938a70fa7c73f",
 }
 
-# (algorithm, link, pair mode) on the same universe and run settings
+# (algorithm, link) on the same universe and run settings
 GOLDEN_VARIANTS = {
-    ("conduel", "clamped_linear", "sampled_first"):
+    ("conduel", "clamped_linear"):
         "7c07bea61804e92c80524101bd7f490cfde50c70acef3eff96ad6d74cf0e1de5",
-    ("maxinp", "clamped_linear", "sampled_first"):
+    ("maxinp", "clamped_linear"):
         "d67165ae9c39981467a415ebbd2eccb5d9d21dd5a4589fc03d19ce1e9cda63e0",
-    ("conduel", "sigmoid", "full_maxinp"):
-        "0e10ae5bb088774583d52733dab848602c99d13ec6be9f14f74112331a734a1d",
 }
 
 # the choice-model kinds where their radius does not saturate: forced
@@ -84,11 +81,10 @@ def test_golden_choice_model_trace_digest(envset, algorithm):
     assert trace_digest(envset, algorithm, mnl_config=GOLDEN_MNL_CONFIG) == GOLDEN_MNL[algorithm]
 
 
-@pytest.mark.parametrize("algorithm, link, pair_mode", sorted(GOLDEN_VARIANTS))
-def test_golden_variant_trace_digest(algorithm, link, pair_mode):
+@pytest.mark.parametrize("algorithm, link", sorted(GOLDEN_VARIANTS))
+def test_golden_variant_trace_digest(algorithm, link):
     envset = gen_synthetic(SyntheticConfig(**UNIVERSE, link=link), 7)
-    digest = trace_digest(envset, algorithm, DuelConfig(pair_mode=pair_mode))
-    assert digest == GOLDEN_VARIANTS[(algorithm, link, pair_mode)]
+    assert trace_digest(envset, algorithm) == GOLDEN_VARIANTS[(algorithm, link)]
 
 
 @pytest.mark.parametrize("algorithm", ["maxinp", "random-opt", "ucb-mnl"])
