@@ -280,8 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
         for name in COMMAND_KEYS[command]:
             p.add_argument(f"--{name.replace('_', '-')}", dest=name, default=None)
 
-    # no abbreviated flags: `--out` or `--env` would be taken for `--out-file`
-    # or `--env-seed`, keys these commands do not read
+    # no abbreviated flags: a prefix of a flag is not that flag (`--out` or
+    # `--env` would be taken for `--out-file` or `--env-seed`, and `--seed`
+    # for `--seeds`)
     p_synth = sub.add_parser(
         "synth", help="generate a synthetic environment file", allow_abbrev=False
     )
@@ -302,11 +303,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_prep.add_argument("--tags-per-item", type=int, default=IngestConfig.tags_per_item)
     p_prep.set_defaults(func=cmd_prep)
 
-    p_run = sub.add_parser("run", help="run a regret experiment")
+    p_run = sub.add_parser("run", help="run a regret experiment", allow_abbrev=False)
     add_config_flags(p_run, "run")
     p_run.set_defaults(func=cmd_run)
 
-    p_plot = sub.add_parser("plot", help="render aggregate CSVs as an SVG chart")
+    p_plot = sub.add_parser(
+        "plot", help="render aggregate CSVs as an SVG chart", allow_abbrev=False
+    )
     p_plot.add_argument("csvs", nargs="+", help="aggregate regret CSV paths")
     p_plot.add_argument("--out-file", required=True)
     p_plot.set_defaults(func=cmd_plot)

@@ -20,11 +20,13 @@ from .errors import ConfigError, DomainError, StructuralError
 from .estimator import (
     DELTA,
     LAM,
+    HistoryStack,
     InteractionHistory,
     ThetaEstimate,
     WarmStart,
     dueling_radius,
     mle_fit,
+    mle_fit_stack,
 )
 from .glm import DesignMatrix, LinkFunction, ucb_utilities
 from .spanner import Spanner
@@ -37,6 +39,7 @@ __all__ = [
     "build_candidate_set",
     "select_arm_pair",
     "DuelPolicy",
+    "DuelGroup",
     "RconucbPolicy",
 ]
 
@@ -213,11 +216,12 @@ def select_arm_pair(kind, candidates, pool_feats, design: DesignMatrix, rng_sel)
 class DuelPolicy:
     """GLM dueling policy driven by the shared Newton estimate.
 
-    Conversational kinds spend the round's conversation budget on key-term
-    duels before refitting; the plain kinds skip that phase entirely, which
-    makes a zero-budget conversational run and its plain counterpart
-    trace-identical under one seed.  Each refit carries its last fit forward
-    in a ``WarmStart``.
+    A round is the conversation phase (``converse``), a refit, and the duel
+    phase (``duel``).  Conversational kinds spend the round's conversation
+    budget on key-term duels before refitting; the plain kinds skip that
+    phase entirely, which makes a zero-budget conversational run and its
+    plain counterpart trace-identical under one seed.  Each refit carries
+    its last fit forward in a ``WarmStart``.
     """
 
     def __init__(
@@ -250,6 +254,12 @@ class DuelPolicy:
         return self.config.radius_scale * dueling_radius(t, b_of_t, self.d, self.link.kappa1)
 
     def play_round(self, pool_ids, pool_feats, oracle, t, n_conversations, b_of_t) -> RoundRecord:
+        conversations = self.converse(oracle, t, n_conversations)
+        self.estimate = mle_fit(self.history, LAM, self.link, warm=self._warm)
+        return self.duel(pool_ids, pool_feats, oracle, t, b_of_t, conversations)
+
+    def converse(self, oracle, t, n_conversations) -> list:
+        """The conversation phase: (k, k', outcome) of each key-term duel."""
         conversations = []
         if self.converses and n_conversations > 0:
             rng_sel = self.stream.at(t, streams.KEYTERM_SELECT)
@@ -262,8 +272,10 @@ class DuelPolicy:
                 won = oracle.duel(self.keyterm_feats[k1], self.keyterm_feats[k2], rng_fb)
                 self.history.append(diff, won)
                 conversations.append((k1, k2, won))
+        return conversations
 
-        self.estimate = mle_fit(self.history, LAM, self.link, warm=self._warm)
+    def duel(self, pool_ids, pool_feats, oracle, t, b_of_t, conversations) -> RoundRecord:
+        """The duel phase, on the estimate of this round's refit."""
         # policies without a conversation module have no key-term observations,
         # so their radius counts arm rounds only
         alpha = self.radius(t, b_of_t if self.converses else 0.0)
@@ -281,6 +293,31 @@ class DuelPolicy:
             conversations=conversations,
             n_candidates=int(len(candidates)),
         )
+
+
+class DuelGroup:
+    """GLM dueling policies of one kind played in lockstep.
+
+    Their histories share one ``HistoryStack``.  A round is every policy's
+    conversation phase, one ``fit`` of them all (one stacked Newton solve
+    and projection), then every policy's duel phase.  Each policy draws,
+    observes and estimates exactly what ``DuelPolicy.play_round`` gives it
+    alone, since every cell of a kind appends the same number of rows a
+    round and the stacked fit is bit for bit the fit of each history.
+    """
+
+    def __init__(self, policies: list):
+        self.policies = policies
+        self.stack = HistoryStack(len(policies), policies[0].d)
+        for policy in policies:
+            policy.history.join(self.stack)
+
+    def fit(self) -> None:
+        """Refit every policy's estimate."""
+        warms = [policy._warm for policy in self.policies]
+        estimates = mle_fit_stack(self.stack, LAM, self.policies[0].link, warms)
+        for policy, estimate in zip(self.policies, estimates):
+            policy.estimate = estimate
 
 
 class RconucbPolicy:

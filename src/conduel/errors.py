@@ -23,3 +23,12 @@ class DataFormatError(ConduelError, ValueError):
 
 class ConfigError(ConduelError, ValueError):
     """A run configuration is invalid or contains unknown keys."""
+
+
+class CellError(NumericalError):
+    """A numerical failure in one cell of a stacked computation; ``cell`` is
+    its index in the stack."""
+
+    def __init__(self, cell: int, message: str):
+        super().__init__(message)
+        self.cell = cell

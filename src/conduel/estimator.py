@@ -3,39 +3,51 @@
 Observations are difference vectors with binary outcomes, from arm duels and
 key-term duels alike; both enter one likelihood.  ``InteractionHistory``
 stores them feature-major, one column per difference vector, so every pass
-of a fit over the history reads contiguous length-n rows.  ``DuelObjective``
-is the likelihood's only implementation: the strictly concave
+of a fit over the history reads contiguous length-n rows; the histories of
+cells played in lockstep are the rows of one ``HistoryStack``.
+``DuelObjective`` is the likelihood's only implementation: the strictly
+concave
 
     sum_s [ o_s * d_s^T theta - m(d_s^T theta) ] - (lam / 2) ||theta||^2,
 
 with m the primitive of the link (``link.anti``), together with its score, the
-regularized mean-value map g and the Jacobian of g.  ``_newton`` is the one
-damped-Newton solver; it fits this objective and the choice-model
-likelihood of ``mnl`` alike, and ``_start`` is its one entry: a refit of a
-growing history starts from the estimate that its previous fit, carried in a
-``WarmStart``, predicts for the rows appended since, when that start passes
-a likelihood check; a cold fit is a fresh ``WarmStart`` and starts at zero.
-When the fit leaves the unit ball it is pulled back by minimizing
-|| g(theta) - g(theta_hat) ||_{M^-1} over the ball, a Gauss-Newton solve on
-the unit sphere built from the same object's g and Jacobian.
+regularized mean-value map g and the Jacobian of g, over one history or, cell
+by cell, over a stack.  ``_newton`` is the one damped-Newton solver; it fits
+this objective and the choice-model likelihood of ``mnl`` alike, and
+``_start`` is its one entry: a refit of a growing history starts from the
+estimate that its previous fit, carried in a ``WarmStart``, predicts for the
+rows appended since, when that start passes a likelihood check; a cold fit
+is a fresh ``WarmStart`` and starts at zero.  When the fit leaves the unit
+ball it is pulled back by minimizing || g(theta) - g(theta_hat) ||_{M^-1}
+over the ball, a Gauss-Newton solve on the unit sphere built from the same
+object's g and Jacobian (``_project``).  The solver and the projection run
+over one history, the one-cell calls ``mle_fit`` and ``project_theta``, or
+over every row of a stack at once (``mle_fit_stack``): each step is one
+stacked product, solve or pass over the cells still going, and every slice
+of a stacked ``np.matmul``, ``np.vecmat``, ``np.matvec``, ``np.vecdot`` or
+``np.linalg.solve`` is bit for bit the one-history result, so a cell's
+estimate does not depend on the cells it is stacked with.
 """
-
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, StructuralError
+from .errors import CellError, DomainError, StructuralError
 from .glm import DesignMatrix, LinkFunction
 
 __all__ = [
+    "HistoryStack",
     "InteractionHistory",
     "ThetaEstimate",
     "WarmStart",
     "DuelObjective",
     "mle_fit",
+    "mle_fit_stack",
     "project_theta",
     "dueling_radius",
 ]
@@ -63,26 +75,84 @@ _START_REL_SLACK = 1e-12
 _PROJECT_REL_TOL = 1e-9
 _PROJECT_MAX_ITERS = 500
 
+# History columns (bytes) one block of a stacked fit works on: past about
+# this size a stack's passes leave the core's cache, and a block of fewer
+# rows beats one of all of them (see ``mle_fit_stack``).
+_STACK_BLOCK_BYTES = 2**20
+
+
+class HistoryStack:
+    """One buffer for the dueling histories of cells played in lockstep.
+
+    ``rows`` lists the ``InteractionHistory`` of each cell.  Their
+    differences share the buffer (cells, d, capacity) and their outcomes the
+    buffer (cells, capacity), so a fit of every cell at once reads them as
+    ``cols`` (cells, d, n) and ``outcomes`` (cells, n), whose slices keep the
+    strides of a single history's views.  That takes every row to hold the
+    same n observations, as it does when each cell of a lockstep round
+    appends the same number.  A history made on its own is the one row of
+    its own stack.
+    """
+
+    __slots__ = ("dim", "rows", "_cols", "_outcomes")
+
+    def __init__(self, cells: int, dim: int):
+        self.dim = int(dim)
+        self.rows = []
+        self._cols = np.empty((cells, self.dim, 64))
+        self._outcomes = np.empty((cells, 64))
+
+    def __len__(self) -> int:
+        counts = {h.n for h in self.rows}
+        if len(self.rows) != len(self._cols) or len(counts) != 1:
+            raise StructuralError("a stack's histories must all hold the same number of rows")
+        return counts.pop()
+
+    @property
+    def cols(self) -> np.ndarray:
+        return self._cols[:, :, : len(self)]
+
+    @property
+    def outcomes(self) -> np.ndarray:
+        return self._outcomes[:, : len(self)]
+
+    def _grow(self) -> None:
+        size = self._outcomes.shape[1]
+        self._cols = _grown(self._cols, size, 2 * size)
+        self._outcomes = _grown(self._outcomes, size, 2 * size)
+
 
 class InteractionHistory:
-    """Append-only store of dueling observations and their design matrix.
+    """Append-only store of one cell's dueling observations and its design
+    matrix.
 
     The store is feature-major, with its last axis running over
     observations like ``ChoiceHistory.slots``: ``cols`` (d, n) holds one
     difference vector per column, so each feature's values over the history
     are one contiguous row.  ``diffs`` (n, d) is its transposed view and
     ``outcomes`` (n,) the binary outcomes.  ``design`` is ``ridge * I`` plus
-    the sum of d d^T over every stored difference.
+    the sum of d d^T over every stored difference.  The columns live in one
+    row of a ``HistoryStack``: a new history's own, until ``join`` moves it
+    onto a row of a shared one.
     """
 
-    __slots__ = ("dim", "design", "_cols", "_outcomes", "n")
+    __slots__ = ("dim", "design", "n", "_stack", "_row")
 
     def __init__(self, dim: int, ridge: float):
         self.dim = int(dim)
         self.design = DesignMatrix(self.dim, ridge)
-        self._cols = np.empty((self.dim, 64))
-        self._outcomes = np.empty(64)
         self.n = 0
+        self.join(HistoryStack(1, self.dim))
+
+    def join(self, stack: HistoryStack) -> None:
+        """Keep this history's rows on the next free row of ``stack``; only
+        an empty history moves."""
+        if self.n or stack.dim != self.dim or len(stack.rows) == len(stack._cols):
+            raise StructuralError(
+                "only an empty history joins a stack, on a free row of its dimension"
+            )
+        self._stack, self._row = stack, len(stack.rows)
+        stack.rows.append(self)
 
     def append(self, diff, outcome: int) -> None:
         diff = np.asarray(diff, dtype=float)
@@ -92,19 +162,17 @@ class InteractionHistory:
             raise StructuralError("difference vector norm exceeds 2")
         if outcome not in (0, 1):
             raise StructuralError("outcome must be 0 or 1")
-        n = self.n
-        if n == len(self._outcomes):
-            grow = max(2 * n, 64)
-            self._cols = _grown(self._cols, n, grow)
-            self._outcomes = _grown(self._outcomes, n, grow)
-        self._cols[:, n] = diff
-        self._outcomes[n] = outcome
+        n, stack = self.n, self._stack
+        if n == stack._outcomes.shape[1]:
+            stack._grow()
+        stack._cols[self._row, :, n] = diff
+        stack._outcomes[self._row, n] = outcome
         self.n += 1
         self.design.update(diff)
 
     @property
     def cols(self) -> np.ndarray:
-        return self._cols[:, : self.n]
+        return self._stack._cols[self._row, :, : self.n]
 
     @property
     def diffs(self) -> np.ndarray:
@@ -112,7 +180,7 @@ class InteractionHistory:
 
     @property
     def outcomes(self) -> np.ndarray:
-        return self._outcomes[: self.n]
+        return self._stack._outcomes[self._row, : self.n]
 
     def __len__(self) -> int:
         return self.n
@@ -123,6 +191,24 @@ def _grown(buf, n: int, size: int):
     entries along it are kept."""
     out = np.empty(buf.shape[:-1] + (size,), dtype=buf.dtype)
     out[..., :n] = buf[..., :n]
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _ridge(lam: float, dim: int) -> np.ndarray:
+    """lam * I, built once per (lam, dim) and read only."""
+    out = lam * np.eye(dim)
+    out.flags.writeable = False
+    return out
+
+
+def _copy_rows(a, cells):
+    """Rows ``cells`` of ``a``, whose last axis runs along a buffer row,
+    copied into a fresh buffer of the same row length.  The copy keeps the
+    strides of ``a``, so a product over it sums as one over ``a`` does."""
+    size = a.strides[-2] // a.itemsize
+    out = np.empty((len(cells),) + a.shape[1:-1] + (size,))[..., : a.shape[-1]]
+    out[...] = a[cells]
     return out
 
 
@@ -154,49 +240,70 @@ class WarmStart:
 
 
 class DuelObjective:
-    """Regularized dueling log-likelihood over one history, built once per fit.
+    """Regularized dueling log-likelihood over one history, or over a
+    ``HistoryStack`` cell by cell, built once per fit.
 
     Serves the value, the score, the mean-value map
     g(theta) = sum mu(d^T theta) d + lam theta, its Jacobian
     J(theta) = sum mu'(d^T theta) d d^T + lam I (minus the Hessian of the
-    value, hence ``information``).  It reads the history's feature-major
-    view ``cols`` (d, n): the utilities are ``theta @ cols``, the score and
-    the mean-value map ``cols @ r`` for a per-observation r, and the
-    information ``cols @ (cols * w).T``, so each product runs over length-n
-    rows.  Each method takes the pass of ``pass_at(theta)`` when the caller
-    already has it: the utilities z and the link's tail of z, so every
-    evaluated point pays for one exponential.  Inputs are not validated:
-    callers pass finite float arrays of the history's dimension.
-
-    ``start`` > 0 keeps only the rows from ``start`` on and drops the ridge:
-    what those rows add to the objective over the first ``start`` rows.
+    value, hence ``information``).  It reads the feature-major view ``cols``:
+    (d, n) of a history, with points theta of shape (d,), or (cells, d, n)
+    of a stack, with one point per cell, (cells, d).  The utilities are
+    ``theta @ cols``, the score and the mean-value map ``cols @ r`` for a
+    per-observation r, and the information ``cols @ (cols * w).T``, so each
+    product runs over length-n rows; over a stack each is one stacked
+    matmul, whose every slice sums exactly as the product over that cell's
+    history does.  Each method takes the pass of ``pass_at(theta)`` when
+    the caller already has it: the utilities z and the link's tail of z, so
+    every evaluated point pays for one exponential.  Inputs are not
+    validated: callers pass finite float arrays of the history's dimension.
     """
 
     __slots__ = ("history", "cols", "outcomes", "lam", "link", "_ridge")
 
-    def __init__(self, history: InteractionHistory, lam: float, link: LinkFunction, start: int = 0):
+    def __init__(self, history, lam: float, link: LinkFunction):
         if lam <= 0.0:
             raise DomainError("lam must be positive")
         self.history = history
-        self.cols = history.cols[:, start:]
-        self.outcomes = history.outcomes[start:]
-        self.lam = lam if start == 0 else 0.0
+        self.cols = history.cols
+        self.outcomes = history.outcomes
+        self.lam = lam
         self.link = link
-        self._ridge = self.lam * np.eye(history.dim)
+        self._ridge = _ridge(lam, history.dim)
+
+    def _with(self, cols, outcomes, lam) -> "DuelObjective":
+        sub = DuelObjective.__new__(DuelObjective)
+        sub.history, sub.cols, sub.outcomes, sub.link = self.history, cols, outcomes, self.link
+        sub.lam, sub._ridge = lam, _ridge(lam, self.history.dim)
+        return sub
 
     def since(self, start: int) -> "DuelObjective":
-        """The unregularized likelihood of the rows from ``start`` on."""
-        return DuelObjective(self.history, self.lam, self.link, start)
+        """The unregularized likelihood of the rows from ``start`` on: what
+        they add to the objective over the first ``start`` rows."""
+        return self._with(self.cols[..., start:], self.outcomes[..., start:], 0.0)
+
+    def take(self, cells) -> "DuelObjective":
+        """The objective of the cells ``cells`` of a stack: a slice of them
+        as views, a list as copies of their rows, which keep the strides the
+        rows have in the stack."""
+        if isinstance(cells, slice):
+            return self._with(self.cols[cells], self.outcomes[cells], self.lam)
+        return self._with(_copy_rows(self.cols, cells), _copy_rows(self.outcomes, cells), self.lam)
+
+    @staticmethod
+    def take_pass(p, cells) -> tuple:
+        """The cells ``cells`` of a stack's pass."""
+        return tuple(None if a is None else a[cells] for a in p)
 
     def pass_at(self, theta) -> tuple:
         """The utilities z = theta @ cols and the link's tail of z."""
-        z = theta @ self.cols
+        z = np.vecmat(theta, self.cols)
         return z, self.link.tail(z)
 
-    def value(self, theta, p=None) -> float:
+    def value(self, theta, p=None):
         z, tail = self.pass_at(theta) if p is None else p
-        reg = 0.5 * self.lam * float(theta @ theta)
-        return float(self.outcomes @ z - self.link.anti(z, tail).sum()) - reg
+        reg = 0.5 * self.lam * np.vecdot(theta, theta)
+        return np.vecdot(self.outcomes, z) - np.add.reduce(self.link.anti(z, tail), axis=-1) - reg
 
     def value_and_pass(self, theta):
         """The value and the pass, which the other methods reuse."""
@@ -206,46 +313,97 @@ class DuelObjective:
     def score(self, theta, p=None) -> np.ndarray:
         """Gradient of the value; zero exactly at the MLE."""
         z, tail = self.pass_at(theta) if p is None else p
-        return self.cols @ (self.outcomes - self.link.mu(z, tail)) - self.lam * theta
+        return np.matvec(self.cols, self.outcomes - self.link.mu(z, tail)) - self.lam * theta
 
     def mean_map(self, theta, p=None) -> np.ndarray:
         z, tail = self.pass_at(theta) if p is None else p
-        return self.cols @ self.link.mu(z, tail) + self.lam * theta
+        return np.matvec(self.cols, self.link.mu(z, tail)) + self.lam * theta
 
     def information(self, theta, p=None) -> np.ndarray:
         z, tail = self.pass_at(theta) if p is None else p
         w = self.link.slope(z, tail)
-        return self.cols @ (self.cols * w).T + self._ridge
+        info = self.cols @ (self.cols * w[..., None, :]).mT
+        info += self._ridge
+        return info
 
 
-def _start(obj, warm: WarmStart) -> tuple:
+def _floats(x) -> list:
+    """Per-cell scalars as a list of Python scalars: one for one history,
+    one per row of a stack."""
+    if type(x) is float:
+        return [x]
+    v = x.tolist()
+    return v if type(v) is list else [v]
+
+
+def _moving(step) -> list:
+    """Per cell, whether its step has a nonzero entry."""
+    return step.any(axis=-1).tolist() if step.ndim > 1 else [bool(np.count_nonzero(step))]
+
+
+def _kept(keep, *rows) -> list:
+    """The entries ``keep`` of each per-cell list or array in ``rows``."""
+    return [[r[j] for j in keep] if isinstance(r, list) else r[keep] for r in rows]
+
+
+def _column(values, like):
+    """Per-cell ``values`` shaped to scale the rows of ``like``."""
+    return np.array(values).reshape(like.shape[:-1] + (1,))
+
+
+def _solve(a, b):
+    """a^-1 b for a matrix a (m, m) and a vector b (m,), or for stacks of
+    them (cells, m, m) and (cells, m)."""
+    if b.ndim == 1:
+        return np.linalg.solve(a, b)
+    return np.linalg.solve(a, b[..., None])[..., 0]
+
+
+def _start(obj, warm) -> tuple:
     """A refit's start, its value and its pass.
 
-    The rows appended since the fit in ``warm`` give, at its estimate
-    theta_prev, their log-likelihood l, score g and information J_new; the
-    predicted start is theta_prev + (J_prev + J_new)^-1 g, one Newton step on
-    the whole history with the old rows' information taken from the last
-    fit.  It is kept only when its value is at least f_prev + l, the value at
+    ``warm`` is the last fit of the history of ``obj``; over a stack it is
+    a list, the last fits of its rows, which were fitted together and so
+    saw the same number of rows.  For a cell whose last fit ran a Newton
+    iteration, the rows appended since give, at its estimate theta_prev,
+    their log-likelihood l, score g and information J_new; the predicted
+    start is theta_prev + (J_prev + J_new)^-1 g, one Newton step on the
+    whole history with the old rows' information taken from the last fit.
+    It is kept only when its value is at least f_prev + l, the value at
     theta_prev, less round-off, so a step that overshoots (J_prev is the
     information at the last fit's iterate, not at theta_prev) never starts
     the solve below the last estimate.  Otherwise, and before any Newton
     iteration has run, the start is theta_prev.
     """
-    theta = warm.theta
-    if warm.info is not None and len(obj.history) > warm.rows:
-        new = obj.since(warm.rows)
-        ell, p = new.value_and_pass(theta)
-        pred = theta + np.linalg.solve(warm.info + new.information(theta, p), new.score(theta, p))
-        floor = warm.value + ell
-        f, aux = obj.value_and_pass(pred)
-        if f >= floor - _START_REL_SLACK * (1.0 + abs(floor)):
+    stacked = isinstance(warm, list)
+    warms = warm if stacked else [warm]
+    theta = np.array([w.theta for w in warms]) if stacked else warm.theta
+    rows = warms[0].rows
+    told = [c for c, w in enumerate(warms) if w.info is not None]
+    if told and len(obj.history) > rows:
+        new = obj.since(rows)
+        if len(told) == len(warms):
+            sub, prev = obj, theta
+            info = np.array([w.info for w in warms]) if stacked else warm.info
+        else:
+            sub, new, prev = obj.take(told), new.take(told), theta[told]
+            info = np.array([warms[c].info for c in told])
+        ell, p = new.value_and_pass(prev)
+        pred = prev + _solve(info + new.information(prev, p), new.score(prev, p))
+        f, aux = sub.value_and_pass(pred)
+        floors = [warms[c].value + x for c, x in zip(told, _floats(ell))]
+        kept = [a >= b - _START_REL_SLACK * (1.0 + abs(b)) for a, b in zip(_floats(f), floors)]
+        if sub is obj and all(kept):
             return pred, f, aux
-    theta = theta.copy()
+        if stacked:
+            theta[[c for c, ok in zip(told, kept) if ok]] = pred[kept]
+    if not stacked:
+        theta = theta.copy()
     f, aux = obj.value_and_pass(theta)
     return theta, f, aux
 
 
-def _newton(obj, tol: float, what: str, warm: WarmStart) -> tuple:
+def _newton(obj, tol: float, what: str, warm) -> tuple:
     """Damped Newton ascent on a strictly concave objective; (theta,
     iterations, the pass at theta).
 
@@ -260,42 +418,104 @@ def _newton(obj, tol: float, what: str, warm: WarmStart) -> tuple:
     trial's value and pass carry over, so every point is evaluated once.
     When no trial down to 2^-40 is accepted, that smallest step is taken.
     Stops once ||score|| <= tol, and fails after ``_MAX_ITERS`` steps.
+
+    Over a ``HistoryStack`` the same loop solves every row at once: the
+    points are (cells, d), ``warm`` is a list with one last fit per row, the
+    iterations come back as a list, and ``obj`` also serves ``take`` and
+    ``take_pass``, which keep the given cells.  A cell that stops leaves
+    the stack; a cell that halves its step evaluates the others' accepted
+    trials again.  A failure is a ``CellError`` naming the first failing
+    cell.  The per-cell scalars are kept as Python floats, so one history
+    pays little for the stack's bookkeeping.
     """
     if tol <= 0.0:
         raise DomainError("tol must be positive")
-    theta, f0, aux = _start(obj, warm)
-    grad = obj.score(theta, aux)
-    grad_norm = math.sqrt(float(grad @ grad))
-    iters = 0
-    info = None
-    while grad_norm > tol:
-        if iters >= _MAX_ITERS:
-            raise NumericalError(
-                f"{what} Newton failed to converge: ||score|| = {grad_norm:.3e} "
-                f"after {_MAX_ITERS} iterations"
-            )
-        info = obj.information(theta, aux)
-        step = np.linalg.solve(info, grad)
-        slack = 1e-13 * (1.0 + abs(f0))  # tolerate round-off near the optimum
-        scale = 1.0
-        while True:
-            trial = theta + scale * step
-            f, aux = obj.value_and_pass(trial)
-            # the smallest step is taken even when no trial is accepted
-            if f >= f0 - slack or scale <= 2.0 ** -40:
+    stacked = isinstance(warm, list)
+    warms = warm if stacked else [warm]
+    theta, f, p = _start(obj, warm)
+    f = _floats(f)
+    grad = obj.score(theta, p)
+    norm = _floats(np.vecdot(grad, grad))
+    live, iters, info, parts = list(range(len(warms))), 0, None, []
+    while True:
+        going = [math.sqrt(x) > tol for x in norm]
+        if not all(going):
+            # the cells that stop leave the stack, with what their warm
+            # starts take: (cells, theta, values, information, pass, iterations)
+            keep = [j for j, g in enumerate(going) if g]
+            if not keep and not parts:  # every cell stops at once
                 break
-            scale *= 0.5
-        theta = trial
-        if not np.all(np.isfinite(theta)):
-            raise NumericalError(f"{what} estimate diverged")
-        f0 = f
-        grad = obj.score(theta, aux)
-        grad_norm = math.sqrt(float(grad @ grad))
+            stop = [j for j, g in enumerate(going) if not g]
+            cells, rows, values = _kept(stop, live, theta, f)
+            info_rows = None if info is None else info[stop]
+            parts.append((cells, rows, values, info_rows, obj.take_pass(p, stop), iters))
+            if not keep:
+                break
+            live, f, norm, theta, grad = _kept(keep, live, f, norm, theta, grad)
+            p, obj = obj.take_pass(p, keep), obj.take(keep)
+        if iters >= _MAX_ITERS:
+            raise CellError(
+                live[0],
+                f"{what} Newton failed to converge: ||score|| = {math.sqrt(norm[0]):.3e} "
+                f"after {_MAX_ITERS} iterations",
+            )
+        info = obj.information(theta, p)
+        step = _solve(info, grad)
+        # tolerate round-off near the optimum
+        least = [x - 1e-13 * (1.0 + abs(x)) for x in f]
+        trial = theta + step
+        f_trial, p = obj.value_and_pass(trial)
+        f_trial = _floats(f_trial)
+        if not all(map(operator.ge, f_trial, least)):
+            scale = [1.0] * len(live)
+            while True:
+                # the smallest step is taken even when no trial is accepted
+                short = [not (a >= b or s <= 2.0 ** -40) for a, b, s in zip(f_trial, least, scale)]
+                if not any(short):
+                    break
+                scale = [0.5 * s if h else s for s, h in zip(scale, short)]
+                trial = theta + _column(scale, step) * step
+                f_trial, p = obj.value_and_pass(trial)
+                f_trial = _floats(f_trial)
+        theta, f = trial, f_trial
+        if not np.isfinite(theta).all():
+            bad = int(np.argmin(np.isfinite(theta).all(axis=-1)))
+            raise CellError(live[bad], f"{what} estimate diverged")
+        grad = obj.score(theta, p)
+        norm = _floats(np.vecdot(grad, grad))
         iters += 1
-    warm.theta, warm.value, warm.rows = theta, f0, len(obj.history)
-    if info is not None:
-        warm.info = info
-    return theta, iters, aux
+    rows = len(obj.history)
+    if not stacked:
+        warm.theta, warm.value, warm.rows = theta, f[0], rows
+        if info is not None:
+            warm.info = info
+        return theta, iters, p
+    if not parts:
+        for c, w in enumerate(warms):
+            w.theta, w.value, w.rows = theta[c], f[c], rows
+            if info is not None:
+                w.info = info[c]
+        return theta, [iters] * len(warms), p
+    theta = np.empty((len(warms), theta.shape[-1]))
+    iterations = [0] * len(warms)
+    for cells, rows_theta, values, rows_info, _, at in parts:
+        theta[cells] = rows_theta
+        for j, c in enumerate(cells):
+            w = warms[c]
+            w.theta, w.value, w.rows, iterations[c] = theta[c], values[j], rows, at
+            if rows_info is not None:
+                w.info = rows_info[j]
+    return theta, iterations, _joined([(cells, part) for cells, *_, part, _ in parts], len(warms))
+
+
+def _joined(parts, k: int) -> tuple:
+    """The pass of every cell of a stack, from (cells, pass) parts."""
+    out = tuple(None if a is None else np.empty((k,) + a.shape[1:]) for a in parts[0][1])
+    for cells, p in parts:
+        for whole, a in zip(out, p):
+            if whole is not None:
+                whole[cells] = a
+    return out
 
 
 def mle_fit(
@@ -307,11 +527,12 @@ def mle_fit(
 ) -> ThetaEstimate:
     """Newton fit of the regularized MLE, with projection onto the unit ball.
 
-    ``warm``, the last fit of this history, gives the solve a predicted
-    start (see ``_start``) and is advanced to this fit; without it the solve
-    starts at zero.  The objective is strictly concave, so the solution does
-    not depend on the start.  The projection measures in the history's own
-    design matrix and reuses the fit's last pass.
+    The one-cell call of the solver and projection ``mle_fit_stack`` runs
+    over a stack.  ``warm``, the last fit of this history, gives the solve a
+    predicted start (see ``_start``) and is advanced to this fit; without
+    it the solve starts at zero.  The objective is strictly concave, so the
+    solution does not depend on the start.  The projection measures in the
+    history's own design matrix and reuses the fit's last pass.
     """
     obj = DuelObjective(history, lam, link)
     theta, iters, p = _newton(obj, tol, "MLE", warm or WarmStart(history.dim))
@@ -320,14 +541,67 @@ def mle_fit(
     return ThetaEstimate(theta, theta.copy(), False, iters)
 
 
+def mle_fit_stack(stack: HistoryStack, lam: float, link: LinkFunction, warms: list) -> list:
+    """``mle_fit`` of every history of ``stack``, one estimate per row.
+
+    ``warms`` holds each row's last fit.  The rows are fitted in contiguous
+    blocks, each one stacked Newton solve and one stacked projection of its
+    rows whose estimates leave the unit ball.  A block holds as many rows
+    as keep its history columns within ``_STACK_BLOCK_BYTES``, and one at
+    least.  Each estimate is bit for bit the one ``mle_fit`` gives its
+    history alone, whatever the blocks.
+    """
+    whole = DuelObjective(stack, lam, link)
+    size = max(1, _STACK_BLOCK_BYTES // max(whole.cols[0].nbytes, 1))
+    out = []
+    for start in range(0, len(warms), size):
+        block = slice(start, start + size)
+        obj = whole.take(block) if size < len(warms) else whole
+        theta, iters, p = _newton(obj, _TOL, "MLE", warms[block])
+        far = [c for c, x in enumerate(_floats(np.vecdot(theta, theta))) if math.sqrt(x) > 1.0]
+        proj = theta.copy()
+        if far:
+            m_inv = np.array([stack.rows[start + c].design.m_inv for c in far])
+            if len(far) < len(theta):
+                obj, p = obj.take(far), obj.take_pass(p, far)
+            proj[far] = _project(theta[far], obj, m_inv, p)
+        out += [
+            ThetaEstimate(w.theta, proj[c], c in far, iters[c]) for c, w in enumerate(warms[block])
+        ]
+    return out
+
+
 def project_theta(theta_raw, obj: DuelObjective, design: DesignMatrix, raw_pass=None) -> np.ndarray:
     """Pull an out-of-ball estimate back to the unit ball.
 
+    The one-cell call of ``_project``: minimizes
+    F(theta) = ||g(theta) - g(theta_raw)||^2_{M^-1} over the ball, with g
+    the mean-value map of ``obj`` and M ``design``.  ``raw_pass`` is
+    ``obj.pass_at(theta_raw)`` when the caller has it.  An estimate inside
+    the ball comes back as a copy.
+    """
+    theta_raw = np.asarray(theta_raw, dtype=float)
+    if math.sqrt(np.vecdot(theta_raw, theta_raw)) <= 1.0:
+        return theta_raw.copy()
+    return _project(theta_raw, obj, design.m_inv, raw_pass)
+
+
+def _unit(th):
+    """``th`` scaled to unit norm, row by row over a stack."""
+    sq = np.vecdot(th, th)
+    return th / (np.sqrt(sq)[:, None] if th.ndim > 1 else math.sqrt(sq))
+
+
+def _project(theta_raw, obj, m_inv, raw_pass) -> np.ndarray:
+    """The projection of an out-of-ball estimate theta_raw, measured in the
+    inverse design ``m_inv``; or of a stack's, theta_raw (cells, d), each
+    in its own row of ``m_inv`` (cells, d, d).
+
     Minimizes F(theta) = ||g(theta) - g(theta_raw)||^2_{M^-1} over the ball,
     with g the mean-value map of ``obj``.  The minimum lies on the sphere:
-    grad F = 2 J M^-1 r, with r = g(theta) - g(theta_raw) and J the
-    Jacobian of g, which is SPD for lam > 0, so the gradient vanishes only
-    where r = 0, at theta_raw itself, outside the ball.  So the solve is
+    grad F = 2 J M^-1 r, with r = g(theta) - g(theta_raw) and J the Jacobian
+    of g, which is SPD for lam > 0, so the gradient vanishes only where
+    r = 0, at theta_raw itself, outside the ball.  So the solve is
     Gauss-Newton on ||theta|| = 1 from the radially shrunk start.  Each
     iteration takes one ``information`` pass for J, forms H = J M^-1 J and
     the half-gradient q = J M^-1 r, takes the multiplier
@@ -335,65 +609,98 @@ def project_theta(theta_raw, obj: DuelObjective, design: DesignMatrix, raw_pass=
     bordered system [[H + nu I, theta], [theta^T, 0]] for a tangent step.
     The stepped point is renormalized and accepted only when F strictly
     falls, the step halving otherwise, so the last iterate is the best one
-    seen.  Stops on a relative decrease below the tolerance, on F at the
-    floor, on a zero tangent step (always, at d=1), on no accepted step, or
-    at the iteration cap.  ``raw_pass`` is ``obj.pass_at(theta_raw)`` when
-    the caller has it.
+    seen.  A cell stops on a relative decrease below the tolerance, on F at
+    the floor, on a zero tangent step (always, at d=1), on no accepted
+    step, or at the iteration cap; in a stack it leaves the stack.
+    ``raw_pass`` is the pass at theta_raw, or None.
     """
-    theta_raw = np.asarray(theta_raw, dtype=float)
-    raw_norm = float(np.linalg.norm(theta_raw))
-    if raw_norm <= 1.0:
-        return theta_raw.copy()
-    m_inv = design.m_inv
-    g_target = obj.mean_map(theta_raw, raw_pass)
+    lead, dim = theta_raw.shape[:-1], theta_raw.shape[-1]
+    target = obj.mean_map(theta_raw, raw_pass)
 
     def residual(th):
-        # F(th), the M^-1 residual, and the pass for the Jacobian
+        # F(th) per cell, the M^-1 residual, and the pass for the Jacobian
         p = obj.pass_at(th)
-        r = obj.mean_map(th, p) - g_target
-        w = m_inv @ r
-        return float(r @ w), w, p
+        r = obj.mean_map(th, p) - target
+        w = np.matvec(m_inv, r)
+        return _floats(np.vecdot(r, w)), w, p
 
-    dim = theta_raw.shape[0]
-    # the bordered system; H + nu I is written in place through views
-    kkt = np.zeros((dim + 1, dim + 1))
-    rhs = np.zeros(dim + 1)
-    gn_block = kkt[:dim, :dim]
-    gn_diag = kkt.reshape(-1)[: dim * (dim + 2) : dim + 2]
-    theta = theta_raw / raw_norm
+    def bordered(lead):
+        # the bordered systems, with views onto what each iteration writes:
+        # H + nu I in place (the diagonal with its cell axis last), the
+        # border, the right-hand side
+        kkt = np.zeros(lead + (dim + 1, dim + 1))
+        rhs = np.zeros(lead + (dim + 1,))
+        diag = kkt.reshape(lead + (-1,))[..., : dim * (dim + 2) : dim + 2].T
+        views = kkt[..., :dim, :dim], diag, kkt[..., :dim, dim], kkt[..., dim, :dim], rhs[..., :dim]
+        return kkt, rhs, views
+
+    # a cell of a stack that stops leaves it: (cells, last iterates) in ``done``
+    live, done = list(range(len(theta_raw))) if lead else [0], []
+    kkt, rhs, (block, diag, col, row, rhs_head) = bordered(lead)
+    theta = _unit(theta_raw)
     f_cur, w, p = residual(theta)
     floor = 1e-24  # below any scale the confidence radius can distinguish
+    going = [not f <= floor for f in f_cur]
     for _ in range(_PROJECT_MAX_ITERS):
-        if f_cur <= floor:
-            break
-        jac = obj.information(theta, p)
-        half_grad = jac @ w
-        nu = max(-float(theta @ half_grad), 0.0)
-        np.matmul(jac, m_inv @ jac, out=gn_block)
-        gn_diag += nu
-        kkt[:dim, dim] = theta
-        kkt[dim, :dim] = theta
-        rhs[:dim] = -half_grad
-        step = np.linalg.solve(kkt, rhs)[:dim]
-        if not step.any():  # at d=1 the tangent space is a point
-            break
-        moved = False
-        scale = 1.0
-        for _halving in range(30):
-            cand = theta + scale * step
-            cand = cand / math.sqrt(float(cand @ cand))
-            f_new, w_new, p_new = residual(cand)
-            if f_new < f_cur:
-                moved = True
+        if not all(going):
+            keep = [j for j, g in enumerate(going) if g]
+            if not keep:
                 break
-            scale *= 0.5
-        if not moved:
-            break
-        rel = (f_cur - f_new) / f_cur
+            done.append(_kept([j for j, g in enumerate(going) if not g], live, theta))
+            live, f_cur, theta, w, target, m_inv = _kept(keep, live, f_cur, theta, w, target, m_inv)
+            p, obj = obj.take_pass(p, keep), obj.take(keep)
+            kkt, rhs, (block, diag, col, row, rhs_head) = bordered((len(keep),))
+        jac = obj.information(theta, p)
+        half_grad = np.matvec(jac, w)
+        np.matmul(jac, m_inv @ jac, out=block)
+        diag -= np.minimum(np.vecdot(theta, half_grad), 0.0)  # + nu
+        col[...] = theta
+        row[...] = theta
+        np.negative(half_grad, out=rhs_head)
+        step = _solve(kkt, rhs)[..., :dim]
+        going = _moving(step)
+        if not all(going):  # at d=1 the tangent space is a point
+            keep = [j for j, g in enumerate(going) if g]
+            if not keep:
+                break
+            done.append(_kept([j for j, g in enumerate(going) if not g], live, theta))
+            live, f_cur, theta, step, target, m_inv = _kept(
+                keep, live, f_cur, theta, step, target, m_inv
+            )
+            p, obj = obj.take_pass(p, keep), obj.take(keep)
+            kkt, rhs, (block, diag, col, row, rhs_head) = bordered((len(keep),))
+        cand = _unit(theta + step)
+        f_new, w_new, p_new = residual(cand)
+        if not all(map(operator.lt, f_new, f_cur)):
+            going = [a < b for a, b in zip(f_new, f_cur)]
+            scale = [1.0] * len(live)
+            for _halving in range(29):
+                scale = [s if g else 0.5 * s for s, g in zip(scale, going)]
+                cand = _unit(theta + _column(scale, step) * step)
+                f_new, w_new, p_new = residual(cand)
+                going = [a < b for a, b in zip(f_new, f_cur)]
+                if all(going):
+                    break
+            else:
+                # a cell with no accepted step keeps its last iterate
+                keep = [j for j, g in enumerate(going) if g]
+                if not keep:
+                    break
+                done.append(_kept([j for j, g in enumerate(going) if not g], live, theta))
+                live, f_cur, f_new, theta, cand, w_new, target, m_inv = _kept(
+                    keep, live, f_cur, f_new, theta, cand, w_new, target, m_inv
+                )
+                p_new, obj = obj.take_pass(p_new, keep), obj.take(keep)
+                kkt, rhs, (block, diag, col, row, rhs_head) = bordered((len(keep),))
+        going = [not (b <= floor or (a - b) / a < _PROJECT_REL_TOL) for a, b in zip(f_cur, f_new)]
         theta, f_cur, w, p = cand, f_new, w_new, p_new
-        if rel < _PROJECT_REL_TOL:
-            break
-    return theta
+    if not done:
+        return theta
+    out = np.empty_like(theta_raw)
+    out[live] = theta
+    for cells, rows in done:
+        out[cells] = rows
+    return out
 
 
 def dueling_radius(t: int, b_of_t: float, d: int, kappa1: float) -> float:

@@ -228,8 +228,7 @@ class DesignMatrix:
     def inv_quad_rows(self, rows: np.ndarray) -> np.ndarray:
         """Row-wise v^T M^-1 v for a stack of vectors (clipped at 0)."""
         rows = np.asarray(rows, dtype=float)
-        vals = np.einsum("ij,jk,ik->i", rows, self.m_inv, rows)
-        return np.clip(vals, 0.0, None)
+        return np.maximum(np.einsum("ij,jk,ik->i", rows, self.m_inv, rows), 0.0)
 
 
 def ucb_utilities(theta, design: DesignMatrix, alpha: float, pool_feats) -> np.ndarray:

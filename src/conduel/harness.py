@@ -1,9 +1,15 @@
 """Multi-seed experiment runner and regret traces.
 
 One cell is (algorithm, user, seed): a fresh policy plays T rounds against
-that user's feedback, with a fresh uniform pool each round.  Cells are
-embarrassingly parallel; aggregation is a deterministic reduction over each
-algorithm's (user, seed) grid, so results do not depend on the worker count.
+that user's feedback, with a fresh uniform pool each round.  A worker plays
+a group of cells: the cells of a GLM dueling algorithm are split into one
+contiguous group per worker, and a group of two or more plays in lockstep,
+each round one stacked refit of all its cells between their conversation
+and duel phases (``dueling.DuelGroup``); every other cell is a group of its
+own.  A cell's draws, feedback and estimates do not depend on the cells it
+is grouped with, and aggregation is a deterministic reduction over each
+algorithm's (user, seed) grid, so results depend on neither the worker
+count nor the grouping.
 """
 
 from __future__ import annotations
@@ -17,9 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as streams
-from .dueling import DUEL_KINDS, DuelConfig, DuelPolicy, RCONUCB_KINDS, RconucbPolicy
+from .dueling import (
+    CONVERSATIONAL_KINDS, DUEL_KINDS, PLAIN_KINDS, RCONUCB_KINDS, DuelConfig, DuelGroup,
+    DuelPolicy, RconucbPolicy,
+)
 from .env import EnvironmentSet, Schedule, dueling_regret, mnl_regret
-from .errors import ConfigError, NumericalError
+from .errors import CellError, ConfigError, NumericalError
 from .mnl import MNL_KINDS, MnlConfig, MnlPolicy
 from .spanner import Spanner, build_spanner
 
@@ -29,6 +38,9 @@ __all__ = [
 ]
 
 ALL_KINDS = DUEL_KINDS + MNL_KINDS
+
+# the kinds whose cells a worker plays in lockstep
+LOCKSTEP_KINDS = CONVERSATIONAL_KINDS + PLAIN_KINDS
 
 
 def needs_spanner(algorithms) -> bool:
@@ -118,11 +130,10 @@ def _play_cell(
         policy = DuelPolicy(
             algorithm, envset.link, envset.keyterm_feats, spanner, stream, duel_config
         )
-    n_arms = envset.n_arms
-    size = min(pool_size, n_arms)
+    size = min(pool_size, envset.n_arms)
     inst = np.empty(horizon)
     for t in range(1, horizon + 1):
-        pool = np.sort(stream.at(t, streams.POOL).choice(n_arms, size=size, replace=False))
+        pool = _draw_pool(stream, t, envset.n_arms, size)
         pool_feats = envset.arms[pool]
         try:
             rec = policy.play_round(
@@ -133,19 +144,113 @@ def _play_cell(
             else:
                 r = mnl_regret(oracle, pool_feats, rec.assortment, mnl_config.q)
         except Exception as exc:
-            raise NumericalError(
-                f"run failed at algorithm={algorithm} user={user} seed={seed} round={t}: {exc}"
-            ) from exc
-        if r < -1e-12:
-            raise NumericalError(
-                f"negative regret {r!r} at algorithm={algorithm} user={user} "
-                f"seed={seed} round={t}"
-            )
-        inst[t - 1] = max(r, 0.0)
+            raise _failed(exc, algorithm, user, seed, t) from exc
+        inst[t - 1] = _checked(r, algorithm, user, seed, t)
     return inst
 
 
-# _play_cell's arguments before (algorithm, user, seed), set once in each pool worker
+def _draw_pool(stream, t: int, n_arms: int, size: int) -> np.ndarray:
+    """Round t's pool: ``size`` distinct arm ids, sorted."""
+    return np.sort(stream.at(t, streams.POOL).choice(n_arms, size=size, replace=False))
+
+
+def _failed(exc, algorithm, user, seed, t) -> NumericalError:
+    return NumericalError(
+        f"run failed at algorithm={algorithm} user={user} seed={seed} round={t}: {exc}"
+    )
+
+
+def _checked(r: float, algorithm, user, seed, t) -> float:
+    """A round's regret, clamped at 0; below -1e-12 it is an error."""
+    if r < -1e-12:
+        raise NumericalError(
+            f"negative regret {r!r} at algorithm={algorithm} user={user} "
+            f"seed={seed} round={t}"
+        )
+    return max(r, 0.0)
+
+
+def _play_group(
+    envset: EnvironmentSet,
+    spanner: Spanner | None,
+    horizon: int,
+    schedule: Schedule,
+    pool_size: int,
+    duel_config: DuelConfig,
+    mnl_config: MnlConfig,
+    algorithm: str,
+    cells: list,
+) -> list:
+    """The regret rows of ``cells``, (user, seed) pairs of one algorithm, in
+    their order.
+
+    One cell plays alone (``_play_cell``).  Two or more cells, of a
+    ``LOCKSTEP_KINDS`` algorithm, play in lockstep: each round runs every
+    cell's conversation phase, one ``DuelGroup.fit``, then every cell's duel
+    phase.  Each cell draws its own pools and feedback, so its row is the
+    one ``_play_cell`` returns.  A failure names the cell it happened in;
+    one the stacked fit cannot place (any but a ``CellError``) names the
+    group's first cell.
+    """
+    if len(cells) == 1:
+        cell_args = (envset, spanner, horizon, schedule, pool_size, duel_config, mnl_config)
+        return [_play_cell(*cell_args, algorithm, *cells[0])]
+    runs = [streams.RunStream(seed) for _, seed in cells]
+    oracles = [envset.user(user) for user, _ in cells]
+    group = DuelGroup([
+        DuelPolicy(algorithm, envset.link, envset.keyterm_feats, spanner, run, duel_config)
+        for run in runs
+    ])
+    size = min(pool_size, envset.n_arms)
+    inst = np.empty((len(cells), horizon))
+    for t in range(1, horizon + 1):
+        n_conversations, b_of_t = schedule.conversations(t), schedule.b(t)
+        cell = 0
+        try:
+            talks = []
+            for cell, policy in enumerate(group.policies):
+                talks.append(policy.converse(oracles[cell], t, n_conversations))
+            cell = None
+            group.fit()
+            regrets = []
+            for cell, policy in enumerate(group.policies):
+                pool = _draw_pool(runs[cell], t, envset.n_arms, size)
+                pool_feats = envset.arms[pool]
+                rec = policy.duel(pool, pool_feats, oracles[cell], t, b_of_t, talks[cell])
+                regrets.append(dueling_regret(oracles[cell], pool_feats, rec.pair[0], rec.pair[1]))
+        except Exception as exc:
+            if cell is None:
+                cell = exc.cell if isinstance(exc, CellError) else 0
+            raise _failed(exc, algorithm, *cells[cell], t) from exc
+        for cell, r in enumerate(regrets):
+            inst[cell, t - 1] = _checked(r, algorithm, *cells[cell], t)
+    return list(inst)
+
+
+def _groups(cells: list, workers: int) -> list:
+    """(algorithm, [(user, seed), ...]) groups of ``cells``, in cell order.
+
+    A ``LOCKSTEP_KINDS`` algorithm's cells are split into ``workers``
+    contiguous groups (fewer when it has fewer cells) whose sizes differ by
+    at most one, the larger first; every other cell is a group of its own.
+    """
+    out = []
+    for name in dict.fromkeys(algorithm for algorithm, _, _ in cells):
+        mine = [(user, seed) for algorithm, user, seed in cells if algorithm == name]
+        if name not in LOCKSTEP_KINDS:
+            out += [(name, [cell]) for cell in mine]
+            continue
+        parts = min(workers, len(mine))
+        size, extra = divmod(len(mine), parts)
+        start = 0
+        for i in range(parts):
+            stop = start + size + (i < extra)
+            out.append((name, mine[start:stop]))
+            start = stop
+    return out
+
+
+# _play_group's arguments before (algorithm, cells), set once in each pool worker
 _CELL_ARGS: tuple = ()
 
 
@@ -154,20 +259,23 @@ def _worker_init(cell_args: tuple) -> None:
     _CELL_ARGS = cell_args
 
 
-def _worker_run(cell) -> np.ndarray:
-    return _play_cell(*_CELL_ARGS, *cell)
+def _worker_run(group) -> list:
+    return _play_group(*_CELL_ARGS, *group)
 
 
 def _cell_rows(cell_args: tuple, cells: list, workers: int):
-    """Each cell's regret row, in cell order, on ``workers`` processes."""
+    """Each cell's regret row, in cell order, played in ``_groups`` on
+    ``workers`` processes."""
+    groups = _groups(cells, workers)
     if workers == 1:
-        for cell in cells:
-            yield _play_cell(*cell_args, *cell)
+        for group in groups:
+            yield from _play_group(*cell_args, *group)
         return
     with ProcessPoolExecutor(
-        max_workers=workers, initializer=_worker_init, initargs=(cell_args,)
+        max_workers=min(workers, len(groups)), initializer=_worker_init, initargs=(cell_args,)
     ) as pool:
-        yield from pool.map(_worker_run, cells, chunksize=1)
+        for rows in pool.map(_worker_run, groups, chunksize=1):
+            yield from rows
 
 
 def reject_repeats(what: str, values) -> None:

@@ -112,41 +112,43 @@ def test_run_is_byte_deterministic(env_file, tmp_path, capsys):
 )
 def test_failed_run_keeps_finished_algorithms(env_file, tmp_path, capsys, monkeypatch):
     # the first cell of the last algorithm fails; its later cells are slow,
-    # so the run has time to play them all unless it cancels them
+    # so the run has time to play them all unless it cancels them.  The GLM
+    # kinds play one lockstep group per worker; the linear baseline plays
+    # each cell as a group of its own, so its unplayed cells can be cancelled
     path, _ = env_file
     log = tmp_path / "played.log"
-    play_cell = harness._play_cell
+    play_group = harness._play_group
 
-    def failing_play_cell(*args):
-        algorithm, user, seed = args[-3:]
+    def failing_play_group(*args):
+        algorithm, cells = args[-2:]
         with open(log, "a") as fh:
-            fh.write(f"{algorithm} {user} {seed}\n")
-        if algorithm == "maxinp":
-            if (user, seed) == (0, 0):
+            fh.writelines(f"{algorithm} {user} {seed}\n" for user, seed in cells)
+        if algorithm == "rconucb-diff":
+            if cells == [(0, 0)]:
                 raise NumericalError(
-                    f"run failed at algorithm={algorithm} user={user} seed={seed} round=1: injected"
+                    f"run failed at algorithm={algorithm} user=0 seed=0 round=1: injected"
                 )
             time.sleep(0.2)
-        return play_cell(*args)
+        return play_group(*args)
 
-    monkeypatch.setattr(harness, "_play_cell", failing_play_cell)
+    monkeypatch.setattr(harness, "_play_group", failing_play_group)
     out_dir = tmp_path / "run"
     code, _, err = run_cli(
         capsys,
-        "run", "--env", str(path), "--algorithms", "conduel,random-opt,maxinp",
+        "run", "--env", str(path), "--algorithms", "conduel,random-opt,rconucb-diff",
         "--t", "10", "--seeds", "0:8", "--users", "2", "--pool-size", "6",
         "--workers", "2", "--out", str(out_dir),
     )
     assert code == 2
-    assert "run failed at algorithm=maxinp user=0 seed=0 round=1" in err
+    assert "run failed at algorithm=rconucb-diff user=0 seed=0 round=1" in err
     for algo in ("conduel", "random-opt"):
         assert (out_dir / f"{algo}.csv").exists()
         assert (out_dir / f"{algo}_agg.csv").exists()
-    assert not (out_dir / "maxinp.csv").exists()
+    assert not (out_dir / "rconucb-diff.csv").exists()
     assert not (out_dir / "summary.json").exists()
     played = log.read_text().split("\n")[:-1]
     assert sum(line.startswith("conduel ") for line in played) == 16
-    assert sum(line.startswith("maxinp ") for line in played) < 16
+    assert sum(line.startswith("rconucb-diff ") for line in played) < 16
 
 
 @pytest.mark.parametrize(
@@ -357,6 +359,8 @@ def test_negative_env_seed_rejected_by_synth(tmp_path, capsys):
         ("--tol", "1e-6"), ("--max-iters", "5"), ("--kappa1", "0.2"),
         # the ridge, confidence level and choice-model curvature are constants
         ("--lam", "1"), ("--delta", "0.1"), ("--kappa2", "0.005"),
+        # a prefix of a flag is not that flag
+        ("--radius", "0.5"), ("--seed", "3"), ("--pool", "7"),
     ],
 )
 def test_solver_internals_are_not_flags(env_file, tmp_path, capsys, flag, value):
@@ -365,7 +369,19 @@ def test_solver_internals_are_not_flags(env_file, tmp_path, capsys, flag, value)
         capsys, "run", "--env", str(path), flag, value, "--t", "5", "--out", str(tmp_path)
     )
     assert code == 1
-    assert "unrecognized arguments" in err
+    assert f"unrecognized arguments: {flag} {value}" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["env.json"]
+
+
+def test_plot_flag_prefix_rejected(tmp_path, capsys):
+    # `--out` is a prefix of `--out-file`, not that flag
+    code, _, err = run_cli(
+        capsys, "plot", str(tmp_path / "a_agg.csv"), "--out-file", str(tmp_path / "a.svg"),
+        "--out", str(tmp_path / "b.svg"),
+    )
+    assert code == 1
+    assert f"unrecognized arguments: --out {tmp_path / 'b.svg'}" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -1,17 +1,20 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from conduel import estimator
 from conduel.env import Schedule, SyntheticConfig, gen_synthetic
-from conduel.errors import DomainError, NumericalError, StructuralError
+from conduel.errors import CellError, DomainError, NumericalError, StructuralError
 from conduel.estimator import (
     DuelObjective,
+    HistoryStack,
     InteractionHistory,
     WarmStart,
     dueling_radius,
     mle_fit,
+    mle_fit_stack,
     project_theta,
 )
 from conduel.glm import DesignMatrix, get_link
@@ -505,12 +508,14 @@ def test_rejected_predicted_start_equals_plain_warm_fit():
 
 
 def test_predicted_start_cuts_newton_iterations(monkeypatch):
-    # warm-started at the last estimate, fits here averaged 2.198 iterations
+    # warm-started at the last estimate, fits here averaged 2.198 iterations;
+    # the four cells play as one lockstep group, whose solves return one
+    # iteration count per cell
     iters = []
 
     def counted(*args, **kwargs):
         out = newton(*args, **kwargs)
-        iters.append(out[1])
+        iters.extend(out[1])
         return out
 
     newton = estimator._newton
@@ -520,6 +525,133 @@ def test_predicted_start_cuts_newton_iterations(monkeypatch):
     run_experiment(envset, "conduel", 150, [0, 1], Schedule("linear", 5), pool_size=10, users=2)
     assert len(iters) == 600
     assert np.mean(iters) < 2.198 - 0.5
+
+
+# ---------------------------------------------------------------- stacked fit
+
+
+def stacked(histories):
+    """Copies of ``histories``, which hold equally many rows, as the rows of
+    one ``HistoryStack``."""
+    stack = HistoryStack(len(histories), histories[0].dim)
+    for h in histories:
+        row = InteractionHistory(h.dim, RIDGE)
+        row.join(stack)
+        for diff, outcome in zip(h.diffs, h.outcomes):
+            row.append(diff, int(outcome))
+    return stack
+
+
+def copied(warm):
+    out = WarmStart(len(warm.theta))
+    out.theta, out.info, out.value, out.rows = warm.theta.copy(), warm.info, warm.value, warm.rows
+    return out
+
+
+def signal_history(rng, d, n, strength):
+    """n duels whose outcomes follow strength * theta*: a strong signal puts
+    the raw estimate outside the unit ball, a weak one inside."""
+    theta_star = rng.normal(size=d)
+    theta_star *= strength / np.linalg.norm(theta_star)
+    arms = rng.normal(size=(n, 2, d))
+    arms /= np.linalg.norm(arms, axis=2, keepdims=True)
+    diffs = arms[:, 0] - arms[:, 1]
+    outcomes = (rng.random(n) < 1.0 / (1.0 + np.exp(-diffs @ theta_star))).astype(int)
+    return history_from(diffs, outcomes)
+
+
+def test_stacked_fit_matches_each_history_alone(monkeypatch):
+    # one stacked fit of five histories of 40 rows, each last fitted at 30:
+    # three start from a predicted step, two from their last estimate (one
+    # never ran an iteration, one starts far away and halves its Newton
+    # steps while the others take full ones), and the projection fires in
+    # some rows only.  Every estimate, iteration count and advanced warm
+    # start must be bit for bit those of the history fitted alone.
+    rng = np.random.default_rng(60)
+    histories = [signal_history(rng, 3, 40, s) for s in (0.3, 8.0, 8.0, 0.3, 8.0)]
+    warms = []
+    for h in histories:
+        warm = WarmStart(3)
+        mle_fit(history_from(h.diffs[:30], h.outcomes[:30]), 1.0, SIG, warm=warm)
+        warms.append(warm)
+    warms[3].info = None
+    warms[4].info, warms[4].theta = None, 20.0 * rng.normal(size=3)
+    halved = []
+    column = estimator._column
+
+    def recorded(values, like):
+        if sys._getframe(1).f_code.co_name == "_newton":
+            halved.append(values)
+        return column(values, like)
+
+    monkeypatch.setattr(estimator, "_column", recorded)
+    alone = [mle_fit(h, 1.0, SIG, warm=copied(w)) for h, w in zip(histories, warms)]
+    assert len(halved) > 0 and all(len(v) == 1 for v in halved)
+    halved.clear()
+    group = mle_fit_stack(stacked(histories), 1.0, SIG, warms)
+    assert any(len(set(v)) > 1 for v in halved)  # some cells only halved
+    assert {est.projected for est in group} == {True, False}
+    for one, est, warm, h in zip(alone, group, warms, histories):
+        np.testing.assert_array_equal(est.theta_raw, one.theta_raw)
+        np.testing.assert_array_equal(est.theta_proj, one.theta_proj)
+        assert (est.projected, est.newton_iters) == (one.projected, one.newton_iters)
+        assert warm.theta is est.theta_raw and warm.rows == len(h)
+        again = copied(warm)
+        assert warm.value == DuelObjective(h, 1.0, SIG).value(again.theta)
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 5])
+def test_stacked_fit_blocks_do_not_change_estimates(monkeypatch, block_rows):
+    # a byte budget of block_rows rows' columns splits five rows into blocks
+    # of 1, 2 + 2 + 1 or one of five
+    rng = np.random.default_rng(63)
+    histories = [signal_history(rng, 3, 30, s) for s in (0.3, 8.0, 0.3, 8.0, 8.0)]
+    monkeypatch.setattr(estimator, "_STACK_BLOCK_BYTES", block_rows * 3 * 30 * 8)
+    group = mle_fit_stack(stacked(histories), 1.0, SIG, [WarmStart(3) for _ in histories])
+    for h, est in zip(histories, group):
+        one = mle_fit(h, 1.0, SIG)
+        np.testing.assert_array_equal(est.theta_raw, one.theta_raw)
+        np.testing.assert_array_equal(est.theta_proj, one.theta_proj)
+        assert (est.projected, est.newton_iters) == (one.projected, one.newton_iters)
+
+
+@EDGE_CASES
+def test_stacked_fit_edge_cases_match_each_history_alone(link, d):
+    # the clamped-linear link keeps no tail in its pass; at d=1 the
+    # projection's tangent step is zero
+    rng = np.random.default_rng(61)
+    histories = [signal_history(rng, d, 25, s) for s in (0.2, 6.0, 6.0)]
+    alone = [mle_fit(h, 1.0, link) for h in histories]
+    group = mle_fit_stack(stacked(histories), 1.0, link, [WarmStart(d) for _ in histories])
+    for one, est in zip(alone, group):
+        np.testing.assert_array_equal(est.theta_raw, one.theta_raw)
+        np.testing.assert_array_equal(est.theta_proj, one.theta_proj)
+        assert (est.projected, est.newton_iters) == (one.projected, one.newton_iters)
+
+
+def test_stacked_newton_failure_names_its_cell(monkeypatch):
+    # cells 0 and 2 start at their own estimates and need no iteration;
+    # cell 1 starts far away and cannot converge in one
+    rng = np.random.default_rng(62)
+    histories = [random_history(rng, d=3, n=30)[0] for _ in range(3)]
+    warms = [started_at(mle_fit(h, 1.0, SIG).theta_raw) for h in histories]
+    warms[1] = started_at(30.0 * rng.normal(size=3))
+    monkeypatch.setattr(estimator, "_MAX_ITERS", 1)
+    with pytest.raises(CellError, match="after 1 iterations") as failed:
+        mle_fit_stack(stacked(histories), 1.0, SIG, warms)
+    assert failed.value.cell == 1
+
+
+def test_stack_rows_must_hold_equal_lengths():
+    stack = HistoryStack(2, 2)
+    first, second = InteractionHistory(2, RIDGE), InteractionHistory(2, RIDGE)
+    first.join(stack)
+    second.join(stack)
+    first.append(np.array([0.5, 0.0]), 1)
+    with pytest.raises(StructuralError, match="same number of rows"):
+        len(stack)
+    with pytest.raises(StructuralError, match="only an empty history"):
+        first.join(HistoryStack(1, 2))
 
 
 # ---------------------------------------------------------------- projection

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from conduel.dueling import DuelConfig
+from conduel import dueling
+from conduel.dueling import DuelConfig, DuelPolicy
 from conduel.env import Schedule, SyntheticConfig, gen_synthetic
-from conduel.errors import ConfigError, NumericalError, StructuralError
+from conduel.errors import CellError, ConfigError, NumericalError, StructuralError
 from conduel.harness import (
-    ALL_KINDS, RegretTrace, _play_cell, needs_spanner, regret_kind_of, run_experiment,
+    ALL_KINDS, LOCKSTEP_KINDS, RegretTrace, _groups, _play_cell, needs_spanner, regret_kind_of,
+    run_experiment,
 )
 from conduel.mnl import MNL_KINDS, MnlConfig, MnlPolicy
 from conduel.spanner import build_spanner
@@ -115,6 +117,70 @@ def test_one_pool_matches_per_algorithm_calls(workers):
         assert tr.cells == alone.cells
         assert tr.fingerprint == alone.fingerprint
         assert tr.regret_kind == alone.regret_kind
+
+
+def cells_alone(es, algorithm, horizon, schedule, trace):
+    """The trace's rows, each replayed as its cell alone."""
+    spanner = build_spanner(es.keyterm_feats) if needs_spanner([algorithm]) else None
+    args = (es, spanner, horizon, schedule, 6, DuelConfig(), MnlConfig(), algorithm)
+    return [_play_cell(*args, user, seed) for user, seed in trace.cells]
+
+
+def test_groups_split_lockstep_kinds_per_worker():
+    cells = [(name, u, 0) for name in ("maxinp", "rconucb-diff") for u in range(5)]
+    assert [(name, len(group)) for name, group in _groups(cells, 3)] == (
+        [("maxinp", 2), ("maxinp", 2), ("maxinp", 1)] + [("rconucb-diff", 1)] * 5
+    )
+    assert _groups(cells[:2], 4) == [("maxinp", [(0, 0)]), ("maxinp", [(1, 0)])]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("algorithm", LOCKSTEP_KINDS)
+def test_grouping_does_not_change_results(algorithm, workers):
+    # five cells play as one group, as 3 + 2 or as 2 + 2 + 1: every row is
+    # the one its cell plays alone
+    es = small_envset(n_users=5)
+    schedule = Schedule("prop", 0.3)
+    trace = run_experiment(es, algorithm, 25, [0], schedule, pool_size=6, users=5, workers=workers)
+    alone = cells_alone(es, algorithm, 25, schedule, trace)
+    assert trace.inst.tobytes() == np.vstack(alone).tobytes()
+
+
+@pytest.mark.parametrize(
+    "link, dim", [("clamped_linear", 3), ("sigmoid", 1)], ids=["clamped-d3", "sigmoid-d1"]
+)
+@pytest.mark.parametrize("algorithm", ["conduel", "maxinp"])
+def test_grouping_edge_cases_match_cells_alone(algorithm, link, dim):
+    # the clamped-linear link keeps no tail in its pass; at d=1 the
+    # projection's tangent step is zero
+    cfg = SyntheticConfig(
+        n_users=3, n_keyterms=20, n_arms=25, dim=dim, max_arms_per_keyterm=4, link=link
+    )
+    es = gen_synthetic(cfg, 0)
+    schedule = Schedule("prop", 0.3)
+    trace = run_experiment(es, algorithm, 30, [0, 1], schedule, pool_size=6, users=3)
+    alone = cells_alone(es, algorithm, 30, schedule, trace)
+    assert trace.inst.tobytes() == np.vstack(alone).tobytes()
+
+
+def test_grouped_cell_matches_it_alone_when_projections_differ(monkeypatch):
+    # nine maxinp cells in one group; in some rounds the projection fires in
+    # some cells only
+    mixed = []
+    fit = dueling.mle_fit_stack
+
+    def recorded(*args):
+        estimates = fit(*args)
+        mixed.append(len({est.projected for est in estimates}) == 2)
+        return estimates
+
+    monkeypatch.setattr(dueling, "mle_fit_stack", recorded)
+    es = small_envset(seed=1)
+    schedule = Schedule("prop", 0.3)
+    trace = run_experiment(es, "maxinp", 40, [0, 1, 2], schedule, pool_size=6, users=3)
+    assert len(mixed) == 40 and any(mixed)
+    alone = cells_alone(es, "maxinp", 40, schedule, trace)
+    assert trace.inst.tobytes() == np.vstack(alone).tobytes()
 
 
 def test_worker_count_does_not_change_maxinp_results():
@@ -285,6 +351,31 @@ def test_failed_cell_reports_context(monkeypatch):
     es = small_envset()
     with pytest.raises(NumericalError, match=r"algorithm=conmnl user=0 seed=0 round=1: injected"):
         run_experiment(es, "conmnl", 3, [0], Schedule("linear", 0), pool_size=6)
+
+    # four maxinp cells play as one lockstep group; the duel phase of
+    # user 1, seed 1 fails in round 3 and names that cell
+    duel = DuelPolicy.duel
+
+    def failing_duel(self, pool_ids, pool_feats, oracle, t, *rest):
+        user_1 = np.array_equal(oracle.theta_star, es.theta_stars[1])
+        if t == 3 and self.stream.seed == 1 and user_1:
+            raise NumericalError("injected")
+        return duel(self, pool_ids, pool_feats, oracle, t, *rest)
+
+    monkeypatch.setattr(DuelPolicy, "duel", failing_duel)
+    with pytest.raises(NumericalError, match=r"algorithm=maxinp user=1 seed=1 round=3: injected"):
+        run_experiment(es, "maxinp", 5, [0, 1], Schedule("linear", 0), pool_size=6, users=2)
+
+
+def test_failed_stacked_fit_reports_the_failing_cell(monkeypatch):
+    # the stacked fit of four conduel cells fails in its third cell
+    def failing_fit(stack, lam, link, warms):
+        raise CellError(2, "injected")
+
+    monkeypatch.setattr(dueling, "mle_fit_stack", failing_fit)
+    es = small_envset()
+    with pytest.raises(NumericalError, match=r"algorithm=conduel user=1 seed=0 round=1: injected"):
+        run_experiment(es, "conduel", 5, [0, 1], Schedule("linear", 1), pool_size=6, users=2)
 
 
 def test_explicit_user_list_and_shared_spanner():
