@@ -23,8 +23,9 @@ over the ball, a Gauss-Newton solve on the unit sphere built from the same
 object's g and Jacobian (``_project``).  The solver and the projection run
 over one history, the one-cell calls ``mle_fit`` and ``project_theta``, or
 over every row of a stack at once (``mle_fit_stack``): each step is one
-stacked product, solve or pass over the cells still going, and every slice
-of a stacked ``np.matmul``, ``np.vecmat``, ``np.matvec``, ``np.vecdot`` or
+stacked product, solve or pass over every cell, a cell that has stopped
+held at its point by a mask until the last one stops, and every slice of a
+stacked ``np.matmul``, ``np.vecmat``, ``np.matvec``, ``np.vecdot`` or
 ``np.linalg.solve`` is bit for bit the one-history result, so a cell's
 estimate does not depend on the cells it is stacked with.
 """
@@ -202,16 +203,6 @@ def _ridge(lam: float, dim: int) -> np.ndarray:
     return out
 
 
-def _copy_rows(a, cells):
-    """Rows ``cells`` of ``a``, whose last axis runs along a buffer row,
-    copied into a fresh buffer of the same row length.  The copy keeps the
-    strides of ``a``, so a product over it sums as one over ``a`` does."""
-    size = a.strides[-2] // a.itemsize
-    out = np.empty((len(cells),) + a.shape[1:-1] + (size,))[..., : a.shape[-1]]
-    out[...] = a[cells]
-    return out
-
-
 @dataclass
 class ThetaEstimate:
     theta_raw: np.ndarray
@@ -282,18 +273,9 @@ class DuelObjective:
         they add to the objective over the first ``start`` rows."""
         return self._with(self.cols[..., start:], self.outcomes[..., start:], 0.0)
 
-    def take(self, cells) -> "DuelObjective":
-        """The objective of the cells ``cells`` of a stack: a slice of them
-        as views, a list as copies of their rows, which keep the strides the
-        rows have in the stack."""
-        if isinstance(cells, slice):
-            return self._with(self.cols[cells], self.outcomes[cells], self.lam)
-        return self._with(_copy_rows(self.cols, cells), _copy_rows(self.outcomes, cells), self.lam)
-
-    @staticmethod
-    def take_pass(p, cells) -> tuple:
-        """The cells ``cells`` of a stack's pass."""
-        return tuple(None if a is None else a[cells] for a in p)
+    def take(self, cells: slice) -> "DuelObjective":
+        """The objective of the slice ``cells`` of a stack's rows, as views."""
+        return self._with(self.cols[cells], self.outcomes[cells], self.lam)
 
     def pass_at(self, theta) -> tuple:
         """The utilities z = theta @ cols and the link's tail of z."""
@@ -341,11 +323,6 @@ def _moving(step) -> list:
     return step.any(axis=-1).tolist() if step.ndim > 1 else [bool(np.count_nonzero(step))]
 
 
-def _kept(keep, *rows) -> list:
-    """The entries ``keep`` of each per-cell list or array in ``rows``."""
-    return [[r[j] for j in keep] if isinstance(r, list) else r[keep] for r in rows]
-
-
 def _column(values, like):
     """Per-cell ``values`` shaped to scale the rows of ``like``."""
     return np.array(values).reshape(like.shape[:-1] + (1,))
@@ -364,39 +341,41 @@ def _start(obj, warm) -> tuple:
 
     ``warm`` is the last fit of the history of ``obj``; over a stack it is
     a list, the last fits of its rows, which were fitted together and so
-    saw the same number of rows.  For a cell whose last fit ran a Newton
-    iteration, the rows appended since give, at its estimate theta_prev,
-    their log-likelihood l, score g and information J_new; the predicted
-    start is theta_prev + (J_prev + J_new)^-1 g, one Newton step on the
-    whole history with the old rows' information taken from the last fit.
-    It is kept only when its value is at least f_prev + l, the value at
+    saw the same number of rows.  The rows appended since give, at the last
+    estimate theta_prev, their log-likelihood l, score g and information
+    J_new; the predicted start is theta_prev + (J_prev + J_new)^-1 g, one
+    Newton step on the whole history with the old rows' information J_prev
+    taken from the last fit.  A cell keeps it only when its last fit ran a
+    Newton iteration and its value is at least f_prev + l, the value at
     theta_prev, less round-off, so a step that overshoots (J_prev is the
     information at the last fit's iterate, not at theta_prev) never starts
-    the solve below the last estimate.  Otherwise, and before any Newton
-    iteration has run, the start is theta_prev.
+    the solve below the last estimate.  Otherwise the start is theta_prev.
+    Over a stack every row is predicted in one stacked solve, with lam I in
+    place of J_prev on a row that has no stored information.
     """
     stacked = isinstance(warm, list)
     warms = warm if stacked else [warm]
     theta = np.array([w.theta for w in warms]) if stacked else warm.theta
     rows = warms[0].rows
-    told = [c for c, w in enumerate(warms) if w.info is not None]
-    if told and len(obj.history) > rows:
+    told = [w.info is not None for w in warms]
+    if any(told) and len(obj.history) > rows:
         new = obj.since(rows)
-        if len(told) == len(warms):
-            sub, prev = obj, theta
-            info = np.array([w.info for w in warms]) if stacked else warm.info
+        if stacked:
+            info = np.array([w.info if t else obj._ridge for w, t in zip(warms, told)])
         else:
-            sub, new, prev = obj.take(told), new.take(told), theta[told]
-            info = np.array([warms[c].info for c in told])
-        ell, p = new.value_and_pass(prev)
-        pred = prev + _solve(info + new.information(prev, p), new.score(prev, p))
-        f, aux = sub.value_and_pass(pred)
-        floors = [warms[c].value + x for c, x in zip(told, _floats(ell))]
-        kept = [a >= b - _START_REL_SLACK * (1.0 + abs(b)) for a, b in zip(_floats(f), floors)]
-        if sub is obj and all(kept):
+            info = warm.info
+        ell, p = new.value_and_pass(theta)
+        pred = theta + _solve(info + new.information(theta, p), new.score(theta, p))
+        f, aux = obj.value_and_pass(pred)
+        floors = [w.value + x for w, x in zip(warms, _floats(ell))]
+        kept = [
+            t and a >= b - _START_REL_SLACK * (1.0 + abs(b))
+            for t, a, b in zip(told, _floats(f), floors)
+        ]
+        if all(kept):
             return pred, f, aux
         if stacked:
-            theta[[c for c, ok in zip(told, kept) if ok]] = pred[kept]
+            theta[kept] = pred[kept]
     if not stacked:
         theta = theta.copy()
     f, aux = obj.value_and_pass(theta)
@@ -420,13 +399,16 @@ def _newton(obj, tol: float, what: str, warm) -> tuple:
     Stops once ||score|| <= tol, and fails after ``_MAX_ITERS`` steps.
 
     Over a ``HistoryStack`` the same loop solves every row at once: the
-    points are (cells, d), ``warm`` is a list with one last fit per row, the
-    iterations come back as a list, and ``obj`` also serves ``take`` and
-    ``take_pass``, which keep the given cells.  A cell that stops leaves
-    the stack; a cell that halves its step evaluates the others' accepted
+    points are (cells, d), ``warm`` is a list with one last fit per row,
+    and the iterations come back as a list.  Every cell stays in the stack
+    until the last one stops.  A cell that has stopped takes a zero step:
+    its trial is its own point, whose value, pass and score come out bit
+    for bit as before, so the line search accepts it.  It keeps the
+    information of its own last iteration and counts only the iterations
+    it took.  A cell that halves its step evaluates the others' accepted
     trials again.  A failure is a ``CellError`` naming the first failing
-    cell.  The per-cell scalars are kept as Python floats, so one history
-    pays little for the stack's bookkeeping.
+    cell by its row in ``obj``.  The per-cell scalars are kept as Python
+    floats, so one history pays little for the stack's bookkeeping.
     """
     if tol <= 0.0:
         raise DomainError("tol must be positive")
@@ -436,38 +418,31 @@ def _newton(obj, tol: float, what: str, warm) -> tuple:
     f = _floats(f)
     grad = obj.score(theta, p)
     norm = _floats(np.vecdot(grad, grad))
-    live, iters, info, parts = list(range(len(warms))), 0, None, []
+    iters, info = [0] * len(warms), None
     while True:
         going = [math.sqrt(x) > tol for x in norm]
-        if not all(going):
-            # the cells that stop leave the stack, with what their warm
-            # starts take: (cells, theta, values, information, pass, iterations)
-            keep = [j for j, g in enumerate(going) if g]
-            if not keep and not parts:  # every cell stops at once
-                break
-            stop = [j for j, g in enumerate(going) if not g]
-            cells, rows, values = _kept(stop, live, theta, f)
-            info_rows = None if info is None else info[stop]
-            parts.append((cells, rows, values, info_rows, obj.take_pass(p, stop), iters))
-            if not keep:
-                break
-            live, f, norm, theta, grad = _kept(keep, live, f, norm, theta, grad)
-            p, obj = obj.take_pass(p, keep), obj.take(keep)
-        if iters >= _MAX_ITERS:
+        if not any(going):
+            break
+        first = going.index(True)
+        if iters[first] >= _MAX_ITERS:
             raise CellError(
-                live[0],
-                f"{what} Newton failed to converge: ||score|| = {math.sqrt(norm[0]):.3e} "
+                first,
+                f"{what} Newton failed to converge: ||score|| = {math.sqrt(norm[first]):.3e} "
                 f"after {_MAX_ITERS} iterations",
             )
-        info = obj.information(theta, p)
+        held = None if all(going) else np.logical_not(going)
+        jac = obj.information(theta, p)
+        info = jac if held is None or info is None else np.where(held[:, None, None], info, jac)
         step = _solve(info, grad)
+        if held is not None:
+            step[held] = -0.0  # x + -0.0 is x bit for bit, whatever the sign of x
         # tolerate round-off near the optimum
         least = [x - 1e-13 * (1.0 + abs(x)) for x in f]
         trial = theta + step
         f_trial, p = obj.value_and_pass(trial)
         f_trial = _floats(f_trial)
         if not all(map(operator.ge, f_trial, least)):
-            scale = [1.0] * len(live)
+            scale = [1.0] * len(warms)
             while True:
                 # the smallest step is taken even when no trial is accepted
                 short = [not (a >= b or s <= 2.0 ** -40) for a, b, s in zip(f_trial, least, scale)]
@@ -480,42 +455,21 @@ def _newton(obj, tol: float, what: str, warm) -> tuple:
         theta, f = trial, f_trial
         if not np.isfinite(theta).all():
             bad = int(np.argmin(np.isfinite(theta).all(axis=-1)))
-            raise CellError(live[bad], f"{what} estimate diverged")
+            raise CellError(bad, f"{what} estimate diverged")
         grad = obj.score(theta, p)
         norm = _floats(np.vecdot(grad, grad))
-        iters += 1
+        iters = [n + g for n, g in zip(iters, going)]
     rows = len(obj.history)
     if not stacked:
         warm.theta, warm.value, warm.rows = theta, f[0], rows
         if info is not None:
             warm.info = info
-        return theta, iters, p
-    if not parts:
-        for c, w in enumerate(warms):
-            w.theta, w.value, w.rows = theta[c], f[c], rows
-            if info is not None:
-                w.info = info[c]
-        return theta, [iters] * len(warms), p
-    theta = np.empty((len(warms), theta.shape[-1]))
-    iterations = [0] * len(warms)
-    for cells, rows_theta, values, rows_info, _, at in parts:
-        theta[cells] = rows_theta
-        for j, c in enumerate(cells):
-            w = warms[c]
-            w.theta, w.value, w.rows, iterations[c] = theta[c], values[j], rows, at
-            if rows_info is not None:
-                w.info = rows_info[j]
-    return theta, iterations, _joined([(cells, part) for cells, *_, part, _ in parts], len(warms))
-
-
-def _joined(parts, k: int) -> tuple:
-    """The pass of every cell of a stack, from (cells, pass) parts."""
-    out = tuple(None if a is None else np.empty((k,) + a.shape[1:]) for a in parts[0][1])
-    for cells, p in parts:
-        for whole, a in zip(out, p):
-            if whole is not None:
-                whole[cells] = a
-    return out
+        return theta, iters[0], p
+    for c, w in enumerate(warms):
+        w.theta, w.value, w.rows = theta[c], f[c], rows
+        if iters[c]:
+            w.info = info[c]
+    return theta, iters, p
 
 
 def mle_fit(
@@ -545,11 +499,13 @@ def mle_fit_stack(stack: HistoryStack, lam: float, link: LinkFunction, warms: li
     """``mle_fit`` of every history of ``stack``, one estimate per row.
 
     ``warms`` holds each row's last fit.  The rows are fitted in contiguous
-    blocks, each one stacked Newton solve and one stacked projection of its
-    rows whose estimates leave the unit ball.  A block holds as many rows
-    as keep its history columns within ``_STACK_BLOCK_BYTES``, and one at
+    blocks, each one stacked Newton solve and, when an estimate leaves the
+    unit ball, one stacked projection of the block, in which the rows
+    inside the ball are held from the start.  A block holds as many rows as
+    keep its history columns within ``_STACK_BLOCK_BYTES``, and one at
     least.  Each estimate is bit for bit the one ``mle_fit`` gives its
-    history alone, whatever the blocks.
+    history alone, whatever the blocks.  A ``CellError`` names its row of
+    the stack.
     """
     whole = DuelObjective(stack, lam, link)
     size = max(1, _STACK_BLOCK_BYTES // max(whole.cols[0].nbytes, 1))
@@ -557,16 +513,18 @@ def mle_fit_stack(stack: HistoryStack, lam: float, link: LinkFunction, warms: li
     for start in range(0, len(warms), size):
         block = slice(start, start + size)
         obj = whole.take(block) if size < len(warms) else whole
-        theta, iters, p = _newton(obj, _TOL, "MLE", warms[block])
-        far = [c for c, x in enumerate(_floats(np.vecdot(theta, theta))) if math.sqrt(x) > 1.0]
+        try:
+            theta, iters, p = _newton(obj, _TOL, "MLE", warms[block])
+        except CellError as exc:
+            exc.cell += start  # from its row in the block to its row in the stack
+            raise
+        far = [math.sqrt(x) > 1.0 for x in _floats(np.vecdot(theta, theta))]
         proj = theta.copy()
-        if far:
-            m_inv = np.array([stack.rows[start + c].design.m_inv for c in far])
-            if len(far) < len(theta):
-                obj, p = obj.take(far), obj.take_pass(p, far)
-            proj[far] = _project(theta[far], obj, m_inv, p)
+        if any(far):
+            m_inv = np.array([h.design.m_inv for h in stack.rows[block]])
+            proj[far] = _project(theta, obj, m_inv, p, far)[far]
         out += [
-            ThetaEstimate(w.theta, proj[c], c in far, iters[c]) for c, w in enumerate(warms[block])
+            ThetaEstimate(w.theta, proj[c], far[c], iters[c]) for c, w in enumerate(warms[block])
         ]
     return out
 
@@ -583,7 +541,7 @@ def project_theta(theta_raw, obj: DuelObjective, design: DesignMatrix, raw_pass=
     theta_raw = np.asarray(theta_raw, dtype=float)
     if math.sqrt(np.vecdot(theta_raw, theta_raw)) <= 1.0:
         return theta_raw.copy()
-    return _project(theta_raw, obj, design.m_inv, raw_pass)
+    return _project(theta_raw, obj, design.m_inv, raw_pass, [True])
 
 
 def _unit(th):
@@ -592,7 +550,7 @@ def _unit(th):
     return th / (np.sqrt(sq)[:, None] if th.ndim > 1 else math.sqrt(sq))
 
 
-def _project(theta_raw, obj, m_inv, raw_pass) -> np.ndarray:
+def _project(theta_raw, obj, m_inv, raw_pass, live: list) -> np.ndarray:
     """The projection of an out-of-ball estimate theta_raw, measured in the
     inverse design ``m_inv``; or of a stack's, theta_raw (cells, d), each
     in its own row of ``m_inv`` (cells, d, d).
@@ -611,8 +569,15 @@ def _project(theta_raw, obj, m_inv, raw_pass) -> np.ndarray:
     falls, the step halving otherwise, so the last iterate is the best one
     seen.  A cell stops on a relative decrease below the tolerance, on F at
     the floor, on a zero tangent step (always, at d=1), on no accepted
-    step, or at the iteration cap; in a stack it leaves the stack.
-    ``raw_pass`` is the pass at theta_raw, or None.
+    step, or at the iteration cap.
+
+    ``live`` flags the cells to project.  A cell that stops is cleared
+    from it but stays in the stack until the last one stops: it is held,
+    its candidate kept at its iterate, which it returns.  A cell not
+    flagged at the outset is held from the start at a fixed unit vector
+    rather than at its own estimate, which may be zero and would make its
+    bordered system singular.  ``raw_pass`` is the pass at theta_raw, or
+    None.
     """
     lead, dim = theta_raw.shape[:-1], theta_raw.shape[-1]
     target = obj.mean_map(theta_raw, raw_pass)
@@ -624,32 +589,23 @@ def _project(theta_raw, obj, m_inv, raw_pass) -> np.ndarray:
         w = np.matvec(m_inv, r)
         return _floats(np.vecdot(r, w)), w, p
 
-    def bordered(lead):
-        # the bordered systems, with views onto what each iteration writes:
-        # H + nu I in place (the diagonal with its cell axis last), the
-        # border, the right-hand side
-        kkt = np.zeros(lead + (dim + 1, dim + 1))
-        rhs = np.zeros(lead + (dim + 1,))
-        diag = kkt.reshape(lead + (-1,))[..., : dim * (dim + 2) : dim + 2].T
-        views = kkt[..., :dim, :dim], diag, kkt[..., :dim, dim], kkt[..., dim, :dim], rhs[..., :dim]
-        return kkt, rhs, views
-
-    # a cell of a stack that stops leaves it: (cells, last iterates) in ``done``
-    live, done = list(range(len(theta_raw))) if lead else [0], []
-    kkt, rhs, (block, diag, col, row, rhs_head) = bordered(lead)
+    # the bordered systems, with views onto what each iteration writes:
+    # H + nu I in place (the diagonal with its cell axis last), the border,
+    # the right-hand side
+    kkt = np.zeros(lead + (dim + 1, dim + 1))
+    rhs = np.zeros(lead + (dim + 1,))
+    diag = kkt.reshape(lead + (-1,))[..., : dim * (dim + 2) : dim + 2].T
+    block, col, row = kkt[..., :dim, :dim], kkt[..., :dim, dim], kkt[..., dim, :dim]
+    rhs_head = rhs[..., :dim]
+    if not all(live):
+        theta_raw = np.where(_column(live, theta_raw), theta_raw, np.eye(dim)[0])
     theta = _unit(theta_raw)
     f_cur, w, p = residual(theta)
     floor = 1e-24  # below any scale the confidence radius can distinguish
-    going = [not f <= floor for f in f_cur]
+    live = [g and not f <= floor for g, f in zip(live, f_cur)]
     for _ in range(_PROJECT_MAX_ITERS):
-        if not all(going):
-            keep = [j for j, g in enumerate(going) if g]
-            if not keep:
-                break
-            done.append(_kept([j for j, g in enumerate(going) if not g], live, theta))
-            live, f_cur, theta, w, target, m_inv = _kept(keep, live, f_cur, theta, w, target, m_inv)
-            p, obj = obj.take_pass(p, keep), obj.take(keep)
-            kkt, rhs, (block, diag, col, row, rhs_head) = bordered((len(keep),))
+        if not any(live):
+            break
         jac = obj.information(theta, p)
         half_grad = np.matvec(jac, w)
         np.matmul(jac, m_inv @ jac, out=block)
@@ -658,49 +614,31 @@ def _project(theta_raw, obj, m_inv, raw_pass) -> np.ndarray:
         row[...] = theta
         np.negative(half_grad, out=rhs_head)
         step = _solve(kkt, rhs)[..., :dim]
-        going = _moving(step)
-        if not all(going):  # at d=1 the tangent space is a point
-            keep = [j for j, g in enumerate(going) if g]
-            if not keep:
+        # at d=1 the tangent space is a point
+        live = list(map(operator.and_, live, _moving(step)))
+        scale, tries = [1.0] * len(live), 0
+        while any(live):
+            cand = _unit(theta + _column(scale, step) * step)
+            if not all(live):
+                cand = np.where(_column(live, cand), cand, theta)
+            f_new, w_new, p_new = residual(cand)
+            took = [not g or a < b for g, a, b in zip(live, f_new, f_cur)]
+            if all(took):
                 break
-            done.append(_kept([j for j, g in enumerate(going) if not g], live, theta))
-            live, f_cur, theta, step, target, m_inv = _kept(
-                keep, live, f_cur, theta, step, target, m_inv
-            )
-            p, obj = obj.take_pass(p, keep), obj.take(keep)
-            kkt, rhs, (block, diag, col, row, rhs_head) = bordered((len(keep),))
-        cand = _unit(theta + step)
-        f_new, w_new, p_new = residual(cand)
-        if not all(map(operator.lt, f_new, f_cur)):
-            going = [a < b for a, b in zip(f_new, f_cur)]
-            scale = [1.0] * len(live)
-            for _halving in range(29):
-                scale = [s if g else 0.5 * s for s, g in zip(scale, going)]
-                cand = _unit(theta + _column(scale, step) * step)
-                f_new, w_new, p_new = residual(cand)
-                going = [a < b for a, b in zip(f_new, f_cur)]
-                if all(going):
-                    break
-            else:
-                # a cell with no accepted step keeps its last iterate
-                keep = [j for j, g in enumerate(going) if g]
-                if not keep:
-                    break
-                done.append(_kept([j for j, g in enumerate(going) if not g], live, theta))
-                live, f_cur, f_new, theta, cand, w_new, target, m_inv = _kept(
-                    keep, live, f_cur, f_new, theta, cand, w_new, target, m_inv
-                )
-                p_new, obj = obj.take_pass(p_new, keep), obj.take(keep)
-                kkt, rhs, (block, diag, col, row, rhs_head) = bordered((len(keep),))
-        going = [not (b <= floor or (a - b) / a < _PROJECT_REL_TOL) for a, b in zip(f_cur, f_new)]
+            tries += 1
+            if tries == 30:
+                # the full step and 29 halvings all rejected: a cell with no
+                # accepted step keeps its last iterate
+                live = list(map(operator.and_, live, took))
+            scale = [s if t else 0.5 * s for s, t in zip(scale, took)]
+        else:
+            break
+        live = [
+            g and not (b <= floor or (a - b) / a < _PROJECT_REL_TOL)
+            for g, a, b in zip(live, f_cur, f_new)
+        ]
         theta, f_cur, w, p = cand, f_new, w_new, p_new
-    if not done:
-        return theta
-    out = np.empty_like(theta_raw)
-    out[live] = theta
-    for cells, rows in done:
-        out[cells] = rows
-    return out
+    return theta
 
 
 def dueling_radius(t: int, b_of_t: float, d: int, kappa1: float) -> float:

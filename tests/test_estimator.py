@@ -585,17 +585,23 @@ def test_stacked_fit_matches_each_history_alone(monkeypatch):
         return column(values, like)
 
     monkeypatch.setattr(estimator, "_column", recorded)
-    alone = [mle_fit(h, 1.0, SIG, warm=copied(w)) for h, w in zip(histories, warms)]
+    lone_warms = [copied(w) for w in warms]
+    alone = [mle_fit(h, 1.0, SIG, warm=w) for h, w in zip(histories, lone_warms)]
     assert len(halved) > 0 and all(len(v) == 1 for v in halved)
     halved.clear()
     group = mle_fit_stack(stacked(histories), 1.0, SIG, warms)
     assert any(len(set(v)) > 1 for v in halved)  # some cells only halved
     assert {est.projected for est in group} == {True, False}
-    for one, est, warm, h in zip(alone, group, warms, histories):
+    # cells stop at different iterations, so the stopped ones hold their
+    # information while the others iterate on
+    assert len({est.newton_iters for est in group}) > 1
+    for one, est, warm, lone, h in zip(alone, group, warms, lone_warms, histories):
         np.testing.assert_array_equal(est.theta_raw, one.theta_raw)
         np.testing.assert_array_equal(est.theta_proj, one.theta_proj)
         assert (est.projected, est.newton_iters) == (one.projected, one.newton_iters)
         assert warm.theta is est.theta_raw and warm.rows == len(h)
+        assert warm.value == lone.value and warm.rows == lone.rows
+        np.testing.assert_array_equal(warm.info, lone.info)
         again = copied(warm)
         assert warm.value == DuelObjective(h, 1.0, SIG).value(again.theta)
 
@@ -640,6 +646,58 @@ def test_stacked_newton_failure_names_its_cell(monkeypatch):
     with pytest.raises(CellError, match="after 1 iterations") as failed:
         mle_fit_stack(stacked(histories), 1.0, SIG, warms)
     assert failed.value.cell == 1
+
+
+def test_blocked_newton_failure_names_its_row_of_the_stack(monkeypatch):
+    # a byte budget of one row's columns fits each row in a block of its
+    # own; cell 2 starts far away and cannot converge in one iteration, and
+    # the failure names its row of the stack, not of its block
+    rng = np.random.default_rng(62)
+    histories = [random_history(rng, d=3, n=30)[0] for _ in range(3)]
+    warms = [started_at(mle_fit(h, 1.0, SIG).theta_raw) for h in histories]
+    warms[2] = started_at(30.0 * rng.normal(size=3))
+    monkeypatch.setattr(estimator, "_STACK_BLOCK_BYTES", 3 * 30 * 8)
+    monkeypatch.setattr(estimator, "_MAX_ITERS", 1)
+    with pytest.raises(CellError, match="after 1 iterations") as failed:
+        mle_fit_stack(stacked(histories), 1.0, SIG, warms)
+    assert failed.value.cell == 2
+
+
+def test_stacked_projection_holds_zero_inside_and_stopped_rows(monkeypatch):
+    # one block whose projection holds a row with a raw estimate of exactly
+    # zero (all-zero differences, as self-duels give) and a row inside the
+    # ball, both from the start, and far rows that stop at different
+    # Gauss-Newton iterations, one on no accepted step.  A relative
+    # tolerance near round-off lets some rows run until no step is accepted.
+    monkeypatch.setattr(estimator, "_PROJECT_REL_TOL", 3e-16)
+    scales = []
+    column = estimator._column
+
+    def recorded(values, like):
+        if sys._getframe(1).f_code.co_name == "_project" and type(values[0]) is float:
+            scales.append(list(values))
+        return column(values, like)
+
+    monkeypatch.setattr(estimator, "_column", recorded)
+    rng = np.random.default_rng(68)
+    far = [signal_history(rng, 3, 30, s) for s in (8.0, 4.0, 12.0, 6.0)]
+    zero = history_from(np.zeros((30, 3)), rng.integers(0, 2, size=30))
+    inside = signal_history(np.random.default_rng(60), 3, 30, 0.3)
+    histories = [zero, inside] + far
+    alone, steps, stuck = [], [], []
+    for h in histories:
+        scales.clear()
+        alone.append(mle_fit(h, 1.0, SIG))
+        steps.append(sum(v == [1.0] for v in scales))  # one first trial an iteration
+        stuck.append(any(v[0] == 0.5**29 for v in scales))
+    assert [one.projected for one in alone] == [False, False] + [True] * 4
+    assert not alone[0].theta_raw.any()
+    assert len(set(steps[2:])) > 1 and any(stuck)
+    group = mle_fit_stack(stacked(histories), 1.0, SIG, [WarmStart(3) for _ in histories])
+    for one, est in zip(alone, group):
+        np.testing.assert_array_equal(est.theta_raw, one.theta_raw)
+        np.testing.assert_array_equal(est.theta_proj, one.theta_proj)
+        assert (est.projected, est.newton_iters) == (one.projected, one.newton_iters)
 
 
 def test_stack_rows_must_hold_equal_lengths():
