@@ -34,7 +34,6 @@ from .estimator import (
     ThetaEstimate,
     dueling_radius,
     mle_fit,
-    project_theta,
 )
 from .glm import DesignMatrix, LinkFunction, WeightGraph, get_link, ucb_utilities
 from .harness import ALL_KINDS, RegretTrace, run_experiment

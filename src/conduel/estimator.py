@@ -20,12 +20,12 @@ rows appended since, when that start passes a likelihood check; a cold fit
 is a fresh ``WarmStart`` and starts at zero.  When the fit leaves the unit
 ball it is pulled back by minimizing || g(theta) - g(theta_hat) ||_{M^-1}
 over the ball, a Gauss-Newton solve on the unit sphere built from the same
-object's g and Jacobian (``_project``).  The solver and the projection run
-over one history, the one-cell calls ``mle_fit`` and ``project_theta``, or
-over every row of a stack at once (``mle_fit_stack``): each step is one
-stacked product, solve or pass over every cell, a cell that has stopped
-held at its point by a mask until the last one stops, and every slice of a
-stacked ``np.matmul``, ``np.vecmat``, ``np.matvec``, ``np.vecdot`` or
+object's g and Jacobian (``project_theta``, the one projection entry).  The
+solver and the projection run over one history (``mle_fit``) or over every
+row of a stack at once (``mle_fit_stack``): each step is one stacked
+product, solve or pass over every cell, a cell that has stopped held at its
+point by a mask until the last one stops, and every slice of a stacked
+``np.matmul``, ``np.vecmat``, ``np.matvec``, ``np.vecdot`` or
 ``np.linalg.solve`` is bit for bit the one-history result, so a cell's
 estimate does not depend on the cells it is stacked with.
 """
@@ -491,7 +491,8 @@ def mle_fit(
     obj = DuelObjective(history, lam, link)
     theta, iters, p = _newton(obj, tol, "MLE", warm or WarmStart(history.dim))
     if math.sqrt(float(theta @ theta)) > 1.0:
-        return ThetaEstimate(theta, project_theta(theta, obj, history.design, p), True, iters)
+        proj = project_theta(theta, obj, history.design.m_inv, p, [True])
+        return ThetaEstimate(theta, proj, True, iters)
     return ThetaEstimate(theta, theta.copy(), False, iters)
 
 
@@ -522,26 +523,11 @@ def mle_fit_stack(stack: HistoryStack, lam: float, link: LinkFunction, warms: li
         proj = theta.copy()
         if any(far):
             m_inv = np.array([h.design.m_inv for h in stack.rows[block]])
-            proj[far] = _project(theta, obj, m_inv, p, far)[far]
+            proj[far] = project_theta(theta, obj, m_inv, p, far)[far]
         out += [
             ThetaEstimate(w.theta, proj[c], far[c], iters[c]) for c, w in enumerate(warms[block])
         ]
     return out
-
-
-def project_theta(theta_raw, obj: DuelObjective, design: DesignMatrix, raw_pass=None) -> np.ndarray:
-    """Pull an out-of-ball estimate back to the unit ball.
-
-    The one-cell call of ``_project``: minimizes
-    F(theta) = ||g(theta) - g(theta_raw)||^2_{M^-1} over the ball, with g
-    the mean-value map of ``obj`` and M ``design``.  ``raw_pass`` is
-    ``obj.pass_at(theta_raw)`` when the caller has it.  An estimate inside
-    the ball comes back as a copy.
-    """
-    theta_raw = np.asarray(theta_raw, dtype=float)
-    if math.sqrt(np.vecdot(theta_raw, theta_raw)) <= 1.0:
-        return theta_raw.copy()
-    return _project(theta_raw, obj, design.m_inv, raw_pass, [True])
 
 
 def _unit(th):
@@ -550,10 +536,12 @@ def _unit(th):
     return th / (np.sqrt(sq)[:, None] if th.ndim > 1 else math.sqrt(sq))
 
 
-def _project(theta_raw, obj, m_inv, raw_pass, live: list) -> np.ndarray:
-    """The projection of an out-of-ball estimate theta_raw, measured in the
-    inverse design ``m_inv``; or of a stack's, theta_raw (cells, d), each
-    in its own row of ``m_inv`` (cells, d, d).
+def project_theta(theta_raw, obj, m_inv, raw_pass, live: list) -> np.ndarray:
+    """Pull out-of-ball estimates back to the unit ball: one history's
+    theta_raw (d,), measured in its inverse design ``m_inv`` (d, d), or a
+    stack's theta_raw (cells, d), each row in its own row of ``m_inv``
+    (cells, d, d).  The only projection entry: ``mle_fit`` calls it with
+    ``live`` [True] and ``mle_fit_stack`` with its rows outside the ball.
 
     Minimizes F(theta) = ||g(theta) - g(theta_raw)||^2_{M^-1} over the ball,
     with g the mean-value map of ``obj``.  The minimum lies on the sphere:
@@ -571,13 +559,14 @@ def _project(theta_raw, obj, m_inv, raw_pass, live: list) -> np.ndarray:
     the floor, on a zero tangent step (always, at d=1), on no accepted
     step, or at the iteration cap.
 
-    ``live`` flags the cells to project.  A cell that stops is cleared
-    from it but stays in the stack until the last one stops: it is held,
-    its candidate kept at its iterate, which it returns.  A cell not
-    flagged at the outset is held from the start at a fixed unit vector
-    rather than at its own estimate, which may be zero and would make its
-    bordered system singular.  ``raw_pass`` is the pass at theta_raw, or
-    None.
+    ``live`` flags the cells to project, whose estimates the caller has
+    found outside the ball; the norm is not checked here, so a flagged
+    estimate inside the ball is moved onto the sphere.  A cell that stops is cleared from it but stays
+    in the stack until the last one stops: it is held, its candidate kept
+    at its iterate, which it returns.  A cell not flagged at the outset is
+    held from the start at a fixed unit vector rather than at its own
+    estimate, which may be zero and would make its bordered system
+    singular.  ``raw_pass`` is ``obj.pass_at(theta_raw)``, or None.
     """
     lead, dim = theta_raw.shape[:-1], theta_raw.shape[-1]
     target = obj.mean_map(theta_raw, raw_pass)

@@ -3,13 +3,14 @@
 One cell is (algorithm, user, seed): a fresh policy plays T rounds against
 that user's feedback, with a fresh uniform pool each round.  A worker plays
 a group of cells: the cells of a GLM dueling algorithm are split into one
-contiguous group per worker, and a group of two or more plays in lockstep,
-each round one stacked refit of all its cells between their conversation
-and duel phases (``dueling.DuelGroup``); every other cell is a group of its
-own.  A cell's draws, feedback and estimates do not depend on the cells it
-is grouped with, and aggregation is a deterministic reduction over each
-algorithm's (user, seed) grid, so results depend on neither the worker
-count nor the grouping.
+contiguous group per worker, and every other cell is a group of its own.
+One round loop (``_play_cell``) plays every group.  A group of two or more
+plays in lockstep, each round one stacked refit of all its cells between
+their conversation and duel phases (``dueling.DuelGroup``); a lone cell
+plays its policy's ``play_round``.  A cell's draws, feedback and estimates
+do not depend on the cells it is grouped with, and aggregation is a
+deterministic reduction over each algorithm's (user, seed) grid, so results
+depend on neither the worker count nor the grouping.
 """
 
 from __future__ import annotations
@@ -117,36 +118,65 @@ def _play_cell(
     duel_config: DuelConfig,
     mnl_config: MnlConfig,
     algorithm: str,
-    user: int,
-    seed: int,
-) -> np.ndarray:
-    oracle = envset.user(user)
-    stream = streams.RunStream(seed)
+    cells: list,
+) -> list:
+    """The regret rows of ``cells``, (user, seed) pairs of one algorithm, in
+    their order.
+
+    Each cell has its own policy, pools and feedback, so its row is the one
+    it gets played alone.  Two or more cells of a ``LOCKSTEP_KINDS``
+    algorithm play in lockstep: each round runs every cell's conversation
+    phase, one ``DuelGroup.fit``, then every cell's duel phase.  Every other
+    cell, a lone one included, plays its policy's ``play_round`` in turn.  A
+    failure names the cell it happened in; one the stacked fit cannot place
+    (any but a ``CellError``) names the first cell.
+    """
+    runs = [streams.RunStream(seed) for _, seed in cells]
+    oracles = [envset.user(user) for user, _ in cells]
     if algorithm in MNL_KINDS:
-        policy = MnlPolicy(algorithm, envset.keyterm_feats, spanner, stream, mnl_config)
+        policies = [
+            MnlPolicy(algorithm, envset.keyterm_feats, spanner, run, mnl_config) for run in runs
+        ]
     elif algorithm in RCONUCB_KINDS:
-        policy = RconucbPolicy(algorithm, envset.keyterm_feats, stream)
+        policies = [RconucbPolicy(algorithm, envset.keyterm_feats, run) for run in runs]
     else:
-        policy = DuelPolicy(
-            algorithm, envset.link, envset.keyterm_feats, spanner, stream, duel_config
-        )
+        policies = [
+            DuelPolicy(algorithm, envset.link, envset.keyterm_feats, spanner, run, duel_config)
+            for run in runs
+        ]
+    group = DuelGroup(policies) if algorithm in LOCKSTEP_KINDS and len(cells) > 1 else None
     size = min(pool_size, envset.n_arms)
-    inst = np.empty(horizon)
+    inst = np.empty((len(cells), horizon))
     for t in range(1, horizon + 1):
-        pool = _draw_pool(stream, t, envset.n_arms, size)
-        pool_feats = envset.arms[pool]
+        n_conversations, b_of_t = schedule.conversations(t), schedule.b(t)
+        cell = 0
         try:
-            rec = policy.play_round(
-                pool, pool_feats, oracle, t, schedule.conversations(t), schedule.b(t)
-            )
-            if rec.assortment is None:
-                r = dueling_regret(oracle, pool_feats, rec.pair[0], rec.pair[1])
-            else:
-                r = mnl_regret(oracle, pool_feats, rec.assortment, mnl_config.q)
+            if group is not None:
+                talks = []
+                for cell, policy in enumerate(policies):
+                    talks.append(policy.converse(oracles[cell], t, n_conversations))
+                cell = None
+                group.fit()
+            regrets = []
+            for cell, policy in enumerate(policies):
+                pool = _draw_pool(runs[cell], t, envset.n_arms, size)
+                pool_feats = envset.arms[pool]
+                oracle = oracles[cell]
+                if group is None:
+                    rec = policy.play_round(pool, pool_feats, oracle, t, n_conversations, b_of_t)
+                else:
+                    rec = policy.duel(pool, pool_feats, oracle, t, b_of_t, talks[cell])
+                if rec.assortment is None:
+                    regrets.append(dueling_regret(oracle, pool_feats, rec.pair[0], rec.pair[1]))
+                else:
+                    regrets.append(mnl_regret(oracle, pool_feats, rec.assortment, mnl_config.q))
         except Exception as exc:
-            raise _failed(exc, algorithm, user, seed, t) from exc
-        inst[t - 1] = _checked(r, algorithm, user, seed, t)
-    return inst
+            if cell is None:
+                cell = exc.cell if isinstance(exc, CellError) else 0
+            raise _failed(exc, algorithm, *cells[cell], t) from exc
+        for cell, r in enumerate(regrets):
+            inst[cell, t - 1] = _checked(r, algorithm, *cells[cell], t)
+    return list(inst)
 
 
 def _draw_pool(stream, t: int, n_arms: int, size: int) -> np.ndarray:
@@ -168,63 +198,6 @@ def _checked(r: float, algorithm, user, seed, t) -> float:
             f"seed={seed} round={t}"
         )
     return max(r, 0.0)
-
-
-def _play_group(
-    envset: EnvironmentSet,
-    spanner: Spanner | None,
-    horizon: int,
-    schedule: Schedule,
-    pool_size: int,
-    duel_config: DuelConfig,
-    mnl_config: MnlConfig,
-    algorithm: str,
-    cells: list,
-) -> list:
-    """The regret rows of ``cells``, (user, seed) pairs of one algorithm, in
-    their order.
-
-    One cell plays alone (``_play_cell``).  Two or more cells, of a
-    ``LOCKSTEP_KINDS`` algorithm, play in lockstep: each round runs every
-    cell's conversation phase, one ``DuelGroup.fit``, then every cell's duel
-    phase.  Each cell draws its own pools and feedback, so its row is the
-    one ``_play_cell`` returns.  A failure names the cell it happened in;
-    one the stacked fit cannot place (any but a ``CellError``) names the
-    group's first cell.
-    """
-    if len(cells) == 1:
-        cell_args = (envset, spanner, horizon, schedule, pool_size, duel_config, mnl_config)
-        return [_play_cell(*cell_args, algorithm, *cells[0])]
-    runs = [streams.RunStream(seed) for _, seed in cells]
-    oracles = [envset.user(user) for user, _ in cells]
-    group = DuelGroup([
-        DuelPolicy(algorithm, envset.link, envset.keyterm_feats, spanner, run, duel_config)
-        for run in runs
-    ])
-    size = min(pool_size, envset.n_arms)
-    inst = np.empty((len(cells), horizon))
-    for t in range(1, horizon + 1):
-        n_conversations, b_of_t = schedule.conversations(t), schedule.b(t)
-        cell = 0
-        try:
-            talks = []
-            for cell, policy in enumerate(group.policies):
-                talks.append(policy.converse(oracles[cell], t, n_conversations))
-            cell = None
-            group.fit()
-            regrets = []
-            for cell, policy in enumerate(group.policies):
-                pool = _draw_pool(runs[cell], t, envset.n_arms, size)
-                pool_feats = envset.arms[pool]
-                rec = policy.duel(pool, pool_feats, oracles[cell], t, b_of_t, talks[cell])
-                regrets.append(dueling_regret(oracles[cell], pool_feats, rec.pair[0], rec.pair[1]))
-        except Exception as exc:
-            if cell is None:
-                cell = exc.cell if isinstance(exc, CellError) else 0
-            raise _failed(exc, algorithm, *cells[cell], t) from exc
-        for cell, r in enumerate(regrets):
-            inst[cell, t - 1] = _checked(r, algorithm, *cells[cell], t)
-    return list(inst)
 
 
 def _groups(cells: list, workers: int) -> list:
@@ -250,7 +223,7 @@ def _groups(cells: list, workers: int) -> list:
     return out
 
 
-# _play_group's arguments before (algorithm, cells), set once in each pool worker
+# _play_cell's arguments before (algorithm, cells), set once in each pool worker
 _CELL_ARGS: tuple = ()
 
 
@@ -260,7 +233,7 @@ def _worker_init(cell_args: tuple) -> None:
 
 
 def _worker_run(group) -> list:
-    return _play_group(*_CELL_ARGS, *group)
+    return _play_cell(*_CELL_ARGS, *group)
 
 
 def _cell_rows(cell_args: tuple, cells: list, workers: int):
@@ -269,7 +242,7 @@ def _cell_rows(cell_args: tuple, cells: list, workers: int):
     groups = _groups(cells, workers)
     if workers == 1:
         for group in groups:
-            yield from _play_group(*cell_args, *group)
+            yield from _play_cell(*cell_args, *group)
         return
     with ProcessPoolExecutor(
         max_workers=min(workers, len(groups)), initializer=_worker_init, initargs=(cell_args,)

@@ -117,9 +117,9 @@ def test_failed_run_keeps_finished_algorithms(env_file, tmp_path, capsys, monkey
     # each cell as a group of its own, so its unplayed cells can be cancelled
     path, _ = env_file
     log = tmp_path / "played.log"
-    play_group = harness._play_group
+    play_cell = harness._play_cell
 
-    def failing_play_group(*args):
+    def failing_play_cell(*args):
         algorithm, cells = args[-2:]
         with open(log, "a") as fh:
             fh.writelines(f"{algorithm} {user} {seed}\n" for user, seed in cells)
@@ -129,9 +129,9 @@ def test_failed_run_keeps_finished_algorithms(env_file, tmp_path, capsys, monkey
                     f"run failed at algorithm={algorithm} user=0 seed=0 round=1: injected"
                 )
             time.sleep(0.2)
-        return play_group(*args)
+        return play_cell(*args)
 
-    monkeypatch.setattr(harness, "_play_group", failing_play_group)
+    monkeypatch.setattr(harness, "_play_cell", failing_play_cell)
     out_dir = tmp_path / "run"
     code, _, err = run_cli(
         capsys,

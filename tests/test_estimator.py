@@ -674,7 +674,7 @@ def test_stacked_projection_holds_zero_inside_and_stopped_rows(monkeypatch):
     column = estimator._column
 
     def recorded(values, like):
-        if sys._getframe(1).f_code.co_name == "_project" and type(values[0]) is float:
+        if sys._getframe(1).f_code.co_name == "project_theta" and type(values[0]) is float:
             scales.append(list(values))
         return column(values, like)
 
@@ -716,17 +716,19 @@ def test_stack_rows_must_hold_equal_lengths():
 
 
 def test_projection_feasible_start_returned_unchanged():
-    h = InteractionHistory(2, RIDGE)
-    design = DesignMatrix(2, 1.0)
-    t = np.array([0.6, 0.8])
-    np.testing.assert_array_equal(project_theta(t, DuelObjective(h, 1.0, SIG), design), t)
+    # a fit inside the ball is not projected: its estimate comes back as a copy
+    h = signal_history(np.random.default_rng(60), 3, 30, 0.3)
+    est = mle_fit(h, 1.0, SIG)
+    assert not est.projected and 0.0 < np.linalg.norm(est.theta_raw) <= 1.0
+    np.testing.assert_array_equal(est.theta_proj, est.theta_raw)
+    assert not np.shares_memory(est.theta_proj, est.theta_raw)
 
 
 def test_projection_empty_history_is_radial_shrink():
     h = InteractionHistory(3, RIDGE)
     design = DesignMatrix(3, 1.0 / SIG.kappa1)
     raw = np.array([1.2, -0.9, 0.3])
-    got = project_theta(raw, DuelObjective(h, 1.0, SIG), design)
+    got = project_theta(raw, DuelObjective(h, 1.0, SIG), design.m_inv, None, [True])
     np.testing.assert_allclose(got, raw / np.linalg.norm(raw), atol=1e-12)
 
 
@@ -738,7 +740,7 @@ def test_projection_empty_history_any_metric_is_radial_shrink(link, d, reg):
     raw = np.linspace(-1.5, 2.0, d) + 0.25
     assert np.linalg.norm(raw) > 1.0
     obj = DuelObjective(InteractionHistory(d, RIDGE), 0.8, link)
-    got = project_theta(raw, obj, DesignMatrix(d, reg))
+    got = project_theta(raw, obj, DesignMatrix(d, reg).m_inv, None, [True])
     np.testing.assert_allclose(got, raw / np.linalg.norm(raw), atol=1e-12)
 
 
@@ -773,7 +775,7 @@ def test_projection_matches_angular_grid():
     lam = 1.0
     design = h.design
     raw = np.array([1.3, 1.1])
-    got = project_theta(raw, DuelObjective(h, lam, SIG), design)
+    got = project_theta(raw, DuelObjective(h, lam, SIG), design.m_inv, None, [True])
     assert np.linalg.norm(got) <= 1.0 + 1e-12
     objective = projection_objective(h.diffs, lam, sigmoid, design.m, raw)
     angles = np.linspace(0.0, 2.0 * np.pi, 10_000, endpoint=False)
@@ -788,7 +790,7 @@ def test_projection_output_always_feasible():
         raw = rng.normal(size=3) * 2.0
         if np.linalg.norm(raw) <= 1.0:
             raw *= 3.0
-        got = project_theta(raw, DuelObjective(h, 1.0, SIG), h.design)
+        got = project_theta(raw, DuelObjective(h, 1.0, SIG), h.design.m_inv, None, [True])
         assert np.linalg.norm(got) <= 1.0 + 1e-9
 
 
@@ -802,14 +804,15 @@ def test_projection_kkt_on_conduel_histories(monkeypatch):
     calls = []
     solve = estimator.project_theta
 
-    def record(theta_raw, obj, design, raw_pass):
+    def record(theta_raw, obj, m_inv, raw_pass, live):
         # the fit hands over the pass at theta_raw it already computed
+        assert live == [True]
         z, tail = obj.pass_at(theta_raw)
         np.testing.assert_array_equal(raw_pass[0], z)
         np.testing.assert_array_equal(raw_pass[1], tail)
-        got = solve(theta_raw, obj, design, raw_pass)
+        got = solve(theta_raw, obj, m_inv, raw_pass, live)
         rows = obj.history.diffs.copy()
-        calls.append((rows, obj.lam, design.m.copy(), np.array(theta_raw), got))
+        calls.append((rows, obj.lam, obj.history.design.m.copy(), np.array(theta_raw), got))
         return got
 
     monkeypatch.setattr(estimator, "project_theta", record)
@@ -848,7 +851,7 @@ def test_projection_matches_fibonacci_sphere_grid():
         h, _ = random_history(rng, d=3, n=10)
         raw = rng.normal(size=3)
         raw *= rng.uniform(1.2, 3.0) / np.linalg.norm(raw)
-        got = project_theta(raw, DuelObjective(h, lam, SIG), h.design)
+        got = project_theta(raw, DuelObjective(h, lam, SIG), h.design.m_inv, None, [True])
         objective = projection_objective(h.diffs, lam, sigmoid, h.design.m, raw)
         vals = objective(grid)
         best = int(np.argmin(vals))
@@ -865,7 +868,7 @@ def test_projection_one_dimensional_is_sign(link):
     h, _ = random_history(rng, d=1, n=25)
     obj = DuelObjective(h, 1.0, link)
     for raw in (1.7, -2.3, 1.0 + 1e-9, -40.0):
-        got = project_theta(np.array([raw]), obj, h.design)
+        got = project_theta(np.array([raw]), obj, h.design.m_inv, None, [True])
         np.testing.assert_array_equal(got, np.array([math.copysign(1.0, raw)]))
 
 
@@ -888,7 +891,7 @@ def test_projection_one_dimensional_stops_at_zero_step(link):
     h = history_from([[0.8], [-1.3], [0.4]], [1, 0, 0])
     for raw in (2.5, -3.0):
         obj = CountingObjective(h, 1.0, link)
-        got = project_theta(np.array([raw]), obj, h.design)
+        got = project_theta(np.array([raw]), obj, h.design.m_inv, None, [True])
         np.testing.assert_array_equal(got, np.array([math.copysign(1.0, raw)]))
         assert obj.mean_map_calls <= 2
 
@@ -903,7 +906,7 @@ def test_projection_clamped_link_flat_region():
     lam = 1.0
     raw = np.array([2.5, 0.6])
     assert np.all(np.abs(diffs @ (raw / np.linalg.norm(raw))) > 1.0)
-    got = project_theta(raw, DuelObjective(h, lam, CLAMP), h.design)
+    got = project_theta(raw, DuelObjective(h, lam, CLAMP), h.design.m_inv, None, [True])
     assert abs(np.linalg.norm(got) - 1.0) <= 1e-12
     assert np.all(np.abs(diffs @ got) > 1.0)
     q = lam * lam * np.linalg.solve(h.design.m, got - raw)

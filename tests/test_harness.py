@@ -123,7 +123,7 @@ def cells_alone(es, algorithm, horizon, schedule, trace):
     """The trace's rows, each replayed as its cell alone."""
     spanner = build_spanner(es.keyterm_feats) if needs_spanner([algorithm]) else None
     args = (es, spanner, horizon, schedule, 6, DuelConfig(), MnlConfig(), algorithm)
-    return [_play_cell(*args, user, seed) for user, seed in trace.cells]
+    return [_play_cell(*args, [cell])[0] for cell in trace.cells]
 
 
 def test_groups_split_lockstep_kinds_per_worker():
@@ -181,6 +181,20 @@ def test_grouped_cell_matches_it_alone_when_projections_differ(monkeypatch):
     assert len(mixed) == 40 and any(mixed)
     alone = cells_alone(es, "maxinp", 40, schedule, trace)
     assert trace.inst.tobytes() == np.vstack(alone).tobytes()
+
+
+@pytest.mark.parametrize("algorithm", ["conmnl", "rconucb-diff"])
+def test_cells_outside_lockstep_kinds_play_in_turn(algorithm):
+    # two cells of a kind that never plays in lockstep, in one call: each
+    # plays its own play_round, past the choice model's forced exploration
+    es = small_envset()
+    args = (es, build_spanner(es.keyterm_feats), 30, Schedule("prop", 0.3), 6, DuelConfig(),
+            MnlConfig(t0=10), algorithm)
+    cells = [(0, 0), (2, 1)]
+    rows = _play_cell(*args, cells)
+    assert [row.tobytes() for row in rows] == [
+        _play_cell(*args, [cell])[0].tobytes() for cell in cells
+    ]
 
 
 def test_worker_count_does_not_change_maxinp_results():
@@ -391,12 +405,12 @@ def test_explicit_user_list_and_shared_spanner():
 def test_only_kinds_that_draw_from_the_spanner_need_one(algorithm):
     # every second round converses, so each conversational kind picks key-terms
     es = small_envset()
-    cell = (es, None, 4, Schedule("prop", 0.5), 6, DuelConfig(), MnlConfig(), algorithm, 0, 0)
+    cell = (es, None, 4, Schedule("prop", 0.5), 6, DuelConfig(), MnlConfig(), algorithm, [(0, 0)])
     if needs_spanner([algorithm]):
         with pytest.raises(StructuralError, match="spanner"):
             _play_cell(*cell)
     else:
-        assert _play_cell(*cell).shape == (4,)
+        assert [row.shape for row in _play_cell(*cell)] == [(4,)]
 
 
 def test_no_spanner_is_built_for_kinds_that_do_not_draw_from_it():
