@@ -33,6 +33,7 @@ from .spanner import Spanner
 
 __all__ = [
     "DUEL_KINDS",
+    "DUEL_SPANNER_KINDS",
     "DuelConfig",
     "RoundRecord",
     "select_keyterm_pair",
@@ -50,6 +51,9 @@ CONVERSATIONAL_KINDS = ("conduel", "conduel-random", "conduel-maxinp")
 PLAIN_KINDS = ("maxinp", "random-opt")
 RCONUCB_KINDS = ("rconucb-posneg", "rconucb-diff")
 DUEL_KINDS = CONVERSATIONAL_KINDS + PLAIN_KINDS + RCONUCB_KINDS
+
+# the kinds whose key-term pairs come from the barycentric spanner
+DUEL_SPANNER_KINDS = ("conduel",)
 
 # Empirical shrink applied to the theoretical confidence radius.  The
 # closed-form radius is a high-probability bound whose constants are far too
@@ -247,8 +251,8 @@ class DuelPolicy:
         self.estimate = ThetaEstimate(zero, zero.copy(), False, 0)
         self._warm = WarmStart(self.d)
         self.converses = kind in CONVERSATIONAL_KINDS
-        if self.converses and kind == "conduel" and spanner is None:
-            raise StructuralError("conduel requires a spanner")
+        if kind in DUEL_SPANNER_KINDS and spanner is None:
+            raise StructuralError(f"{kind} requires a spanner")
 
     def radius(self, t: int, b_of_t: float) -> float:
         return self.config.radius_scale * dueling_radius(t, b_of_t, self.d, self.link.kappa1)

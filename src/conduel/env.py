@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, StructuralError
 from .glm import LinkFunction, WeightGraph, get_link
-from .mnl import expected_revenue, mnl_probs, optimal_assortment
+from .mnl import OUTSIDE, expected_revenue, mnl_probs, optimal_assortment
 from .rng import env_rng
 
 __all__ = [
@@ -222,7 +222,8 @@ class SimulatedUser:
         return int(rng.random() < p)
 
     def choice(self, offered, rng) -> int:
-        """Index of the chosen offered item, or -1 for the outside option."""
+        """Index of the chosen offered item, or ``OUTSIDE`` for the outside
+        option."""
         probs, _ = mnl_probs(self.theta_star, offered)
         u = float(rng.random())
         acc = 0.0
@@ -230,7 +231,7 @@ class SimulatedUser:
             acc += float(p)
             if u < acc:
                 return i
-        return -1
+        return OUTSIDE
 
     def revenues(self, pool_feats) -> np.ndarray:
         """Per-item revenue of the given features; it equals the true utility."""

@@ -25,12 +25,12 @@ import numpy as np
 
 from . import rng as streams
 from .dueling import (
-    CONVERSATIONAL_KINDS, DUEL_KINDS, PLAIN_KINDS, RCONUCB_KINDS, DuelConfig, DuelGroup,
-    DuelPolicy, RconucbPolicy,
+    CONVERSATIONAL_KINDS, DUEL_KINDS, DUEL_SPANNER_KINDS, PLAIN_KINDS, RCONUCB_KINDS, DuelConfig,
+    DuelGroup, DuelPolicy, RconucbPolicy,
 )
 from .env import EnvironmentSet, Schedule, dueling_regret, mnl_regret
 from .errors import CellError, ConfigError, NumericalError
-from .mnl import MNL_KINDS, MnlConfig, MnlPolicy
+from .mnl import MNL_KINDS, MNL_SPANNER_KINDS, MnlConfig, MnlPolicy
 from .spanner import Spanner, build_spanner
 
 __all__ = [
@@ -47,7 +47,7 @@ LOCKSTEP_KINDS = CONVERSATIONAL_KINDS + PLAIN_KINDS
 def needs_spanner(algorithms) -> bool:
     """Whether any of ``algorithms`` draws key-terms from the barycentric
     spanner; the policies of these kinds raise without one."""
-    return any(name in ("conduel", "conmnl", "conmnl-ucb", "conmnl-random") for name in algorithms)
+    return any(name in DUEL_SPANNER_KINDS + MNL_SPANNER_KINDS for name in algorithms)
 
 
 def regret_kind_of(algorithm: str) -> str:

@@ -31,6 +31,7 @@ from .spanner import Spanner
 
 __all__ = [
     "MNL_KINDS",
+    "MNL_SPANNER_KINDS",
     "MnlConfig",
     "ChoiceHistory",
     "mnl_probs",
@@ -42,7 +43,10 @@ __all__ = [
     "MnlPolicy",
 ]
 
-MNL_KINDS = ("conmnl", "conmnl-ucb", "conmnl-random", "ucb-mnl")
+# the kinds that converse: each draws its key-terms from the barycentric
+# spanner, up to t0 at least
+MNL_SPANNER_KINDS = ("conmnl", "conmnl-ucb", "conmnl-random")
+MNL_KINDS = MNL_SPANNER_KINDS + ("ucb-mnl",)
 
 OUTSIDE = -1
 
@@ -309,7 +313,8 @@ class MnlPolicy:
     round refits the MLE (from the start its last fit, carried in a
     ``WarmStart``, predicts), forms optimistic utilities, and offers the exact
     revenue-optimal assortment under the revenues of the user it offers to.
-    The plain kind skips conversations.
+    The warm start's ``theta`` is the policy's one estimate: zero until the
+    first fit, the last fit after it.  The plain kind skips conversations.
     """
 
     def __init__(
@@ -329,11 +334,10 @@ class MnlPolicy:
         self.config = config or MnlConfig()
         self.d = self.keyterm_feats.shape[1]
         self.history = ChoiceHistory(self.d, self.config.q, LAM)
-        self.theta = np.zeros(self.d)
         self._warm = WarmStart(self.d)
-        self.converses = kind != "ucb-mnl"
-        if self.converses and spanner is None:
-            raise StructuralError("conversational choice policies require a spanner")
+        self.converses = kind in MNL_SPANNER_KINDS
+        if kind in MNL_SPANNER_KINDS and spanner is None:
+            raise StructuralError(f"{kind} requires a spanner")
 
     def radius(self, t: int, b_of_t: float) -> float:
         return self.config.radius_scale * mnl_radius(t, b_of_t, self.d)
@@ -346,8 +350,9 @@ class MnlPolicy:
         if self.kind == "conmnl-random":
             return rng_sel.integers(self.keyterm_feats.shape[0], size=q)
         # conmnl-ucb: the q key-terms with the largest optimistic utility
+        # under the last fit
         alpha = self.radius(t, b_of_t)
-        u = ucb_utilities(self.theta, self.history.design, alpha, self.keyterm_feats)
+        u = ucb_utilities(self._warm.theta, self.history.design, alpha, self.keyterm_feats)
         return np.sort(np.argsort(-u, kind="stable")[:q])
 
     def play_round(self, pool_ids, pool_feats, oracle, t, n_conversations, b_of_t) -> RoundRecord:
@@ -368,18 +373,18 @@ class MnlPolicy:
             rng_a = self.stream.at(t, streams.ASSORTMENT_RANDOM)
             sel = np.sort(rng_a.choice(n_pool, size=min(cfg.q, n_pool), replace=False))
         else:
-            self.theta = mnl_mle_fit(self.history, warm=self._warm)
+            theta = mnl_mle_fit(self.history, warm=self._warm)
             # policies without a conversation module have no key-term
             # observations, so their radius counts offered rounds only
             alpha = self.radius(t, b_of_t if self.converses else 0.0)
-            z = ucb_utilities(self.theta, self.history.design, alpha, pool_feats)
+            z = ucb_utilities(theta, self.history.design, alpha, pool_feats)
             sel = optimal_assortment(z, oracle.revenues(pool_feats), cfg.q)
 
         if sel.size:
             offered = pool_feats[sel]
             chosen = oracle.choice(offered, self.stream.at(t, streams.CHOICE_FEEDBACK))
             self.history.append(offered, chosen)
-            chosen_id = int(pool_ids[sel[chosen]]) if chosen >= 0 else OUTSIDE
+            chosen_id = int(pool_ids[sel[chosen]]) if chosen != OUTSIDE else OUTSIDE
         else:
             chosen = OUTSIDE
             chosen_id = OUTSIDE

@@ -21,15 +21,9 @@ from conduel.errors import DomainError, StructuralError
 from conduel.estimator import DELTA, LAM
 from conduel.glm import DesignMatrix, get_link
 from conduel.spanner import build_spanner
+from support import numpy_stream
 
 SIG = get_link("sigmoid")
-
-
-def numpy_stream(seed, t, purpose):
-    # a run's (seed, round, purpose) stream as numpy defines it, so replays
-    # do not take their draws from the module under test
-    ss = np.random.SeedSequence(entropy=(streams._RUN_SALT, seed, t, purpose))
-    return np.random.Generator(np.random.PCG64(ss))
 
 
 def small_envset(seed=0, n_users=2, n_keyterms=25, n_arms=30, dim=3):

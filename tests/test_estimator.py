@@ -19,6 +19,7 @@ from conduel.estimator import (
 )
 from conduel.glm import DesignMatrix, get_link
 from conduel.harness import run_experiment
+from support import started_at
 
 SIG = get_link("sigmoid")
 CLAMP = get_link("clamped_linear")
@@ -318,13 +319,6 @@ def test_mle_fit_matches_grid_search():
         est = mle_fit(h, 1.0, SIG)
         grid = grid_search_mle(h.diffs, h.outcomes, 1.0)
         assert np.linalg.norm(est.theta_raw - grid) <= 2e-3
-
-
-def started_at(theta):
-    """A WarmStart holding only an estimate: a fit given it starts there."""
-    warm = WarmStart(len(theta))
-    warm.theta = np.array(theta, dtype=float)
-    return warm
 
 
 def test_mle_fit_warm_start_agrees():

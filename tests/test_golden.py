@@ -4,9 +4,10 @@ dueling policies under the clamped-linear link.
 Each digest is the SHA-256 of ``RegretTrace.inst`` as float64 bytes, so a
 pure refactor must leave it unchanged.  A change that moves a trace on
 purpose updates the digest here and records why in ``CHANGES.md``.  The
-digests hold for the float arithmetic of the numpy build the suite was
-pinned with (numpy 2.4.6, which the CI workflow installs on Python 3.11); a
-platform whose exp or BLAS rounds differently changes them.
+digests hold for the float arithmetic of numpy 2.4.6.  CI checks them on
+its one job, which pins that build on Python 3.11, both on the default BLAS
+threads and on one; a platform whose exp or BLAS rounds differently changes
+them.
 """
 
 import hashlib

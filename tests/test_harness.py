@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conduel import dueling
+from conduel import dueling, estimator
 from conduel.dueling import DuelConfig, DuelPolicy
 from conduel.env import Schedule, SyntheticConfig, gen_synthetic
 from conduel.errors import CellError, ConfigError, NumericalError, StructuralError
@@ -160,6 +160,35 @@ def test_grouping_edge_cases_match_cells_alone(algorithm, link, dim):
     schedule = Schedule("prop", 0.3)
     trace = run_experiment(es, algorithm, 30, [0, 1], schedule, pool_size=6, users=3)
     alone = cells_alone(es, algorithm, 30, schedule, trace)
+    assert trace.inst.tobytes() == np.vstack(alone).tobytes()
+
+
+@pytest.mark.parametrize("algorithm", ["conduel", "maxinp"])
+def test_stacked_fit_in_shrinking_blocks_matches_cells_alone(algorithm, monkeypatch):
+    # a block may hold the columns of four 16-row histories, so the group's
+    # fit starts as one block of four cells and, as the histories grow,
+    # splits into 3 + 1, 2 + 2 and then blocks of one
+    es = small_envset(n_users=4)
+    monkeypatch.setattr(estimator, "_STACK_BLOCK_BYTES", 4 * es.dim * 16 * 8)
+    fits = []
+    fit, newton = dueling.mle_fit_stack, estimator._newton
+
+    def recorded_fit(*args):
+        fits.append([])
+        return fit(*args)
+
+    def recorded_newton(obj, tol, what, warm):
+        if isinstance(warm, list):
+            fits[-1].append(len(warm))
+        return newton(obj, tol, what, warm)
+
+    monkeypatch.setattr(dueling, "mle_fit_stack", recorded_fit)
+    monkeypatch.setattr(estimator, "_newton", recorded_newton)
+    schedule = Schedule("prop", 0.3)
+    trace = run_experiment(es, algorithm, 60, [0], schedule, pool_size=6, users=4, workers=1)
+    assert fits[0] == [4] and fits[-1] == [1, 1, 1, 1]
+    assert [3, 1] in fits and [2, 2] in fits
+    alone = cells_alone(es, algorithm, 60, schedule, trace)
     assert trace.inst.tobytes() == np.vstack(alone).tobytes()
 
 

@@ -27,13 +27,7 @@ from conduel.mnl import (
     ucb_utilities,
 )
 from conduel.spanner import build_spanner
-
-
-def numpy_stream(seed, t, purpose):
-    # a run's (seed, round, purpose) stream as numpy defines it, so replays
-    # do not take their draws from the module under test
-    ss = np.random.SeedSequence(entropy=(streams._RUN_SALT, seed, t, purpose))
-    return np.random.Generator(np.random.PCG64(ss))
+from support import numpy_stream, started_at
 
 
 def expected_revenue_from_z(z, r, idx):
@@ -313,13 +307,6 @@ def test_fit_improves_on_zero():
         theta = mnl_mle_fit(h)
         obj = MnlObjective(h)
         assert obj.value(theta) >= obj.value(np.zeros(3))
-
-
-def started_at(theta):
-    """A WarmStart holding only an estimate: a fit given it starts there."""
-    warm = WarmStart(len(theta))
-    warm.theta = np.array(theta, dtype=float)
-    return warm
 
 
 def reference_newton_fit(history, theta0=None):
@@ -753,7 +740,7 @@ def test_keyterm_selection_modes():
     assert set(ids.tolist()) <= members
     policy = make_policy("conmnl-ucb", es, seed=6, q=3, t0=10)
     alpha = policy.radius(11, 2.0)
-    u = ucb_utilities(policy.theta, policy.history.design, alpha, es.keyterm_feats)
+    u = ucb_utilities(policy._warm.theta, policy.history.design, alpha, es.keyterm_feats)
     expect = np.sort(np.argsort(-u, kind="stable")[:3])
     got = policy._select_keyterms(11, 2.0, numpy_stream(6, 11, streams.KEYTERM_SELECT))
     np.testing.assert_array_equal(got, expect)
@@ -874,7 +861,7 @@ def test_optimistic_utility_sandwich_on_trace():
         feats = es.arms[pool]
         if t > 15:
             alpha = policy.radius(t, sched.b(t))
-            z = ucb_utilities(policy.theta, policy.history.design, alpha, feats)
+            z = ucb_utilities(policy._warm.theta, policy.history.design, alpha, feats)
             truth = feats @ oracle.theta_star
             gap = z - truth
             cap = 2 * alpha * np.sqrt(policy.history.design.inv_quad_rows(feats))

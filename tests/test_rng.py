@@ -3,16 +3,12 @@ import pytest
 
 from conduel import rng as streams
 from conduel.errors import DomainError
+from support import numpy_stream
 
 # rounds on both sides of block edges, of the 2^32 step in t's word count,
 # and of 2^64
 ROUNDS = [0, 1, 255, 256, 257, 511, 512, 1000, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64 + 3]
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**40 + 5]
-
-
-def numpy_stream(seed, t, purpose):
-    ss = np.random.SeedSequence(entropy=(streams._RUN_SALT, seed, t, purpose))
-    return np.random.Generator(np.random.PCG64(ss))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
